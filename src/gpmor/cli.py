@@ -17,6 +17,8 @@ from .interpolation import TrainingSet, c2_sweep, interpolate
 from .metrics import error_series
 from .snapshots import compute_pod
 from .stability import (
+    EXIT_C1,
+    EXIT_C2,
     DistanceTable,
     StabilityReport,
     c3_distance_table,
@@ -215,10 +217,10 @@ def cmd_check_c3(args):
             res = interpolate(ts, args.target)
             if not res.c1_ok:
                 _say(args, f"C1 failure at mode p={p}")
-                return 10
+                return EXIT_C1
             if not res.c2_ok:
                 _say(args, f"C2 failure at mode p={p} (theta_max={fmt(res.theta_max)})")
-                return 11
+                return EXIT_C2
             results.append((p, res.frame))
         table = c3_distance_table(results)
     c3 = check_c3(table, threshold=args.threshold)

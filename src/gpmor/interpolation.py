@@ -25,15 +25,7 @@ def lagrange_weights(params, target):
     params = [float(x) for x in params]
     if len(set(params)) != len(params):
         raise ParameterError("interpolation nodes must be pairwise distinct")
-    target = float(target)
-    weights = []
-    for i, li in enumerate(params):
-        w = 1.0
-        for j, lj in enumerate(params):
-            if i != j:
-                w *= (target - lj) / (li - lj)
-        weights.append(w)
-    return weights
+    return kernels.lagrange_matrix(params, [float(target)])[0].tolist()
 
 
 @dataclass(frozen=True)

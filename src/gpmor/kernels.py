@@ -1,91 +1,39 @@
 """Hot kernels for the C2 parameter sweep.
 
-The sweep evaluates, for hundreds of target parameters, the Lagrange-weighted
-combination of the training lifts followed by its largest singular value. That
-inner loop is compiled with numba when available; a pure-numpy path is kept as
-a fallback and for debugging.
-
-Backend selection: set GPM_BACKEND=numpy to force the fallback, GPM_BACKEND=numba
-to require numba (ImportError if missing). Default: numba if importable, else
-numpy. GPM_NUM_THREADS caps numba's thread count (0 or unset = automatic).
+The sweep needs, for every grid parameter lam, the largest singular value of
+the Lagrange-combined lift Z(lam) = sum_i w_i(lam) Z_i. Stacking the lifts as
+S = [Z_1 ... Z_N] (n x Np) gives Z(lam) = S (w(lam) kron I_p), and with the
+reduced QR factorisation S = QR the orthonormal Q drops out of the singular
+values: sigma(Z(lam)) = sigma(R (w(lam) kron I_p)). One QR of S costs
+O(n (Np)^2); every grid point is then a k x p problem with k = min(n, Np),
+whatever n is.
 """
-
-import os
 
 import numpy as np
 
-_requested = os.environ.get("GPM_BACKEND", "").strip().lower()
-
-if _requested == "numpy":
-    _HAVE_NUMBA = False
-else:
-    try:
-        import numba
-        from numba import njit, prange
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-    _threads = os.environ.get("GPM_NUM_THREADS", "0")
-    try:
-        _threads = int(_threads)
-    except ValueError:
-        _threads = 0
-    if _threads > 0:
-        numba.set_num_threads(min(_threads, numba.config.NUMBA_NUM_THREADS))
-
-    @njit(cache=True, parallel=True)
-    def _theta_curve_jit(lifts, node_params, grid):  # pragma: no cover - compiled
-        n_nodes = node_params.shape[0]
-        out = np.empty(grid.shape[0])
-        for g in prange(grid.shape[0]):
-            lam = grid[g]
-            z = np.zeros((lifts.shape[1], lifts.shape[2]))
-            for i in range(n_nodes):
-                w = 1.0
-                for j in range(n_nodes):
-                    if i != j:
-                        w *= (lam - node_params[j]) / (node_params[i] - node_params[j])
-                z += w * lifts[i]
-            sv = np.linalg.svd(z)[1]
-            out[g] = sv[0]
-        return out
-
-    def theta_curve_numba(lifts, node_params, grid):
-        lifts = np.ascontiguousarray(lifts, dtype=np.float64)
-        node_params = np.ascontiguousarray(node_params, dtype=np.float64)
-        grid = np.ascontiguousarray(grid, dtype=np.float64)
-        return _theta_curve_jit(lifts, node_params, grid)
-
-else:
-    theta_curve_numba = None
+# Bytes of combined k x p blocks held at once; bounds the sweep's temporaries.
+_BLOCK_BYTES = 16 << 20
 
 
-def theta_curve_numpy(lifts, node_params, grid):
-    """Pure-numpy reference path for the sweep kernel."""
-    lifts = np.asarray(lifts, dtype=np.float64)
+def lagrange_matrix(node_params, targets):
+    """Lagrange cardinal weights w[m, i] = prod_{j != i} (t_m - l_j) / (l_i - l_j).
+
+    At an exact node t_m = l_i, every other weight has a zero factor and every
+    factor of w[m, i] is exactly 1, so the row is exactly one-hot.
+    """
     node_params = np.asarray(node_params, dtype=np.float64)
-    grid = np.asarray(grid, dtype=np.float64)
-    # weight matrix: w[m, i] = prod_{j != i} (grid[m] - lam_j) / (lam_i - lam_j)
-    n_nodes = node_params.shape[0]
-    w = np.ones((grid.shape[0], n_nodes))
-    for i in range(n_nodes):
-        for j in range(n_nodes):
+    targets = np.asarray(targets, dtype=np.float64)
+    w = np.ones((targets.shape[0], node_params.shape[0]))
+    for i, li in enumerate(node_params):
+        for j, lj in enumerate(node_params):
             if i != j:
-                w[:, i] *= (grid - node_params[j]) / (node_params[i] - node_params[j])
-    combined = np.einsum("mi,inp->mnp", w, lifts)
-    out = np.empty(grid.shape[0])
-    for m in range(grid.shape[0]):
-        out[m] = np.linalg.svd(combined[m], compute_uv=False)[0]
-    return out
+                w[:, i] *= (targets - lj) / (li - lj)
+    return w
 
 
 def active_backend():
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the sweep kernel's implementation, for benchmark records."""
+    return "numpy"
 
 
 def theta_curve(lifts, node_params, grid):
@@ -95,6 +43,17 @@ def theta_curve(lifts, node_params, grid):
     node_params: (N,) pairwise distinct training parameters.
     grid: (M,) target parameters.
     """
-    if _HAVE_NUMBA:
-        return theta_curve_numba(lifts, node_params, grid)
-    return theta_curve_numpy(lifts, node_params, grid)
+    lifts = np.asarray(lifts, dtype=np.float64)
+    n_nodes, n, p = lifts.shape
+    stacked = lifts.transpose(1, 0, 2).reshape(n, n_nodes * p)
+    r = np.linalg.qr(stacked, mode="r")
+    k = r.shape[0]
+    # row i of blocks is R_i, the k x p slice of R that multiplies w_i, flattened
+    blocks = r.reshape(k, n_nodes, p).transpose(1, 0, 2).reshape(n_nodes, k * p)
+    weights = lagrange_matrix(node_params, grid)
+    rows = max(1, _BLOCK_BYTES // (k * p * 8))
+    out = np.empty(weights.shape[0])
+    for start in range(0, weights.shape[0], rows):
+        combined = (weights[start : start + rows] @ blocks).reshape(-1, k, p)
+        out[start : start + rows] = np.linalg.svd(combined, compute_uv=False)[:, 0]
+    return out

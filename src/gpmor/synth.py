@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ParameterError
 from .snapshots import SnapshotMatrix
@@ -238,6 +237,8 @@ def gen_nonnested_family(spec):
     pick up large, mode-dependent errors: the cross-mode distance table spreads
     over orders of magnitude and the C3 ratio blows up.
     """
+    from scipy.linalg import expm  # deferred: loading scipy.linalg slows every CLI start-up
+
     if spec.kind != "nonnested":
         raise ParameterError(f"expected kind='nonnested', got {spec.kind!r}")
     rng = np.random.default_rng(np.random.PCG64(spec.seed))

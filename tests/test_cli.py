@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,12 @@ def synth_family(out, kind="rotation", n=8, nt=12, modes=2, rate=0.1,
     )
     assert code == 0
     return sorted(str(p) for p in out.glob("snapshot_*.gpm"))
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, gpmor.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 # -- synth --------------------------------------------------------------------

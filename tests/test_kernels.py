@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,34 +23,74 @@ def reference_thetas(lifts, params, grid):
     return np.array(out)
 
 
+def assert_matches_reference(lifts, params, grid):
+    """|dtheta| <= 1e-12 * max(1, sum_i |w_i(lam)| * ||Z_i||_2) at every grid point."""
+    got = kernels.theta_curve(lifts, params, grid)
+    want = reference_thetas(lifts, params, grid)
+    norms = np.array([np.linalg.norm(z, 2) for z in lifts])
+    scale = np.array([np.abs(lagrange_weights(params, lam)) @ norms for lam in grid])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, scale))
+
+
 def test_numpy_kernel_matches_direct_evaluation():
     rng = np.random.default_rng(0)
-    lifts, params, grid = make_case(rng)
-    got = kernels.theta_curve_numpy(lifts, params, grid)
-    assert np.allclose(got, reference_thetas(lifts, params, grid), atol=1e-12)
-
-
-@pytest.mark.skipif(kernels.theta_curve_numba is None, reason="numba backend not active")
-def test_numba_kernel_matches_numpy():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        lifts, params, grid = make_case(rng, n_nodes=int(rng.integers(2, 6)))
-        a = kernels.theta_curve_numba(lifts, params, grid)
-        b = kernels.theta_curve_numpy(lifts, params, grid)
-        assert np.allclose(a, b, atol=1e-12)
+    assert_matches_reference(*make_case(rng, n_nodes=4, n=200, p=3))  # tall: n >> Np
+    assert_matches_reference(*make_case(rng, n_nodes=5, n=7, p=3))  # wide: n < Np
 
 
 def test_dispatcher_consistent_with_active_backend():
     rng = np.random.default_rng(2)
-    lifts, params, grid = make_case(rng)
-    got = kernels.theta_curve(lifts, params, grid)
-    assert np.allclose(got, kernels.theta_curve_numpy(lifts, params, grid), atol=1e-12)
-    assert kernels.active_backend() in ("numba", "numpy")
+    assert_matches_reference(*make_case(rng))
+    assert kernels.active_backend() == "numpy"
 
 
 def test_single_grid_point_and_single_node():
     lifts = np.ones((1, 4, 1))
     params = np.array([2.0])
     grid = np.array([7.0])
-    got = kernels.theta_curve_numpy(lifts, params, grid)
+    got = kernels.theta_curve(lifts, params, grid)
     assert got[0] == pytest.approx(2.0, abs=1e-14)  # svd of the all-ones 4x1 column
+
+
+def test_single_node_is_constant():
+    rng = np.random.default_rng(3)
+    lifts, params, grid = make_case(rng, n_nodes=1, n=30, p=4)
+    assert_matches_reference(lifts, params, grid)
+    got = kernels.theta_curve(lifts, params, grid)
+    assert np.ptp(got) <= 1e-13 * got[0]
+
+
+def test_single_grid_point_many_nodes():
+    rng = np.random.default_rng(4)
+    lifts, params, _ = make_case(rng, n_nodes=6, n=40, p=3)
+    assert_matches_reference(lifts, params, np.array([4.2]))
+
+
+def test_far_extrapolation_with_large_lebesgue_constant():
+    rng = np.random.default_rng(5)
+    lifts, params, _ = make_case(rng, n_nodes=8, n=50, p=3)
+    grid = np.linspace(-60.0, 70.0, 41)
+    assert max(np.abs(lagrange_weights(params, lam)).sum() for lam in grid) > 1e6
+    assert_matches_reference(lifts, params, grid)
+
+
+def test_zero_at_exact_node_of_a_zero_lift():
+    rng = np.random.default_rng(6)
+    lifts, params, _ = make_case(rng, n_nodes=4, n=25, p=2)
+    lifts[2] = 0.0
+    assert kernels.theta_curve(lifts, params, params[2:3])[0] == 0.0
+
+
+def test_peak_allocation_independent_of_grid_times_n():
+    # the M x n x p combined lifts alone would be 2001 * 20000 * 10 doubles = 3.2 GB
+    rng = np.random.default_rng(7)
+    lifts, params, _ = make_case(rng, n_nodes=5, n=20000, p=10)
+    grid = np.linspace(-1.0, 11.0, 2001)
+    tracemalloc.start()
+    try:
+        kernels.theta_curve(lifts, params, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
