@@ -15,7 +15,7 @@ from .fileio import fmt
 from .grassmann import geometric_distance, riemannian_distance
 from .interpolation import TrainingSet, c2_sweep, interpolate
 from .metrics import error_series
-from .snapshots import compute_pod
+from .snapshots import compute_pod, factor_pod, truncate_pod
 from .stability import (
     EXIT_C1,
     EXIT_C2,
@@ -41,10 +41,20 @@ def _outdir(args):
     return out
 
 
-def _load_training_set(args):
-    snaps = sorted((fileio.read_snapshot(p) for p in args.inputs), key=lambda s: s.param)
-    points = [(s.param, compute_pod(s, args.mode).basis) for s in snaps]
+def _factor_inputs(args, max_mode):
+    """Read and factor each snapshot once, keeping only its POD factor, sorted
+    by parameter; every mode up to max_mode is then a truncation."""
+    return sorted((factor_pod(fileio.read_snapshot(p), max_mode) for p in args.inputs),
+                  key=lambda f: f.param)
+
+
+def _training_set(args, factors, mode):
+    points = [(f.param, truncate_pod(f, mode).basis) for f in factors]
     return TrainingSet(points=tuple(points), reference_index=args.reference_index)
+
+
+def _load_training_set(args):
+    return _training_set(args, _factor_inputs(args, args.mode), args.mode)
 
 
 def _parse_float_list(text):
@@ -93,12 +103,6 @@ def cmd_pod(args):
     summary = {"schema": "gpm/1", "mode": args.mode, "inputs": []}
     for path in args.inputs:
         snap = fileio.read_snapshot(path)
-        bound = min(snap.n, snap.n_t)
-        if not 1 <= args.mode <= bound:
-            raise ParameterError(
-                f"{path}: mode p={args.mode} out of range [1, {bound}] "
-                f"(min of n={snap.n} and n_t={snap.n_t})"
-            )
         pod = compute_pod(snap, args.mode)
         stem = Path(path).stem
         fileio.write_frame_bin(out / f"basis_{stem}.gpf", pod.basis)
@@ -209,11 +213,10 @@ def cmd_check_c3(args):
         modes = _parse_int_list(args.modes)
         if len(modes) < 2:
             raise ParameterError("check-c3 needs at least two modes")
+        factors = _factor_inputs(args, max(modes))
         results = []
         for p in modes:
-            mode_args = argparse.Namespace(**vars(args))
-            mode_args.mode = p
-            ts = _load_training_set(mode_args)
+            ts = _training_set(args, factors, p)
             res = interpolate(ts, args.target)
             if not res.c1_ok:
                 _say(args, f"C1 failure at mode p={p}")

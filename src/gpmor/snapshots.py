@@ -66,43 +66,74 @@ def singular_spectrum(s):
     return np.linalg.svd(s.data, compute_uv=False)
 
 
-def compute_pod(s, p):
-    """Truncated POD of mode p: the p leading left singular vectors of s.
+@dataclass(frozen=True)
+class PodFactor:
+    """One signed thin SVD of a snapshot matrix, ready to truncate to any mode
+    up to the number of left singular vectors it keeps."""
 
-    The returned subspace minimizes the Frobenius projection residual over all
-    p-dimensional subspaces (Eckart-Young). Signs are fixed so the largest
-    entry of each basis column is positive. Raises DegenerateRankError when
-    rank(s) < p, and flags (without failing) a degenerate gap
-    sigma_p = sigma_{p+1}.
-    """
-    q = min(s.n, s.n_t)
-    if not 1 <= p <= q:
-        raise ParameterError(f"mode p={p} out of range [1, {q}] for a {s.n}x{s.n_t} matrix")
+    vectors: np.ndarray
+    singular_values: np.ndarray
+    shape: tuple
+    param: float
+
+
+def factor_pod(s, max_mode):
+    """Thin SVD of s keeping the min(max_mode, q) leading left singular vectors,
+    q = min(n, n_t), with the signs of fix_svd_signs, and the full spectrum."""
     u, sv, vt = np.linalg.svd(s.data, full_matrices=False)
-    rank_tol = max(s.n, s.n_t) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+    keep = min(max(int(max_mode), 0), sv.size)
+    # a contiguous copy of the kept columns lets the full U be freed
+    u = np.ascontiguousarray(u[:, :keep])
+    fix_svd_signs(u, vt[:keep])
+    return PodFactor(vectors=u, singular_values=sv, shape=s.data.shape, param=s.param)
+
+
+def truncate_pod(f, p):
+    """Mode-p POD from a factor: its p leading signed left singular vectors.
+
+    Raises ParameterError outside [1, q] or beyond the modes the factor
+    keeps, DegenerateRankError when the rank is below p, and flags (without
+    failing) a degenerate gap sigma_p = sigma_{p+1}.
+    """
+    n, n_t = f.shape
+    sv = f.singular_values
+    q = sv.size
+    if not 1 <= p <= q:
+        raise ParameterError(f"mode p={p} out of range [1, {q}] for a {n}x{n_t} matrix")
+    if p > f.vectors.shape[1]:
+        raise ParameterError(f"mode p={p} exceeds the {f.vectors.shape[1]} modes the factor keeps")
+    rank_tol = max(n, n_t) * np.finfo(float).eps * sv[0]
     rank = int(np.sum(sv > rank_tol))
     if rank < p:
         raise DegenerateRankError(
             f"snapshot matrix has rank {rank} < requested mode p={p}; the minimizer is not unique"
         )
-    fix_svd_signs(u, vt)
-    if p < q:
-        unique = bool(sv[p - 1] - sv[p] > UNIQUENESS_GAP_TOL * sv[0])
-    else:
-        unique = True
+    unique = p == q or bool(sv[p - 1] - sv[p] > UNIQUENESS_GAP_TOL * sv[0])
     if not unique:
         warnings.warn(
             f"degenerate singular spectrum at mode p={p}: "
             f"sigma_p={sv[p - 1]:.6e}, sigma_p+1={sv[p]:.6e}; POD subspace is not unique",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return PodResult(
-        basis=GrassmannPoint(u[:, :p]),
+        basis=GrassmannPoint(f.vectors[:, :p]),
         singular_values=sv,
         mode=int(p),
         uniqueness_flag=unique,
     )
+
+
+def compute_pod(s, p):
+    """Truncated POD of mode p: the p leading left singular vectors of s.
+
+    The returned subspace minimizes the Frobenius projection residual over all
+    p-dimensional subspaces (Eckart-Young). Signs are fixed so the largest
+    entry of each basis column is positive. This is factor_pod then
+    truncate_pod; a caller that needs several modes of one matrix factors it
+    once and truncates per mode.
+    """
+    return truncate_pod(factor_pod(s, p), p)
 
 
 def reduced_model(s, basis):

@@ -147,8 +147,9 @@ def check_c3(table, threshold=DEFAULT_C3_THRESHOLD):
     """C3 verdict from a distance table: spread of the off-diagonal entries.
 
     epsilon = (delta_max - delta_min) / delta_min over the off-diagonal
-    distances. delta_min = 0 means every pair is perfectly nested; that ideal
-    case is defined as epsilon = 0 (stable).
+    distances. An all-zero off-diagonal (every pair coincides up to inclusion)
+    is defined as epsilon = 0 (stable); delta_min = 0 < delta_max makes the
+    ratio infinite (unstable).
     """
     if isinstance(table, DistanceTable):
         dt = table
@@ -162,10 +163,10 @@ def check_c3(table, threshold=DEFAULT_C3_THRESHOLD):
     off = values[mask]
     dmax = float(np.max(off))
     dmin = float(np.min(off))
-    if dmin == 0.0:
-        # perfect inclusion: the ratio is singular there, and zero defect is
-        # the ideal case, so define epsilon = 0 (stable)
+    if dmax == 0.0:
         epsilon = 0.0
+    elif dmin == 0.0:
+        epsilon = float("inf")
     else:
         epsilon = (dmax - dmin) / dmin
     threshold = float(threshold)

@@ -2,12 +2,22 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gpmor import cli, compute_pod, riemannian_distance
+from gpmor import (
+    SnapshotMatrix,
+    TrainingSet,
+    c3_distance_table,
+    cli,
+    compute_pod,
+    fileio,
+    interpolate,
+    riemannian_distance,
+)
 from gpmor.fileio import fmt, read_frame, read_json, read_snapshot, write_snapshot_bin
 
 
@@ -228,6 +238,102 @@ def test_check_c3_injected_table_exit_12(tmp_path):
     assert code == 12
     report = read_json(out / "c3_report.json")
     assert report["c3"]["epsilon"] == pytest.approx(554.03, rel=1e-12)
+
+
+def test_check_c3_table_zero_and_positive_entries_exit_12(tmp_path):
+    # one coinciding mode pair next to separated ones: epsilon is infinite
+    path = tmp_path / "table.csv"
+    with open(path, "w") as fh:
+        fh.write("# gpm-c3-table modes=2,4,6\n")
+        fh.write("0.0,0.0,8.7e-07\n0.0,0.0,8.7e-07\n8.7e-07,8.7e-07,0.0\n")
+    out = tmp_path / "c3"
+    assert run("--out", out, "--quiet", "check-c3", "--table", path) == 12
+    report = read_json(out / "c3_report.json")
+    assert report["c3"]["epsilon"] == np.inf
+    assert report["c3"]["ok"] is False
+
+
+def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
+    files = synth_family(tmp_path / "fam", kind="nested", n=16, nt=40, modes=5,
+                         rate=0.05, params="0,1,2,3", seed=7)
+    reads = []
+    snapshot_svds = []
+    read_snapshot_orig = fileio.read_snapshot
+    svd_orig = np.linalg.svd
+
+    def counting_read(path):
+        reads.append(str(path))
+        return read_snapshot_orig(path)
+
+    def counting_svd(a, *args, **kwargs):
+        if np.shape(a) == (16, 40):
+            snapshot_svds.append(np.shape(a))
+        return svd_orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(fileio, "read_snapshot", counting_read)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    code = run("--out", tmp_path / "c3", "--quiet", "check-c3", *files,
+               "--modes", "1,2,3,4,5", "--target", 1.5)
+    assert code == 0
+    assert sorted(reads) == sorted(files)
+    assert len(snapshot_svds) == len(files)
+
+
+def test_check_c3_table_matches_per_mode_library_path(tmp_path):
+    files = synth_family(tmp_path / "fam", kind="nonnested", n=16, nt=40, modes=5,
+                         rate=0.3, params="0,1,2,3", seed=2)
+    modes = [3, 1, 5, 2]
+    out = tmp_path / "c3"
+    code = run("--out", out, "--quiet", "check-c3", *files,
+               "--modes", ",".join(map(str, modes)), "--target", 1.5)
+    assert code == 12
+    lines = (out / "c3_table.csv").read_text().splitlines()
+    assert lines[0] == "# gpm-c3-table modes=3,1,5,2"
+    got = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    snaps = sorted((read_snapshot(f) for f in files), key=lambda s: s.param)
+    results = []
+    for p in modes:
+        ts = TrainingSet(points=tuple((s.param, compute_pod(s, p).basis) for s in snaps))
+        results.append((p, interpolate(ts, 1.5).frame))
+    expected = c3_distance_table(results).values
+    assert np.any(expected > 0.0)
+    assert np.array_equal(got, expected)
+
+
+def test_check_c3_verdict_before_later_mode_range_error(tmp_path):
+    files = synth_family(tmp_path / "fam", kind="crossing", rate=np.pi / 2,
+                         params="-0.8,0.0,0.8", modes=2, n=12, nt=30, seed=11)
+
+    def check(target):
+        return run("--out", tmp_path / "c3", "--quiet", "check-c3", *files,
+                   "--modes", "2,999", "--target", target, "--reference-index", 1)
+
+    assert check(1.3) == 11  # C2 fails at mode 2 before mode 999 is reached
+    assert check(0.4) == 2  # mode 2 is stable, so mode 999's range error decides
+
+
+def test_check_c3_peak_memory_below_six_snapshots(tmp_path):
+    n, n_t, params = 6000, 60, range(8)
+    rng = np.random.default_rng(0)
+    planes = np.linalg.qr(rng.standard_normal((n, 6)))[0]
+    right = np.linalg.qr(rng.standard_normal((n_t, 3)))[0]
+    files = []
+    for lam in params:
+        frame = planes[:, :3] * np.cos(0.1 * lam) + planes[:, 3:] * np.sin(0.1 * lam)
+        data = (frame * [3.0, 2.0, 1.0]) @ right.T + 1e-6 * rng.standard_normal((n, n_t))
+        path = tmp_path / f"snapshot_{lam:03d}.gpm"
+        write_snapshot_bin(path, SnapshotMatrix(data=data, param=float(lam)))
+        files.append(path)
+    del data
+    tracemalloc.start()
+    try:
+        code = run("--out", tmp_path / "c3", "--quiet", "check-c3", *files,
+                   "--modes", "1,2,3", "--target", 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * n * n_t * 8
 
 
 def test_check_c3_single_mode_exit_2(tmp_path):

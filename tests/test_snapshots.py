@@ -12,6 +12,8 @@ from gpmor import (
     reduced_model,
     singular_spectrum,
 )
+from gpmor.grassmann import fix_svd_signs
+from gpmor.snapshots import factor_pod, truncate_pod
 from oracles import jacobi_svd
 
 
@@ -151,3 +153,28 @@ def test_sign_convention_deterministic():
     for j in range(3):
         k = int(np.argmax(np.abs(a.basis.frame[:, j])))
         assert a.basis.frame[k, j] > 0.0
+
+
+def test_one_factor_serves_every_mode_bitwise():
+    # each truncation equals the leading columns of one full signed thin SVD
+    rng = np.random.default_rng(11)
+    s = SnapshotMatrix(data=rng.standard_normal((20, 9)))
+    u, sv, vt = np.linalg.svd(s.data, full_matrices=False)
+    fix_svd_signs(u, vt)
+    factor = factor_pod(s, 6)
+    assert factor.vectors.shape == (20, 6)
+    for p in range(1, 7):
+        expected = GrassmannPoint(u[:, :p]).frame
+        for pod in (truncate_pod(factor, p), compute_pod(s, p)):
+            assert np.array_equal(pod.basis.frame, expected)
+            assert np.array_equal(pod.singular_values, sv)
+            assert pod.uniqueness_flag and pod.mode == p
+
+
+def test_truncate_beyond_kept_modes_rejected():
+    s = SnapshotMatrix(data=np.random.default_rng(12).standard_normal((10, 6)))
+    factor = factor_pod(s, 2)
+    with pytest.raises(ParameterError, match="keeps"):
+        truncate_pod(factor, 3)
+    with pytest.raises(ParameterError, match=r"\[1, 6\]"):
+        truncate_pod(factor, 7)

@@ -166,6 +166,13 @@ def test_c3_zero_dmin_defined_stable():
     assert rec.epsilon == 0.0 and rec.ok
 
 
+def test_c3_zero_dmin_positive_dmax_unstable():
+    # one coinciding pair next to a separated one: the spread ratio is infinite
+    t = np.array([[0.0, 0.0, 8.7e-7], [0.0, 0.0, 8.7e-7], [8.7e-7, 8.7e-7, 0.0]])
+    rec = check_c3(t)
+    assert rec.epsilon == np.inf and not rec.ok
+
+
 def test_c3_scale_invariance():
     rng = np.random.default_rng(6)
     t = np.abs(rng.standard_normal((4, 4)))
