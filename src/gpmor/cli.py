@@ -17,13 +17,9 @@ from .interpolation import TrainingSet, c2_sweep, interpolate
 from .metrics import error_series
 from .snapshots import compute_pod, factor_pod, truncate_pod
 from .stability import (
-    EXIT_C1,
-    EXIT_C2,
     DistanceTable,
     StabilityReport,
     c3_distance_table,
-    check_c1,
-    check_c2,
     check_c3,
     grassmann_dimension,
 )
@@ -55,6 +51,13 @@ def _training_set(args, factors, mode):
 
 def _load_training_set(args):
     return _training_set(args, _factor_inputs(args, args.mode), args.mode)
+
+
+def _write_report(args, path, report):
+    """Write the JSON report when asked for and return its exit code."""
+    if args.report in ("json", "both"):
+        fileio.write_json(path, report.to_dict())
+    return report.exit_code()
 
 
 def _parse_float_list(text):
@@ -131,11 +134,9 @@ def cmd_interpolate(args):
     out = _outdir(args)
     ts = _load_training_set(args)
     result = interpolate(ts, args.target)
-    c1 = check_c1(ts, reference_index=result.reference_index)
-    c2 = check_c2(result.velocity) if result.velocity is not None else None
     report = StabilityReport(
-        c1=c1,
-        c2=c2,
+        c1=result.c1,
+        c2=result.c2,
         meta={
             "target": result.target_param,
             "reference_index": result.reference_index,
@@ -145,18 +146,17 @@ def cmd_interpolate(args):
             "extrapolated": result.extrapolated,
         },
     )
-    if args.report in ("json", "both"):
-        fileio.write_json(out / "interpolation_report.json", report.to_dict())
+    code = _write_report(args, out / "interpolation_report.json", report)
     if result.ok:
         fileio.write_frame_bin(out / "interpolated.gpf", result.frame)
         _say(
             args,
             f"interpolated at lambda={fmt(result.target_param)} "
-            f"(theta_max={fmt(result.theta_max)}, dim={report.meta['grassmann_dimension']})",
+            f"(theta_max={fmt(result.c2.theta_max)}, dim={report.meta['grassmann_dimension']})",
         )
     else:
-        _say(args, "interpolation unstable: " + ("C1 failed" if not result.c1_ok else "C2 failed"))
-    return report.exit_code()
+        _say(args, "interpolation unstable: " + ("C1 failed" if not result.c1.ok else "C2 failed"))
+    return code
 
 
 def cmd_sweep_c2(args):
@@ -210,20 +210,27 @@ def cmd_check_c3(args):
             modes = tuple(_parse_int_list(header.split("modes=")[1].split()[0]))
         table = DistanceTable(modes=modes, values=values)
     else:
+        for option in ("modes", "target"):
+            if getattr(args, option) is None:
+                raise ParameterError(f"check-c3 needs --{option} unless --table is given")
         modes = _parse_int_list(args.modes)
         if len(modes) < 2:
             raise ParameterError("check-c3 needs at least two modes")
         factors = _factor_inputs(args, max(modes))
         results = []
         for p in modes:
-            ts = _training_set(args, factors, p)
-            res = interpolate(ts, args.target)
-            if not res.c1_ok:
-                _say(args, f"C1 failure at mode p={p}")
-                return EXIT_C1
-            if not res.c2_ok:
-                _say(args, f"C2 failure at mode p={p} (theta_max={fmt(res.theta_max)})")
-                return EXIT_C2
+            res = interpolate(_training_set(args, factors, p), args.target)
+            if not res.ok:
+                if not res.c1.ok:
+                    _say(args, f"C1 failure at mode p={p}")
+                else:
+                    _say(args, f"C2 failure at mode p={p} (theta_max={fmt(res.c2.theta_max)})")
+                report = StabilityReport(
+                    c1=res.c1,
+                    c2=res.c2,
+                    meta={"mode": p, "target": res.target_param, "threshold": args.threshold},
+                )
+                return _write_report(args, out / "c3_report.json", report)
             results.append((p, res.frame))
         table = c3_distance_table(results)
     c3 = check_c3(table, threshold=args.threshold)
@@ -233,10 +240,9 @@ def cmd_check_c3(args):
             for row in table.values:
                 fh.write(",".join(fmt(x) for x in row) + "\n")
     report = StabilityReport(c3=c3, meta={"threshold": args.threshold})
-    if args.report in ("json", "both"):
-        fileio.write_json(out / "c3_report.json", report.to_dict())
+    code = _write_report(args, out / "c3_report.json", report)
     _say(args, f"epsilon={fmt(c3.epsilon)} threshold={fmt(c3.threshold)} -> {'ok' if c3.ok else 'UNSTABLE'}")
-    return report.exit_code()
+    return code
 
 
 def cmd_distance(args):

@@ -27,8 +27,15 @@ FRAME_FIX_TOL = 1e-12
 FRAME_REJECT_TOL = 1e-6
 HORIZONTAL_TOL = 1e-10
 # Overlap matrices with a smaller relative singular value are treated as
-# singular (C1 failure) instead of being regularized.
-OVERLAP_SINGULAR_TOL = 1e-12
+# singular (C1 failure) instead of being regularized. Derived from
+# HORIZONTAL_TOL: the log-map lift leaves the horizontal space by up to
+# 3e-16 / (sigma_min / sigma_max) (measured on random pairs near the cut
+# locus), so every overlap this admits keeps |Z^T Y| a decade below
+# HORIZONTAL_TOL; at 1e-6 one pair in 28000 already crossed it.
+OVERLAP_SINGULAR_TOL = 1e-5
+# Strict C2 margin: theta_1 >= pi/2 - C2_MARGIN is reported unstable so the
+# verdict cannot flap on the exact boundary.
+C2_MARGIN = 1e-12
 
 
 def fix_svd_signs(u, vt):
@@ -41,6 +48,17 @@ def fix_svd_signs(u, vt):
             u[:, j] = -u[:, j]
             vt[j, :] = -vt[j, :]
     return u, vt
+
+
+def overlap_invertible(sv):
+    """C1 predicate on the singular values (descending) of an overlap Y^T Y':
+    the smallest is at least OVERLAP_SINGULAR_TOL times the largest."""
+    return bool(sv[0] > 0.0 and sv[-1] >= OVERLAP_SINGULAR_TOL * sv[0])
+
+
+def below_cut_locus(angle):
+    """C2 predicate: `angle` stays below pi/2 by more than C2_MARGIN."""
+    return bool(angle < np.pi / 2.0 - C2_MARGIN)
 
 
 def _signed_thin_svd(mat):
@@ -180,7 +198,7 @@ def log_map(base, target):
     _require_half_dimension(base)
     overlap = base.frame.T @ target.frame
     sv = np.linalg.svd(overlap, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < OVERLAP_SINGULAR_TOL * sv[0]:
+    if not overlap_invertible(sv):
         raise LogMapDomainError(
             "target lies outside the log-map domain: overlap matrix is singular "
             f"(min/max singular values {sv[-1]:.3e}/{sv[0]:.3e})",
@@ -274,14 +292,14 @@ def in_injectivity_domain(v):
 
     cut_locus_ok: largest lift singular value theta_1 < pi/2 (the sharp
     criterion). radius_ok: riemannian norm < pi/2 (the classical injectivity
-    radius, strictly more conservative).
+    radius, strictly more conservative). Both use below_cut_locus, so with
+    theta_1 <= norm the radius verdict still implies the cut-locus one.
     """
     theta1 = v.theta_max
     norm = v.norm
-    half_pi = np.pi / 2.0
     return InjectivityCheck(
-        cut_locus_ok=bool(theta1 < half_pi),
-        radius_ok=bool(norm < half_pi),
+        cut_locus_ok=below_cut_locus(theta1),
+        radius_ok=below_cut_locus(norm),
         theta1=theta1,
         norm=norm,
     )

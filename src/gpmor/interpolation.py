@@ -6,18 +6,15 @@ weights, check the largest singular value of the combined lift against pi/2
 (C2 gate), and exponentiate back to the manifold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .errors import LogMapDomainError, ParameterError
-from .grassmann import GrassmannPoint, TangentVector, geodesic, log_map
-
-# Strict C2 margin: theta_1 >= pi/2 - C2_MARGIN is reported unstable so the
-# verdict cannot flap on the exact boundary.
-C2_MARGIN = 1e-12
+from .errors import ParameterError
+from .grassmann import GrassmannPoint, TangentVector, below_cut_locus, geodesic, log_map
+from .stability import C1Record, C2Record, check_c1, check_c2
 
 
 def lagrange_weights(params, target):
@@ -81,92 +78,54 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class InterpolationResult:
-    """Outcome of one interpolation: the frame when stable, and the C1/C2 evidence
-    either way."""
+    """Outcome of one interpolation: the frame when stable, and the C1/C2
+    records either way (c2 is None when C1 failed, since no lift exists)."""
 
     target_param: float
     reference_index: int
-    c1_ok: bool
-    c2_ok: bool
-    theta_max: float
+    c1: C1Record
+    c2: Optional[C2Record] = None
     frame: Optional[GrassmannPoint] = None
     velocity: Optional[TangentVector] = None
-    c1_failing_indices: tuple = field(default_factory=tuple)
     extrapolated: bool = False
 
     @property
     def ok(self):
-        return self.c1_ok and self.c2_ok
+        return self.frame is not None
 
 
 def _training_lifts(ts, ref):
-    """Log-map every training point from the reference; the reference's own
-    lift is identically zero. Raises LogMapDomainError tagged with the failing
-    index on a C1 violation."""
+    """Log-map every training point from the reference, which C1 must already
+    admit; the reference's own lift is identically zero."""
     base = ts.points[ref][1]
-    lifts = []
-    for i, (_, pt) in enumerate(ts.points):
-        if i == ref:
-            lifts.append(np.zeros_like(base.frame))
-            continue
-        try:
-            lifts.append(log_map(base, pt).lift)
-        except LogMapDomainError as exc:
-            exc.index = i
-            raise
+    lifts = [np.zeros_like(base.frame) if i == ref else log_map(base, pt).lift
+             for i, (_, pt) in enumerate(ts.points)]
     return base, lifts
 
 
 def interpolate(ts, target):
     """Interpolate the training subspaces at `target`.
 
-    On a C1 failure the result carries c1_ok=False and the offending indices;
-    on a C2 failure (largest combined-lift angle >= pi/2) it carries
-    c2_ok=False and no frame. Neither is raised as an exception: both are
-    verdicts the caller is expected to inspect.
+    On a C1 failure the result carries the C1 record with every offending
+    index and no lift; on a C2 failure (largest combined-lift angle at or past
+    pi/2 - C2_MARGIN) it carries the lift and no frame. Neither is raised as
+    an exception: both are verdicts the caller is expected to inspect.
     """
     target = float(target)
     ref = ts.resolve_reference(target)
     extrapolated = not (min(ts.params) <= target <= max(ts.params))
-    try:
-        base, lifts = _training_lifts(ts, ref)
-    except LogMapDomainError as exc:
-        return InterpolationResult(
-            target_param=target,
-            reference_index=ref,
-            c1_ok=False,
-            c2_ok=False,
-            theta_max=float("nan"),
-            c1_failing_indices=(exc.index,),
-            extrapolated=extrapolated,
-        )
+    c1 = check_c1(ts, reference_index=ref)
+    if not c1.ok:
+        return InterpolationResult(target, ref, c1, extrapolated=extrapolated)
+    base, lifts = _training_lifts(ts, ref)
     weights = lagrange_weights(ts.params, target)
     combined = np.zeros_like(base.frame)
     for w, z in zip(weights, lifts):
         combined += w * z
     velocity = TangentVector(base=base, lift=combined)
-    theta1 = velocity.theta_max
-    if theta1 >= np.pi / 2.0 - C2_MARGIN:
-        return InterpolationResult(
-            target_param=target,
-            reference_index=ref,
-            c1_ok=True,
-            c2_ok=False,
-            theta_max=theta1,
-            velocity=velocity,
-            extrapolated=extrapolated,
-        )
-    frame = geodesic(base, velocity, 1.0)
-    return InterpolationResult(
-        target_param=target,
-        reference_index=ref,
-        c1_ok=True,
-        c2_ok=True,
-        theta_max=theta1,
-        frame=frame,
-        velocity=velocity,
-        extrapolated=extrapolated,
-    )
+    c2 = check_c2(velocity)
+    frame = geodesic(base, velocity, 1.0) if c2.ok else None
+    return InterpolationResult(target, ref, c1, c2, frame, velocity, extrapolated)
 
 
 @dataclass(frozen=True)
@@ -193,14 +152,9 @@ def c2_sweep(ts, lo, hi, samples):
     if ts.reference_index is None:
         raise ParameterError("c2_sweep needs an explicit reference index")
     grid = np.linspace(lo, hi, samples)
-    try:
-        _, lifts = _training_lifts(ts, ts.reference_index)
-    except LogMapDomainError:
+    if not check_c1(ts).ok:
         return [SweepSample(float(lam), float("nan"), False, False) for lam in grid]
-    stacked = np.stack(lifts)
-    thetas = kernels.theta_curve(stacked, np.asarray(ts.params), grid)
-    half_pi = np.pi / 2.0
-    return [
-        SweepSample(float(lam), float(th), bool(th < half_pi - C2_MARGIN), True)
-        for lam, th in zip(grid, thetas)
-    ]
+    _, lifts = _training_lifts(ts, ts.reference_index)
+    thetas = kernels.theta_curve(np.stack(lifts), np.asarray(ts.params), grid)
+    return [SweepSample(float(lam), float(th), below_cut_locus(th), True)
+            for lam, th in zip(grid, thetas)]

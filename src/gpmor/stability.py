@@ -14,8 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .grassmann import geometric_distance
-from .interpolation import C2_MARGIN
+from .grassmann import below_cut_locus, geometric_distance, overlap_invertible
 
 DEFAULT_C3_THRESHOLD = 100.0
 
@@ -91,8 +90,8 @@ class C3Record:
 def check_c1(ts, reference_index=None):
     """Record the smallest overlap singular value for every training point.
 
-    ok iff each smallest singular value exceeds 1e-12 times the largest one of
-    the same overlap matrix.
+    ok iff every overlap with the reference passes grassmann.overlap_invertible,
+    the guard of log_map, so log_map raises for exactly the failing indices.
     """
     ref = ts.reference_index if reference_index is None else reference_index
     if ref is None:
@@ -105,7 +104,7 @@ def check_c1(ts, reference_index=None):
     for i, (_, pt) in enumerate(ts.points):
         sv = np.linalg.svd(base.frame.T @ pt.frame, compute_uv=False)
         min_svs.append(float(sv[-1]))
-        if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
+        if not overlap_invertible(sv):
             failing.append(i)
     return C1Record(
         ok=not failing,
@@ -117,7 +116,7 @@ def check_c1(ts, reference_index=None):
 def check_c2(v):
     """C2 verdict for a tangent vector: largest lift singular value below pi/2."""
     theta1 = v.theta_max
-    return C2Record(ok=bool(theta1 < np.pi / 2.0 - C2_MARGIN), theta_max=theta1)
+    return C2Record(ok=below_cut_locus(theta1), theta_max=theta1)
 
 
 def c3_distance_table(results):

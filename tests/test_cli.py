@@ -336,6 +336,30 @@ def test_check_c3_peak_memory_below_six_snapshots(tmp_path):
     assert peak < 6 * n * n_t * 8
 
 
+def test_check_c3_c2_failure_writes_report(tmp_path):
+    files = synth_family(tmp_path / "fam", kind="crossing", rate=np.pi / 2,
+                         params="-0.8,0.0,0.8", modes=2, n=12)
+    out = tmp_path / "c3"
+    code = run("--out", out, "--quiet", "check-c3", *files, "--modes", "1,2",
+               "--target", 1.3, "--reference-index", 1)
+    assert code == 11
+    report = read_json(out / "c3_report.json")
+    assert report["meta"] == {"mode": 1, "target": 1.3, "threshold": 100.0}
+    assert report["c1"]["ok"] is True
+    assert report["c2"]["ok"] is False and report["c2"]["theta_max"] >= np.pi / 2 - 1e-12
+    assert "c3" not in report
+
+
+@pytest.mark.parametrize("missing", ["--modes", "--target"])
+def test_check_c3_missing_option_exit_2(tmp_path, capsys, missing):
+    files = synth_family(tmp_path / "fam")
+    options = {"--modes": "1,2", "--target": "1.0"}
+    del options[missing]
+    argv = [x for item in options.items() for x in item]
+    assert run("--out", tmp_path / "c3", "--quiet", "check-c3", *files, *argv) == 2
+    assert missing in capsys.readouterr().err
+
+
 def test_check_c3_single_mode_exit_2(tmp_path):
     files = synth_family(tmp_path / "fam")
     code = run("--out", tmp_path / "c3", "--quiet", "check-c3", *files,

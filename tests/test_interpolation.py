@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gpmor import (
     FamilySpec,
     GrassmannPoint,
+    LogMapDomainError,
     ParameterError,
     TrainingSet,
     c2_sweep,
+    check_c1,
     compute_pod,
     gen_crossing_family,
     gen_rotation_family,
@@ -140,9 +144,46 @@ def test_c1_failure_is_verdict_not_crash():
     )
     ts = TrainingSet(points=pts, reference_index=0)
     res = interpolate(ts, 0.5)
-    assert not res.c1_ok and not res.ok
-    assert res.c1_failing_indices == (1,)
+    assert not res.c1.ok and not res.ok
+    assert res.c1.failing_indices == (1,)
     assert res.frame is None
+
+
+def test_c1_failure_lists_every_failing_node():
+    pts = tuple((float(i), GrassmannPoint(np.eye(6)[:, i:i + 1])) for i in range(3))
+    res = interpolate(TrainingSet(points=pts, reference_index=0), 0.5)
+    assert res.c1.failing_indices == (1, 2)
+    assert res.c2 is None and not res.ok
+
+
+@given(
+    n=st.integers(2, 200),
+    p=st.integers(1, 5),
+    log_gap=st.floats(-14.0, -1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_cut_locus_gives_a_verdict(n, p, log_gap, seed):
+    # two nodes whose largest principal angle is pi/2 - gap, each frame
+    # turned by a random p x p rotation
+    p = min(p, n // 2)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, 2 * p)))[0]
+    angles = rng.uniform(0.0, np.pi / 2, p)
+    angles[0] = np.pi / 2 - 10.0**log_gap
+    turn = [np.linalg.qr(rng.standard_normal((p, p)))[0] for _ in range(2)]
+    base = GrassmannPoint(q[:, :p] @ turn[0])
+    far = GrassmannPoint((q[:, :p] * np.cos(angles) + q[:, p:] * np.sin(angles)) @ turn[1])
+    ts = TrainingSet(points=((0.0, base), (1.0, far)), reference_index=0)
+    c1 = check_c1(ts)
+    try:
+        log_map(base, far)
+    except LogMapDomainError:
+        assert not c1.ok
+    else:
+        assert c1.ok
+    res = interpolate(ts, 0.5)
+    assert res.c1 == c1 and (res.c2 is not None) == c1.ok
+    assert all(s.valid == c1.ok for s in c2_sweep(ts, 0.0, 1.0, 5))
 
 
 def test_c2_failure_returns_no_frame():
@@ -154,9 +195,9 @@ def test_c2_failure_returns_no_frame():
     pts = tuple((s.param, compute_pod(s, 1).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts, reference_index=1)
     res = interpolate(ts, 1.3)  # theta_1 = (pi/2) * 1.3 > pi/2
-    assert res.c1_ok and not res.c2_ok
+    assert res.c1.ok and not res.c2.ok
     assert res.frame is None
-    assert res.theta_max >= np.pi / 2 - 1e-12
+    assert res.c2.theta_max >= np.pi / 2 - 1e-12
 
 
 def test_extrapolation_tagged():

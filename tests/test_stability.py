@@ -7,6 +7,7 @@ from gpmor import (
     GrassmannPoint,
     ParameterError,
     StabilityReport,
+    TangentVector,
     TrainingSet,
     c3_distance_table,
     check_c1,
@@ -15,6 +16,7 @@ from gpmor import (
     compute_pod,
     gen_nested_family,
     grassmann_dimension,
+    in_injectivity_domain,
     riemannian_distance,
 )
 from gpmor.stability import EXIT_C1, EXIT_C2, EXIT_C3, EXIT_OK, C1Record, C2Record
@@ -88,6 +90,14 @@ def test_c2_verdicts():
     assert check_c2(near).ok
     over = random_tangent(rng, base, theta1=1.58)
     assert not check_c2(over).ok
+
+
+def test_c2_margin_shared_with_cut_locus_check():
+    # inside pi/2 but within C2_MARGIN of it: both verdicts call it unstable
+    base = GrassmannPoint(np.eye(4)[:, :1])
+    v = TangentVector(base=base, lift=np.array([[0.0], [np.pi / 2 - 5e-13], [0.0], [0.0]]))
+    assert not in_injectivity_domain(v).cut_locus_ok
+    assert not check_c2(v).ok
 
 
 # -- C3 -----------------------------------------------------------------------
