@@ -17,7 +17,6 @@ from .interpolation import TrainingSet, c2_sweep, interpolate
 from .metrics import error_series
 from .snapshots import compute_pod, factor_pod, truncate_pod
 from .stability import (
-    DistanceTable,
     StabilityReport,
     c3_distance_table,
     check_c3,
@@ -60,12 +59,12 @@ def _write_report(args, path, report):
     return report.exit_code()
 
 
-def _parse_float_list(text):
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_int_list(text):
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_list(text, kind, option):
+    """Comma-separated values of one type; a malformed item is a ParameterError."""
+    try:
+        return [kind(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"{option}: {exc}") from None
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -80,7 +79,7 @@ def cmd_synth(args):
         kind=args.kind,
         rate=args.rate,
         seed=args.seed,
-        params=tuple(_parse_float_list(args.params)),
+        params=tuple(_parse_list(args.params, float, "--params")),
         noise=args.noise,
     )
     family = generate(spec)
@@ -161,30 +160,16 @@ def cmd_interpolate(args):
 
 def cmd_sweep_c2(args):
     out = _outdir(args)
-    if args.reference_index is None:
-        raise ParameterError("sweep-c2 requires --reference-index")
     ts = _load_training_set(args)
-    samples = c2_sweep(ts, args.lo, args.hi, args.samples)
+    sweep = c2_sweep(ts, args.lo, args.hi, args.samples)
     if args.report in ("csv", "both"):
         with open(out / "sweep_c2.csv", "w") as fh:
             fh.write("# gpm-sweep lambda,theta_max,c2_ok\n")
-            for s in samples:
-                fh.write(f"{fmt(s.param)},{fmt(s.theta_max)},{int(s.c2_ok)}\n")
-    unstable = []
-    start = None
-    for s in samples:
-        bad = s.valid and not s.c2_ok
-        if bad and start is None:
-            start = s.param
-        if not bad and start is not None:
-            unstable.append([start, prev])
-            start = None
-        prev = s.param
-    if start is not None:
-        unstable.append([start, samples[-1].param])
-    invalid = sum(1 for s in samples if not s.valid)
-    if invalid:
-        _say(args, f"warning: {invalid} sample(s) invalid (C1 failure at the reference point)")
+            for lam, theta, ok in zip(sweep.grid, sweep.thetas, sweep.c2_ok):
+                fh.write(f"{fmt(lam)},{fmt(theta)},{int(ok)}\n")
+    unstable = sweep.unstable_intervals()
+    if not sweep.c1.ok:
+        _say(args, f"sweep invalid: C1 failed at node(s) {list(sweep.c1.failing_indices)}")
     if args.report in ("json", "both"):
         fileio.write_json(
             out / "sweep_c2.json",
@@ -194,26 +179,23 @@ def cmd_sweep_c2(args):
                 "reference_index": args.reference_index,
                 "grid": {"lo": args.lo, "hi": args.hi, "samples": args.samples},
                 "unstable_intervals": unstable,
-                "invalid_samples": invalid,
+                "invalid_samples": 0 if sweep.c1.ok else len(sweep.grid),
+                "c1": sweep.c1.to_dict(),
             },
         )
-    _say(args, f"swept {len(samples)} samples; {len(unstable)} unstable interval(s)")
-    return 0
+    _say(args, f"swept {len(sweep.grid)} samples; {len(unstable)} unstable interval(s)")
+    return StabilityReport(c1=sweep.c1).exit_code()
 
 
 def cmd_check_c3(args):
     out = _outdir(args)
     if args.table is not None:
-        header, values = fileio._read_matrix_csv(args.table)
-        modes = tuple(range(values.shape[0]))
-        if "modes=" in header:
-            modes = tuple(_parse_int_list(header.split("modes=")[1].split()[0]))
-        table = DistanceTable(modes=modes, values=values)
+        table = fileio.read_distance_table(args.table)
     else:
         for option in ("modes", "target"):
             if getattr(args, option) is None:
                 raise ParameterError(f"check-c3 needs --{option} unless --table is given")
-        modes = _parse_int_list(args.modes)
+        modes = _parse_list(args.modes, int, "--modes")
         if len(modes) < 2:
             raise ParameterError("check-c3 needs at least two modes")
         factors = _factor_inputs(args, max(modes))
@@ -235,10 +217,7 @@ def cmd_check_c3(args):
         table = c3_distance_table(results)
     c3 = check_c3(table, threshold=args.threshold)
     if args.report in ("csv", "both"):
-        with open(out / "c3_table.csv", "w") as fh:
-            fh.write("# gpm-c3-table modes=" + ",".join(str(m) for m in table.modes) + "\n")
-            for row in table.values:
-                fh.write(",".join(fmt(x) for x in row) + "\n")
+        fileio.write_distance_table(out / "c3_table.csv", table)
     report = StabilityReport(c3=c3, meta={"threshold": args.threshold})
     code = _write_report(args, out / "c3_report.json", report)
     _say(args, f"epsilon={fmt(c3.epsilon)} threshold={fmt(c3.threshold)} -> {'ok' if c3.ok else 'UNSTABLE'}")

@@ -4,9 +4,11 @@ Binary snapshot ("GPM1"): magic, u64-LE n, u64-LE n_t, f64-LE lambda, then
 n * n_t f64-LE values in column-major order. Binary frame ("GPF1"): magic,
 u64-LE n, u64-LE p, then the frame column-major; the distinct magic is the
 orthonormal-frame marker. CSV variants carry the same metadata in a leading
-comment line. All text output uses the shortest round-trip decimal form of
-each 64-bit float, so re-reading a file reproduces the in-memory values
-exactly; the binary format remains the source of truth.
+comment line; a C3 distance table ("# gpm-c3-table modes=...") is a square
+CSV matrix with one mode per row. All text output uses the shortest
+round-trip decimal form of each 64-bit float, so re-reading a file
+reproduces the in-memory values exactly; the binary format remains the
+source of truth.
 """
 
 import json
@@ -18,6 +20,7 @@ import numpy as np
 from .errors import DataError
 from .grassmann import GrassmannPoint
 from .snapshots import SnapshotMatrix
+from .stability import DistanceTable
 
 SNAPSHOT_MAGIC = b"GPM1"
 FRAME_MAGIC = b"GPF1"
@@ -124,6 +127,32 @@ def write_frame_csv(path, point):
 def read_frame_csv(path):
     _, data = _read_matrix_csv(path)
     return GrassmannPoint(frame=data)
+
+
+def write_distance_table(path, table):
+    modes = ",".join(str(m) for m in table.modes)
+    _write_matrix_csv(path, f"# gpm-c3-table modes={modes}", table.values)
+
+
+def read_distance_table(path):
+    """Read a C3 distance table: a square, finite matrix whose `modes=` header,
+    when present, names one mode per row (default 0..m-1)."""
+    header, values = _read_matrix_csv(path)
+    m = values.shape[0]
+    if values.shape[1] != m:
+        raise DataError(f"{path}: distance table is {m}x{values.shape[1]}, not square")
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}: distance table has non-finite entries")
+    modes = tuple(range(m))
+    if "modes=" in header:
+        text = (header.split("modes=")[1].split() or [""])[0]
+        try:
+            modes = tuple(int(x) for x in text.split(",") if x.strip())
+        except ValueError as exc:
+            raise DataError(f"{path}: header mode list: {exc}") from None
+        if len(modes) != m:
+            raise DataError(f"{path}: header names {len(modes)} modes for a {m}x{m} table")
+    return DistanceTable(modes=modes, values=values)
 
 
 def read_snapshot(path):

@@ -50,6 +50,15 @@ def fix_svd_signs(u, vt):
     return u, vt
 
 
+def deterministic_qr(mat):
+    """Q factor of a reduced QR with every nonzero diagonal entry of R made
+    positive (a zero entry leaves its column as is): one frame per input."""
+    q, r = np.linalg.qr(mat)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    return q * signs
+
+
 def overlap_invertible(sv):
     """C1 predicate on the singular values (descending) of an overlap Y^T Y':
     the smallest is at least OVERLAP_SINGULAR_TOL times the largest."""
@@ -88,11 +97,7 @@ class GrassmannPoint:
                 f"frame is not orthonormal (max deviation {drift:.3e} > {FRAME_REJECT_TOL:g})"
             )
         if drift > FRAME_FIX_TOL:
-            q, r = np.linalg.qr(frame)
-            # deterministic QR: positive diagonal of R
-            signs = np.sign(np.diag(r))
-            signs[signs == 0.0] = 1.0
-            frame = q * signs
+            frame = deterministic_qr(frame)
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
 

@@ -129,18 +129,31 @@ def interpolate(ts, target):
 
 
 @dataclass(frozen=True)
-class SweepSample:
-    param: float
-    theta_max: float
-    c2_ok: bool
-    valid: bool
+class C2Sweep:
+    """theta_1 on a uniform grid from one reference, with the C1 record there.
+    The lifts do not depend on lambda: on a C1 failure every theta is nan."""
+
+    grid: np.ndarray
+    thetas: np.ndarray
+    c1: C1Record
+
+    @property
+    def c2_ok(self):
+        """Per-sample C2 verdicts; False wherever theta is nan."""
+        return [below_cut_locus(th) for th in self.thetas]
+
+    def unstable_intervals(self):
+        """[first, last] grid value of each maximal run of C2-failing samples; none if C1 failed."""
+        # padded with passing samples, the flips alternate: run start, one past its end
+        bad = np.r_[False, np.logical_not(self.c2_ok) & self.c1.ok, False]
+        runs = np.flatnonzero(bad[1:] != bad[:-1]).reshape(-1, 2)
+        return [[self.grid[a].item(), self.grid[b - 1].item()] for a, b in runs]
 
 
 def c2_sweep(ts, lo, hi, samples):
     """Stability curve theta_1(lambda) on a uniform grid including both endpoints.
 
-    A C1 failure does not abort the sweep: the lifts do not depend on the
-    target, so every sample is marked invalid instead.
+    A C1 failure does not abort the sweep: it is the record's verdict.
     """
     lo = float(lo)
     hi = float(hi)
@@ -152,9 +165,8 @@ def c2_sweep(ts, lo, hi, samples):
     if ts.reference_index is None:
         raise ParameterError("c2_sweep needs an explicit reference index")
     grid = np.linspace(lo, hi, samples)
-    if not check_c1(ts).ok:
-        return [SweepSample(float(lam), float("nan"), False, False) for lam in grid]
+    c1 = check_c1(ts)
+    if not c1.ok:
+        return C2Sweep(grid, np.full(samples, np.nan), c1)
     _, lifts = _training_lifts(ts, ts.reference_index)
-    thetas = kernels.theta_curve(np.stack(lifts), np.asarray(ts.params), grid)
-    return [SweepSample(float(lam), float(th), below_cut_locus(th), True)
-            for lam, th in zip(grid, thetas)]
+    return C2Sweep(grid, kernels.theta_curve(np.stack(lifts), np.asarray(ts.params), grid), c1)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
+from .grassmann import deterministic_qr
 from .snapshots import SnapshotMatrix
 
 KINDS = ("rotation", "crossing", "nested", "nonnested")
@@ -96,17 +97,10 @@ def _ladder(p):
     return LADDER_TOP * LADDER_RATIO ** np.arange(p)
 
 
-def _deterministic_qr(mat):
-    q, r = np.linalg.qr(mat)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs
-
-
 def _family_bases(spec, rng):
     """Fixed random ambient rotation and time profiles shared by all parameters."""
-    ambient = _deterministic_qr(rng.standard_normal((spec.n, spec.n)))
-    profiles = _deterministic_qr(rng.standard_normal((spec.n_t, spec.mode_count)))
+    ambient = deterministic_qr(rng.standard_normal((spec.n, spec.n)))
+    profiles = deterministic_qr(rng.standard_normal((spec.n_t, spec.mode_count)))
     return ambient, profiles
 
 

@@ -204,12 +204,12 @@ def test_criterion_08_c2_interval_detection():
     offset = fam.manifest["crossing_offset"]
     pts = tuple((s.param, compute_pod(s, 2).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts, reference_index=1)
-    samples = c2_sweep(ts, -1.5, 1.5, 201)
+    sweep = c2_sweep(ts, -1.5, 1.5, 201)
     step = 3.0 / 200
-    bad = [s.param for s in samples if s.valid and not s.c2_ok]
+    bad = [lam for lam, c2_ok in zip(sweep.grid, sweep.c2_ok) if sweep.c1.ok and not c2_ok]
     neg_edge = max(x for x in bad if x < 0)
     pos_edge = min(x for x in bad if x > 0)
-    interior = all(not s.c2_ok or s.valid for s in samples)
+    interior = all(c2_ok or sweep.c1.ok for c2_ok in sweep.c2_ok)
     elapsed = time.perf_counter() - t0
     ok = (
         abs(neg_edge - (-offset)) <= step + 1e-12

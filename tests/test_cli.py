@@ -198,6 +198,31 @@ def test_sweep_unstable_intervals_reported(tmp_path):
     assert abs(intervals[1][0] - 1.0) <= step + 1e-12
 
 
+def test_sweep_c1_failure_exit_10_like_interpolate(tmp_path):
+    # two 3-mode subspaces sharing only two directions: the overlap is singular
+    n, nt = 8, 6
+    profiles = np.linalg.qr(np.random.default_rng(5).standard_normal((nt, 3)))[0]
+    files = []
+    for lam, extra in ((0.0, 2), (1.0, 3)):
+        frame = np.eye(n)[:, [0, 1, extra]]
+        path = tmp_path / f"snap_{extra}.gpm"
+        write_snapshot_bin(path, SnapshotMatrix(data=frame @ np.diag([3.0, 2.0, 1.0]) @ profiles.T,
+                                                param=lam))
+        files.append(path)
+    out = tmp_path / "sweep"
+    assert run("--out", out, "--quiet", "sweep-c2", *files, "--mode", 3,
+               "--lo", 0, "--hi", 1, "--samples", 5, "--reference-index", 0) == 10
+    report = read_json(out / "sweep_c2.json")
+    assert report["c1"]["ok"] is False and report["c1"]["failing_indices"] == [1]
+    assert report["invalid_samples"] == 5 and report["unstable_intervals"] == []
+    _, theta, ok = read_sweep_csv(out / "sweep_c2.csv")
+    assert np.all(np.isnan(theta)) and np.all(ok == 0)
+    interp = tmp_path / "interp"
+    assert run("--out", interp, "--quiet", "interpolate", *files, "--mode", 3,
+               "--target", 0.5, "--reference-index", 0) == 10
+    assert read_json(interp / "interpolation_report.json")["c1"] == report["c1"]
+
+
 # -- check-c3 -----------------------------------------------------------------
 
 
@@ -251,6 +276,31 @@ def test_check_c3_table_zero_and_positive_entries_exit_12(tmp_path):
     report = read_json(out / "c3_report.json")
     assert report["c3"]["epsilon"] == np.inf
     assert report["c3"]["ok"] is False
+
+
+@pytest.mark.parametrize("header, rows", [
+    ("modes=2,4", "0.0,1.0,2.0\n1.0,0.0,1.5\n2.0,1.5,0.0\n"),
+    ("modes=1,2,3", "0.0,1.0,nan\n1.0,0.0,1.5\nnan,1.5,0.0\n"),
+], ids=["mode-count", "non-finite"])
+def test_check_c3_rejects_malformed_table(tmp_path, capsys, header, rows):
+    path = tmp_path / "table.csv"
+    path.write_text(f"# gpm-c3-table {header}\n{rows}")
+    out = tmp_path / "c3"
+    assert run("--out", out, "--quiet", "check-c3", "--table", path) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (out / "c3_report.json").exists()
+
+
+def test_check_c3_table_round_trip_same_report(tmp_path):
+    files = synth_family(tmp_path / "fam", kind="nonnested", n=16, nt=40, modes=5,
+                         rate=0.3, params="0,1,2,3", seed=2)
+    first = tmp_path / "first"
+    code = run("--out", first, "--quiet", "check-c3", *files, "--modes", "1,2,3,4,5",
+               "--target", 1.5)
+    second = tmp_path / "second"
+    assert run("--out", second, "--quiet", "check-c3", "--table", first / "c3_table.csv") == code
+    assert (second / "c3_report.json").read_bytes() == (first / "c3_report.json").read_bytes()
+    assert (second / "c3_table.csv").read_bytes() == (first / "c3_table.csv").read_bytes()
 
 
 def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
@@ -365,6 +415,33 @@ def test_check_c3_single_mode_exit_2(tmp_path):
     code = run("--out", tmp_path / "c3", "--quiet", "check-c3", *files,
                "--modes", "2", "--target", 1.0)
     assert code == 2
+
+
+def _bad_modes(tmp_path):
+    return ["check-c3", *synth_family(tmp_path / "fam"), "--modes", "2,x", "--target", 1.0]
+
+
+def _bad_params(tmp_path):
+    return ["synth", "--kind", "rotation", "--n", 8, "--nt", 12, "--modes", 2, "--params=0,x"]
+
+
+def _bad_table_header(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("# gpm-c3-table modes=a,b\n0.0,1.0\n1.0,0.0\n")
+    return ["check-c3", "--table", path]
+
+
+@pytest.mark.parametrize("make_argv, names", [
+    (_bad_modes, ("--modes", "'x'")),
+    (_bad_params, ("--params", "'x'")),
+    (_bad_table_header, ("table.csv", "'a'")),
+], ids=["check-c3-modes", "synth-params", "table-header"])
+def test_malformed_comma_list_exit_2(tmp_path, capsys, make_argv, names):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert run("--out", tmp_path / "out", "--quiet", *argv) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names)
 
 
 # -- distance and metrics -----------------------------------------------------

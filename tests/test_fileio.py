@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from gpmor import DataError, GrassmannPoint, SnapshotMatrix
+from gpmor import DataError, DistanceTable, GrassmannPoint, SnapshotMatrix
 from gpmor.fileio import (
     fmt,
     read_frame,
     read_frame_bin,
     read_frame_csv,
+    read_distance_table,
     read_json,
     read_snapshot,
     read_snapshot_bin,
     read_snapshot_csv,
+    write_distance_table,
     write_frame_bin,
     write_frame_csv,
     write_json,
@@ -125,3 +127,31 @@ def test_csv_full_precision(tmp_path):
     back = read_snapshot_csv(path)
     assert np.array_equal(back.data, data)
     assert back.param == np.pi
+
+
+def test_distance_table_round_trip(tmp_path):
+    values = np.array([[0.0, np.pi, 0.1], [np.pi, 0.0, 1.0 / 3.0], [0.1, 1.0 / 3.0, 0.0]])
+    path = tmp_path / "table.csv"
+    write_distance_table(path, DistanceTable(modes=(2, 4, 6), values=values))
+    assert path.read_text().splitlines()[0] == "# gpm-c3-table modes=2,4,6"
+    back = read_distance_table(path)
+    assert back.modes == (2, 4, 6)
+    assert np.array_equal(back.values, values)
+
+
+def test_distance_table_without_modes_header(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("0.0,1.0\n1.0,0.0\n")
+    assert read_distance_table(path).modes == (0, 1)
+
+
+@pytest.mark.parametrize("text", [
+    "# gpm-c3-table modes=1,2\n0.0,1.0,2.0\n1.0,0.0,3.0\n",
+    "# gpm-c3-table modes=\n0.0,1.0\n1.0,0.0\n",
+    "# gpm-c3-table modes=1,2\n0.0,inf\ninf,0.0\n",
+], ids=["not-square", "no-modes", "infinite"])
+def test_distance_table_rejects_malformed(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(DataError):
+        read_distance_table(path)

@@ -20,6 +20,8 @@ from gpmor import (
 )
 from oracles import line_angle, random_grassmann_point, random_tangent
 
+from gpmor.grassmann import deterministic_qr
+
 
 def e(n, *cols):
     return GrassmannPoint(np.eye(n)[:, list(cols)])
@@ -38,6 +40,20 @@ def test_point_reorthonormalizes_small_drift():
     frame = frame + 1e-9 * np.ones((3, 2))
     pt = GrassmannPoint(frame)
     assert np.max(np.abs(pt.frame.T @ pt.frame - np.eye(2))) < 1e-14
+
+
+def test_deterministic_qr_positive_diagonal():
+    mat = np.random.default_rng(4).standard_normal((7, 3))
+    q = deterministic_qr(mat)
+    r = q.T @ mat
+    assert np.allclose(q @ r, mat, atol=1e-14)
+    assert np.all(np.diag(r) > 0.0)
+    # the positive-diagonal factorisation is unique: flipped input columns flip Q's
+    flips = np.array([-1.0, 1.0, -1.0])
+    assert np.allclose(deterministic_qr(mat * flips), q * flips, atol=1e-14)
+    # a zero diagonal entry of R leaves its column as numpy gives it
+    zero = np.zeros((4, 1))
+    assert np.array_equal(deterministic_qr(zero), np.linalg.qr(zero)[0])
 
 
 def test_tangent_rejects_non_horizontal():

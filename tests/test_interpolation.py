@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gpmor import (
+    C1Record,
+    C2Sweep,
     FamilySpec,
     GrassmannPoint,
     LogMapDomainError,
@@ -20,6 +22,8 @@ from gpmor import (
     riemannian_distance,
 )
 from oracles import barycentric_eval_weights, random_grassmann_point
+
+from gpmor.grassmann import C2_MARGIN
 
 
 def make_training_set(rng, n, p, params, reference_index=None):
@@ -183,7 +187,8 @@ def test_near_cut_locus_gives_a_verdict(n, p, log_gap, seed):
         assert c1.ok
     res = interpolate(ts, 0.5)
     assert res.c1 == c1 and (res.c2 is not None) == c1.ok
-    assert all(s.valid == c1.ok for s in c2_sweep(ts, 0.0, 1.0, 5))
+    sweep = c2_sweep(ts, 0.0, 1.0, 5)
+    assert sweep.c1 == c1 and bool(np.all(np.isfinite(sweep.thetas))) == c1.ok
 
 
 def test_c2_failure_returns_no_frame():
@@ -224,29 +229,30 @@ def test_sweep_identical_points_all_zero():
     frames = [pt.frame, pt.frame.copy(), pt.frame.copy()]
     pts = tuple((float(i), GrassmannPoint(f)) for i, f in enumerate(frames))
     ts = TrainingSet(points=pts, reference_index=0)
-    for s in c2_sweep(ts, 0.0, 2.0, 21):
-        assert s.theta_max == pytest.approx(0.0, abs=1e-12)
-        assert s.c2_ok and s.valid
+    sweep = c2_sweep(ts, 0.0, 2.0, 21)
+    assert sweep.c1.ok
+    for theta, c2_ok in zip(sweep.thetas, sweep.c2_ok):
+        assert theta == pytest.approx(0.0, abs=1e-12)
+        assert c2_ok
 
 
 def test_sweep_zero_at_reference_node():
     rng = np.random.default_rng(10)
     ts = make_training_set(rng, 10, 2, [0.0, 0.5, 1.0], reference_index=1)
-    samples = c2_sweep(ts, 0.0, 1.0, 5)
-    mid = samples[2]  # grid point exactly at lambda = 0.5
-    assert mid.param == 0.5
-    assert mid.theta_max == pytest.approx(0.0, abs=1e-12)
+    sweep = c2_sweep(ts, 0.0, 1.0, 5)
+    assert sweep.grid[2] == 0.5  # grid point exactly at lambda = 0.5
+    assert sweep.thetas[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sweep_theta_at_nodes_matches_log():
     rng = np.random.default_rng(11)
     ts = make_training_set(rng, 10, 2, [0.0, 0.5, 1.0], reference_index=0)
-    samples = c2_sweep(ts, 0.0, 1.0, 3)
+    sweep = c2_sweep(ts, 0.0, 1.0, 3)
     base = ts.points[0][1]
-    for sample, (lam, pt) in zip(samples, ts.points):
-        assert sample.param == lam
+    for grid_lam, theta, (lam, pt) in zip(sweep.grid, sweep.thetas, ts.points):
+        assert grid_lam == lam
         expected = 0.0 if pt is base else float(np.linalg.norm(log_map(base, pt).lift, 2))
-        assert sample.theta_max == pytest.approx(expected, abs=1e-10)
+        assert theta == pytest.approx(expected, abs=1e-10)
 
 
 def test_sweep_crossing_family_matches_prediction():
@@ -259,9 +265,9 @@ def test_sweep_crossing_family_matches_prediction():
     assert fam.manifest["crossing_offset"] == pytest.approx(1.0, abs=1e-15)
     pts = tuple((s.param, compute_pod(s, 2).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts, reference_index=1)
-    samples = c2_sweep(ts, -1.5, 1.5, 201)
+    sweep = c2_sweep(ts, -1.5, 1.5, 201)
     step = 3.0 / 200
-    bad = [s.param for s in samples if not s.c2_ok]
+    bad = [lam for lam, c2_ok in zip(sweep.grid, sweep.c2_ok) if not c2_ok]
     assert abs(max(x for x in bad if x < 0) - (-1.0)) <= step + 1e-12
     assert abs(min(x for x in bad if x > 0) - 1.0) <= step + 1e-12
 
@@ -272,8 +278,52 @@ def test_sweep_c1_failure_marks_all_invalid():
         (1.0, GrassmannPoint(np.eye(4)[:, 1:2])),
     )
     ts = TrainingSet(points=pts, reference_index=0)
-    samples = c2_sweep(ts, 0.0, 1.0, 5)
-    assert all(not s.valid for s in samples)
+    sweep = c2_sweep(ts, 0.0, 1.0, 5)
+    assert not sweep.c1.ok and sweep.c1.failing_indices == (1,)
+    assert np.all(np.isnan(sweep.thetas)) and not any(sweep.c2_ok)
+    assert sweep.unstable_intervals() == []
+
+
+C1_PASSED = C1Record(ok=True, failing_indices=(), min_singular_values=(1.0, 1.0))
+
+
+def scan_runs(grid, bad):
+    """[first, last] grid value of each maximal run of True in `bad`, by a
+    start/end index scan written independently of C2Sweep."""
+    runs = []
+    start = None
+    for i, b in enumerate(list(bad) + [False]):
+        if b and start is None:
+            start = i
+        elif not b and start is not None:
+            runs.append([grid[start], grid[i - 1]])
+            start = None
+    return runs
+
+
+@given(bad=st.lists(st.booleans(), min_size=2, max_size=40))
+@example(bad=[False] * 6)  # no bad sample
+@example(bad=[True] * 6)  # all bad
+@example(bad=[True, True, False, False, True])  # runs touching both ends
+@example(bad=[False, True, False, True, False, False, True])  # single-sample runs
+def test_unstable_intervals_match_run_scan(bad):
+    grid = np.linspace(-2.0, 3.0, len(bad))
+    thetas = np.where(bad, np.pi / 2, 0.0)
+    sweep = C2Sweep(grid, thetas, C1_PASSED)
+    assert sweep.c2_ok == [not b for b in bad]
+    assert sweep.unstable_intervals() == scan_runs(grid.tolist(), bad)
+    # C1 failure: no lift exists, so no sample is a C2 verdict
+    void = C2Sweep(grid, np.full(len(bad), np.nan),
+                   C1Record(ok=False, failing_indices=(1,), min_singular_values=(1.0, 0.0)))
+    assert not any(void.c2_ok) and void.unstable_intervals() == []
+
+
+def test_sweep_c2_flags_use_the_margin():
+    grid = np.array([0.0, 1.0, 2.0])
+    thetas = np.array([np.pi / 2 - 2 * C2_MARGIN, np.pi / 2 - C2_MARGIN, 0.0])
+    sweep = C2Sweep(grid, thetas, C1_PASSED)
+    assert sweep.c2_ok == [True, False, True]
+    assert sweep.unstable_intervals() == [[1.0, 1.0]]
 
 
 def test_sweep_validates_arguments():

@@ -107,7 +107,7 @@ def test_crossing_low_rate_sweep_all_ok():
     fam = gen_crossing_family(spec)
     pts = tuple((s.param, compute_pod(s, 1).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts, reference_index=1)
-    assert all(s.c2_ok for s in c2_sweep(ts, -0.5, 0.5, 51))
+    assert all(c2_sweep(ts, -0.5, 0.5, 51).c2_ok)
 
 
 def test_crossing_theta_zero_at_reference():
@@ -116,9 +116,9 @@ def test_crossing_theta_zero_at_reference():
     fam = gen_crossing_family(spec)
     pts = tuple((s.param, compute_pod(s, 1).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts, reference_index=1)
-    samples = c2_sweep(ts, -0.5, 0.5, 5)
-    assert samples[2].param == 0.0
-    assert samples[2].theta_max == pytest.approx(0.0, abs=1e-10)
+    sweep = c2_sweep(ts, -0.5, 0.5, 5)
+    assert sweep.grid[2] == 0.0
+    assert sweep.thetas[2] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_nested_rate_zero_distances_zero():
