@@ -328,6 +328,23 @@ def build_parser():
     return parser
 
 
+def _config_value(action, key, value):
+    """A --config value as the command line would give it: a JSON list joins
+    with commas, then the option's type and choices apply."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ParameterError(f"config {key!r}: expected true or false, got {value!r}")
+        return value
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError as exc:
+        raise ParameterError(f"config {key!r}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ParameterError(f"config {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
+
+
 def _apply_config(parser, args):
     """Fill options still at their parser default from the --config JSON file."""
     if not args.config:
@@ -335,16 +352,16 @@ def _apply_config(parser, args):
     config = fileio.read_json(args.config)
     if not isinstance(config, dict):
         raise ParameterError(f"{args.config}: config must be a JSON object")
-    sub = parser._command_parsers.get(args.command)
+    actions = {
+        a.dest: a
+        for p in (parser, parser._command_parsers[args.command])
+        for a in p._actions
+        if a.option_strings and hasattr(args, a.dest)
+    }
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            continue
-        defaults = {None, parser.get_default(attr)}
-        if sub is not None:
-            defaults.add(sub.get_default(attr))
-        if getattr(args, attr) in defaults:
-            setattr(args, attr, value)
+        action = actions.get(key.replace("-", "_"))
+        if action is not None and getattr(args, action.dest) in (None, action.default):
+            setattr(args, action.dest, _config_value(action, key, value))
     return args
 
 

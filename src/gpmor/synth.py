@@ -97,9 +97,11 @@ def _ladder(p):
     return LADDER_TOP * LADDER_RATIO ** np.arange(p)
 
 
-def _family_bases(spec, rng):
-    """Fixed random ambient rotation and time profiles shared by all parameters."""
-    ambient = deterministic_qr(rng.standard_normal((spec.n, spec.n)))
+def _family_bases(spec, rng, width):
+    """Random ambient frame (n x width) and time profiles shared by all
+    parameters. The frame is Haar on the Stiefel manifold, distributed as the
+    first `width` columns of a random n x n rotation, at O(n * width) memory."""
+    ambient = deterministic_qr(rng.standard_normal((spec.n, width)))
     profiles = deterministic_qr(rng.standard_normal((spec.n_t, spec.mode_count)))
     return ambient, profiles
 
@@ -137,7 +139,7 @@ def gen_rotation_family(spec):
             stacklevel=2,
         )
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
-    ambient, profiles = _family_bases(spec, rng)
+    ambient, profiles = _family_bases(spec, rng, 2 * spec.mode_count)
     snaps = tuple(
         _assemble(
             spec,
@@ -191,7 +193,7 @@ def gen_nested_family(spec):
     if spec.kind != "nested":
         raise ParameterError(f"expected kind='nested', got {spec.kind!r}")
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
-    ambient, profiles = _family_bases(spec, rng)
+    ambient, profiles = _family_bases(spec, rng, 2 * spec.mode_count)
     fixed = ambient[:, [2 * i for i in range(1, spec.mode_count)]] if spec.mode_count > 1 else None
 
     def directions(lam):
@@ -236,7 +238,8 @@ def gen_nonnested_family(spec):
     if spec.kind != "nonnested":
         raise ParameterError(f"expected kind='nonnested', got {spec.kind!r}")
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
-    ambient, profiles = _family_bases(spec, rng)
+    # K1 and K2 act on the whole space, so this kind draws the full n x n frame
+    ambient, profiles = _family_bases(spec, rng, spec.n)
     u0 = ambient[:, : spec.mode_count]
     k1 = _skew(rng, spec.n) * spec.rate
     # curvature generator confined to the span beyond the two leading directions

@@ -4,6 +4,9 @@ Each oracle is deliberately written with a different algorithm than the code
 under test: the SVD oracle uses one-sided Jacobi rotations instead of LAPACK,
 the Lagrange oracle uses the barycentric form instead of the product form, and
 the metric oracles use explicit Python loops instead of vectorized numpy.
+The nonnested-family oracle is the exception: it pins a generator's random
+draw by replaying the same operations, so it matches bit for bit on any
+platform where the library does.
 """
 
 import math
@@ -133,3 +136,34 @@ def random_tangent(rng, base, theta1=None):
         s = s / s[0] * theta1
         z = (u * s) @ vt
     return TangentVector(base=base, lift=z)
+
+
+def nonnested_snapshots(n, n_t, p, rate, seed, params, noise):
+    """Snapshot data of a nonnested family drawn from an n x n ambient
+    rotation, in the generator's draw order: the n x n Gaussian QR, the time
+    profiles, the skew generators K1 (n x n) and K2 (n-2 x n-2, on the
+    trailing ambient columns), then one noise block per parameter."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(np.random.PCG64(seed))
+
+    def frame(shape):
+        q, r = np.linalg.qr(rng.standard_normal(shape))
+        return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+
+    def skew(size):
+        a = rng.standard_normal((size, size))
+        k = a - a.T
+        return k / np.linalg.norm(k, 2)
+
+    ambient = frame((n, n))
+    profiles = frame((n_t, p))
+    k1 = skew(n) * rate
+    w = ambient[:, 2:]
+    k2 = w @ skew(n - 2) @ w.T * rate
+    ladder = 10.0 * 0.5 ** np.arange(p)
+    out = []
+    for lam in params:
+        directions = expm(lam * k1 + lam * lam * k2) @ ambient[:, :p]
+        out.append((directions * ladder) @ profiles.T + noise * rng.standard_normal((n, n_t)))
+    return out

@@ -505,6 +505,32 @@ def test_config_file_defaults(tmp_path):
     assert manifest["spec"]["rate"] == 0.2  # config overrode the untouched default
 
 
+@pytest.mark.parametrize("config", [
+    {"modes": "1,2", "target": "abc"},
+    {"modes": [1, "x"], "target": 0.5},
+    {"modes": "1,2", "target": 0.5, "reference_index": 0.5},
+    {"modes": "1,2", "target": 0.5, "threshold": None},
+    {"modes": "1,2", "target": 0.5, "report": "xml"},
+    {"modes": "1,2", "target": 0.5, "quiet": "yes"},
+])
+def test_config_bad_value_exit_2(tmp_path, config):
+    src = synth_family(tmp_path / "src", kind="nested", n=10, nt=20, modes=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run("--config", path, "--out", tmp_path / "c3", "check-c3", *src) == 2
+
+
+def test_config_list_matches_command_line(tmp_path):
+    src = synth_family(tmp_path / "src", kind="nested", n=10, nt=20, modes=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"modes": [1, 2], "target": 0.5, "quiet": True}))
+    assert run("--config", path, "--out", tmp_path / "a", "check-c3", *src) == 0
+    assert run("--out", tmp_path / "b", "--quiet", "check-c3", *src,
+               "--modes", "1,2", "--target", 0.5) == 0
+    for name in ("c3_report.json", "c3_table.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_missing_input_exit_2(tmp_path):
     assert run("--out", tmp_path / "pod", "pod", tmp_path / "nope.gpm", "--mode", 1) == 2
 

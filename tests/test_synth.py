@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from gpmor import (
     riemannian_distance,
     singular_spectrum,
 )
+from oracles import nonnested_snapshots
+
 from gpmor.synth import _ladder
 
 
@@ -93,6 +97,25 @@ def test_designed_subspace_recovered():
     assert riemannian_distance(a, b) == pytest.approx(0.15 * np.sqrt(2), abs=1e-5)
 
 
+def test_rotation_family_memory_scales_with_n():
+    # an n x n ambient draw would take 3.2 GB here
+    n, n_t, p = 20000, 50, 10
+    spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind="rotation", rate=0.1, seed=14,
+                      params=(0.0, 1.0), noise=0.0)
+    tracemalloc.start()
+    try:
+        fam = gen_rotation_family(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two snapshots kept, plus the three n x n_t temporaries of assembling one
+    assert peak < 6 * n * n_t * 8
+    a = compute_pod(fam.snapshots[0], p).basis
+    b = compute_pod(fam.snapshots[1], p).basis
+    # noiseless, so the designed distance rate * 1.0 * sqrt(p) holds to rounding
+    assert riemannian_distance(a, b) == pytest.approx(0.1 * np.sqrt(p), abs=1e-10)
+
+
 def test_crossing_manifest_predictions():
     spec = FamilySpec(n=8, n_t=12, mode_count=1, kind="crossing", rate=np.pi / 2, seed=7,
                       params=(-0.5, 0.0, 0.5))
@@ -145,6 +168,17 @@ def test_nonnested_deterministic():
     b = generate(spec)
     for sa, sb in zip(a.snapshots, b.snapshots):
         assert np.array_equal(sa.data, sb.data)
+
+
+@pytest.mark.parametrize("n, n_t, p, seed", [(10, 20, 3, 12), (16, 40, 5, 2)])
+def test_nonnested_matches_full_ambient_draw(n, n_t, p, seed):
+    params = (0.0, 1.0, 2.0, 3.0)
+    spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind="nonnested", rate=0.3, seed=seed,
+                      params=params)
+    fam = gen_nonnested_family(spec)
+    expected = nonnested_snapshots(n, n_t, p, 0.3, seed, params, spec.noise)
+    for snap, data in zip(fam.snapshots, expected):
+        assert np.array_equal(snap.data, data)
 
 
 def test_manifest_contents():
