@@ -41,16 +41,24 @@ def write_snapshot_bin(path, snap):
         fh.write(np.asarray(snap.data, dtype="<f8").tobytes(order="F"))
 
 
-def read_snapshot_bin(path):
+def _read_bin(path, magic, header):
+    """Header fields after the magic and the column-major f64 payload, shaped
+    by the first two fields; the payload is a view of the file bytes."""
     raw = Path(path).read_bytes()
-    if raw[:4] != SNAPSHOT_MAGIC:
-        raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {SNAPSHOT_MAGIC!r}")
-    n, n_t, lam = struct.unpack_from("<QQd", raw, 4)
-    body = raw[4 + struct.calcsize("<QQd"):]
-    expected = n * n_t * 8
-    if len(body) != expected:
-        raise DataError(f"{path}: payload holds {len(body)} bytes, expected {expected}")
-    data = np.frombuffer(body, dtype="<f8").reshape((n, n_t), order="F")
+    if raw[:4] != magic:
+        raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
+    fields = struct.unpack_from(header, raw, 4)
+    rows, cols = fields[:2]
+    offset = 4 + struct.calcsize(header)
+    expected = rows * cols * 8
+    if len(raw) - offset != expected:
+        raise DataError(f"{path}: payload holds {len(raw) - offset} bytes, expected {expected}")
+    data = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=offset)
+    return fields, data.reshape((rows, cols), order="F")
+
+
+def read_snapshot_bin(path):
+    (_, _, lam), data = _read_bin(path, SNAPSHOT_MAGIC, "<QQd")
     return SnapshotMatrix(data=data, param=lam)
 
 
@@ -62,15 +70,7 @@ def write_frame_bin(path, point):
 
 
 def read_frame_bin(path):
-    raw = Path(path).read_bytes()
-    if raw[:4] != FRAME_MAGIC:
-        raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {FRAME_MAGIC!r}")
-    n, p = struct.unpack_from("<QQ", raw, 4)
-    body = raw[4 + struct.calcsize("<QQ"):]
-    expected = n * p * 8
-    if len(body) != expected:
-        raise DataError(f"{path}: payload holds {len(body)} bytes, expected {expected}")
-    frame = np.frombuffer(body, dtype="<f8").reshape((n, p), order="F")
+    _, frame = _read_bin(path, FRAME_MAGIC, "<QQ")
     return GrassmannPoint(frame=frame)
 
 
@@ -81,7 +81,8 @@ def _write_matrix_csv(path, header, matrix):
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in matrix:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+            # repr of a Python float is fmt, without a call per value
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _read_matrix_csv(path):

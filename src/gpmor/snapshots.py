@@ -2,7 +2,11 @@
 
 A snapshot matrix stacks the discretized space-time field of one parameter
 value column by column (n spatial DOFs x n_t time steps). POD extracts the
-leading left singular subspace, which is a point on G(p, n).
+leading left singular subspace, which is a point on G(p, n). Snapshots
+usually have far more DOFs than time steps, so a tall one is factored
+through the n_t x n_t triangle of its QR (the R-SVD of T. F. Chan, ACM TOMS
+8, 1982) and only the kept left singular vectors are formed, from S and the
+right ones.
 """
 
 import warnings
@@ -63,13 +67,14 @@ class PodResult:
 
 def singular_spectrum(s):
     """Full non-increasing singular value list of the snapshot matrix."""
-    return np.linalg.svd(s.data, compute_uv=False)
+    return factor_pod(s, 0).singular_values
 
 
 @dataclass(frozen=True)
 class PodFactor:
-    """One signed thin SVD of a snapshot matrix, ready to truncate to any mode
-    up to the number of left singular vectors it keeps."""
+    """The full singular spectrum of a snapshot matrix and its leading signed
+    left singular vectors, ready to truncate to any mode up to the number of
+    vectors it keeps."""
 
     vectors: np.ndarray
     singular_values: np.ndarray
@@ -77,37 +82,63 @@ class PodFactor:
     param: float
 
 
+def _numerical_rank(sv, shape):
+    """Number of singular values above max(n, n_t) * eps * sigma_1."""
+    return int(np.sum(sv > max(shape) * np.finfo(float).eps * sv[0]))
+
+
 def factor_pod(s, max_mode):
-    """Thin SVD of s keeping the min(max_mode, q) leading left singular vectors,
-    q = min(n, n_t), with the signs of fix_svd_signs, and the full spectrum."""
-    u, sv, vt = np.linalg.svd(s.data, full_matrices=False)
-    keep = min(max(int(max_mode), 0), sv.size)
-    # a contiguous copy of the kept columns lets the full U be freed
-    u = np.ascontiguousarray(u[:, :keep])
+    """POD factor of s keeping min(max_mode, rank) left singular vectors.
+
+    A wide or square s (n <= n_t) is small: its own SVD gives them. A tall s
+    is reduced to the n_t x n_t triangle of its QR, whose Q is never formed;
+    one SVD of the triangle gives the full spectrum sigma and the right
+    vectors v_j, and each kept vector is u_j = S v_j / sigma_j, one
+    matrix-vector product, re-orthonormalised against u_1..u_{j-1} by two
+    passes of classical Gram-Schmidt. Either way column j is bitwise the same
+    for every max_mode >= j. Signs follow fix_svd_signs. Vectors beyond the
+    numerical rank are not formed: their sigma_j is noise.
+    """
+    data = s.data
+    n, n_t = data.shape
+    tall = n > n_t
+    u, sv, vt = np.linalg.svd(np.linalg.qr(data, mode="r") if tall else data,
+                              full_matrices=False)
+    keep = min(max(int(max_mode), 0), _numerical_rank(sv, data.shape))
+    if tall:
+        u = np.empty((n, keep), order="F")
+        for j in range(keep):
+            w = data @ vt[j] / sv[j]
+            for _ in range(2):
+                w -= u[:, :j] @ (u[:, :j].T @ w)
+                w /= np.linalg.norm(w)
+            u[:, j] = w
+    else:
+        # a contiguous copy of the kept columns lets the full U be freed
+        u = np.ascontiguousarray(u[:, :keep])
     fix_svd_signs(u, vt[:keep])
-    return PodFactor(vectors=u, singular_values=sv, shape=s.data.shape, param=s.param)
+    return PodFactor(vectors=u, singular_values=sv, shape=data.shape, param=s.param)
 
 
 def truncate_pod(f, p):
     """Mode-p POD from a factor: its p leading signed left singular vectors.
 
-    Raises ParameterError outside [1, q] or beyond the modes the factor
-    keeps, DegenerateRankError when the rank is below p, and flags (without
-    failing) a degenerate gap sigma_p = sigma_{p+1}.
+    Raises ParameterError outside [1, q], DegenerateRankError when the rank
+    is below p, ParameterError beyond the modes the factor keeps, and flags
+    (without failing) a degenerate gap sigma_p = sigma_{p+1}.
     """
     n, n_t = f.shape
     sv = f.singular_values
     q = sv.size
     if not 1 <= p <= q:
         raise ParameterError(f"mode p={p} out of range [1, {q}] for a {n}x{n_t} matrix")
-    if p > f.vectors.shape[1]:
-        raise ParameterError(f"mode p={p} exceeds the {f.vectors.shape[1]} modes the factor keeps")
-    rank_tol = max(n, n_t) * np.finfo(float).eps * sv[0]
-    rank = int(np.sum(sv > rank_tol))
+    rank = _numerical_rank(sv, f.shape)
     if rank < p:
         raise DegenerateRankError(
             f"snapshot matrix has rank {rank} < requested mode p={p}; the minimizer is not unique"
         )
+    if p > f.vectors.shape[1]:
+        raise ParameterError(f"mode p={p} exceeds the {f.vectors.shape[1]} modes the factor keeps")
     unique = p == q or bool(sv[p - 1] - sv[p] > UNIQUENESS_GAP_TOL * sv[0])
     if not unique:
         warnings.warn(

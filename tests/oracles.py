@@ -2,8 +2,10 @@
 
 Each oracle is deliberately written with a different algorithm than the code
 under test: the SVD oracle uses one-sided Jacobi rotations instead of LAPACK,
-the Lagrange oracle uses the barycentric form instead of the product form, and
-the metric oracles use explicit Python loops instead of vectorized numpy.
+the Lagrange oracle uses the barycentric form instead of the product form, the
+metric oracles use explicit Python loops instead of vectorized numpy, and the
+POD oracle takes one thin SVD of the whole snapshot matrix instead of the QR
+triangle and back-projection the library uses.
 The nonnested-family oracle is the exception: it pins a generator's random
 draw by replaying the same operations, so it matches bit for bit on any
 platform where the library does.
@@ -167,3 +169,10 @@ def nonnested_snapshots(n, n_t, p, rate, seed, params, noise):
         directions = expm(lam * k1 + lam * lam * k2) @ ambient[:, :p]
         out.append((directions * ladder) @ profiles.T + noise * rng.standard_normal((n, n_t)))
     return out
+
+
+def thin_svd_pod(data, p):
+    """Mode-p POD from one LAPACK thin SVD of the whole snapshot matrix:
+    (the p leading left singular vectors, the full spectrum)."""
+    u, s, _ = np.linalg.svd(np.asarray(data, dtype=float), full_matrices=False)
+    return u[:, :p], s

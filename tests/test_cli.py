@@ -36,10 +36,25 @@ def synth_family(out, kind="rotation", n=8, nt=12, modes=2, rate=0.1,
     return sorted(str(p) for p in out.glob("snapshot_*.gpm"))
 
 
-def test_cli_import_does_not_load_scipy():
+def _exit_code_in_fresh_process(expr):
+    """Exit code of a fresh interpreter that imports gpmor.cli, evaluates expr
+    (0 on success) and exits 1 if that loaded scipy."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = "import sys, gpmor.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = f"import sys, gpmor.cli; sys.exit(({expr}) or ('scipy' in sys.modules))"
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+
+
+def test_cli_import_does_not_load_scipy():
+    assert _exit_code_in_fresh_process("0") == 0
+
+
+def test_pod_and_check_c3_do_not_load_scipy(tmp_path):
+    # a tall family goes through the QR triangle of every snapshot
+    files = synth_family(tmp_path / "fam", n=60, nt=12, modes=3)
+    for argv in (["pod", *files, "--mode", "3"],
+                 ["check-c3", *files, "--modes", "1,2,3", "--target", "1.5"]):
+        argv = ["--out", str(tmp_path / argv[0]), "--quiet", *argv]
+        assert _exit_code_in_fresh_process(f"gpmor.cli.main({argv!r})") == 0
 
 
 # -- synth --------------------------------------------------------------------
@@ -304,29 +319,41 @@ def test_check_c3_table_round_trip_same_report(tmp_path):
 
 
 def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
-    files = synth_family(tmp_path / "fam", kind="nested", n=16, nt=40, modes=5,
-                         rate=0.05, params="0,1,2,3", seed=7)
+    # a wide snapshot is factored by one SVD of itself, a tall one by one QR
+    # of itself and one SVD of its nt x nt triangle
     reads = []
-    snapshot_svds = []
+    calls = []
     read_snapshot_orig = fileio.read_snapshot
-    svd_orig = np.linalg.svd
 
     def counting_read(path):
         reads.append(str(path))
         return read_snapshot_orig(path)
 
-    def counting_svd(a, *args, **kwargs):
-        if np.shape(a) == (16, 40):
-            snapshot_svds.append(np.shape(a))
-        return svd_orig(a, *args, **kwargs)
+    def counting(name, orig):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return orig(a, *args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(fileio, "read_snapshot", counting_read)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    code = run("--out", tmp_path / "c3", "--quiet", "check-c3", *files,
-               "--modes", "1,2,3,4,5", "--target", 1.5)
-    assert code == 0
-    assert sorted(reads) == sorted(files)
-    assert len(snapshot_svds) == len(files)
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
+    for n, nt in ((16, 40), (40, 12)):
+        files = synth_family(tmp_path / f"fam{n}", kind="nested", n=n, nt=nt, modes=5,
+                             rate=0.05, params="0,1,2,3", seed=7)
+        reads.clear()
+        calls.clear()
+        code = run("--out", tmp_path / f"c3{n}", "--quiet", "check-c3", *files,
+                   "--modes", "1,2,3,4,5", "--target", 1.5)
+        assert code == 0
+        assert sorted(reads) == sorted(files)
+        if n <= nt:
+            assert calls.count(("svd", (n, nt))) == len(files)
+            assert ("qr", (n, nt)) not in calls
+        else:
+            assert calls.count(("qr", (n, nt))) == len(files)
+            assert calls.count(("svd", (nt, nt))) == len(files)
+            assert ("svd", (n, nt)) not in calls
 
 
 def test_check_c3_table_matches_per_mode_library_path(tmp_path):

@@ -80,13 +80,29 @@ def test_bad_magic(tmp_path):
 
 
 def test_truncated_payload(tmp_path):
+    # a short or long payload names both sizes, for snapshots and frames
     rng = np.random.default_rng(4)
     snap = SnapshotMatrix(data=rng.standard_normal((4, 2)))
-    path = tmp_path / "t.gpm"
-    write_snapshot_bin(path, snap)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(DataError):
-        read_snapshot_bin(path)
+    point = GrassmannPoint(np.eye(4)[:, :2])
+    for write, read, obj in ((write_snapshot_bin, read_snapshot_bin, snap),
+                             (write_frame_bin, read_frame_bin, point)):
+        for extra in (-8, 8):
+            path = tmp_path / f"t{extra}.bin"
+            write(path, obj)
+            raw = path.read_bytes()
+            path.write_bytes(raw[:extra] if extra < 0 else raw + b"\x00" * extra)
+            with pytest.raises(DataError, match=rf"payload holds {64 + extra} bytes, expected 64$"):
+                read(path)
+
+
+def test_csv_rows_match_per_value_fmt(tmp_path):
+    values = np.array([[0.1, -0.0, 5e-324, 1.7976931348623157e308],
+                       [-0.1, 0.0, -5e-324, -1.7976931348623157e308]])
+    path = tmp_path / "s.csv"
+    write_snapshot_csv(path, SnapshotMatrix(data=values, param=-0.0))
+    rows = "".join(",".join(fmt(x) for x in row) + "\n" for row in values)
+    assert path.read_text() == "# gpm-snapshot lambda=-0.0\n" + rows
+    assert np.array_equal(read_snapshot_csv(path).data, values)
 
 
 def test_csv_parse_errors(tmp_path):

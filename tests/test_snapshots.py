@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,8 @@ from gpmor import (
     reduced_model,
     singular_spectrum,
 )
-from gpmor.grassmann import fix_svd_signs
 from gpmor.snapshots import factor_pod, truncate_pod
-from oracles import jacobi_svd
+from oracles import jacobi_svd, thin_svd_pod
 
 
 def test_rank_one_two_columns():
@@ -156,19 +157,94 @@ def test_sign_convention_deterministic():
 
 
 def test_one_factor_serves_every_mode_bitwise():
-    # each truncation equals the leading columns of one full signed thin SVD
+    # the mode-p frame does not depend on how many modes the factor keeps
     rng = np.random.default_rng(11)
-    s = SnapshotMatrix(data=rng.standard_normal((20, 9)))
-    u, sv, vt = np.linalg.svd(s.data, full_matrices=False)
-    fix_svd_signs(u, vt)
-    factor = factor_pod(s, 6)
-    assert factor.vectors.shape == (20, 6)
-    for p in range(1, 7):
-        expected = GrassmannPoint(u[:, :p]).frame
-        for pod in (truncate_pod(factor, p), compute_pod(s, p)):
-            assert np.array_equal(pod.basis.frame, expected)
-            assert np.array_equal(pod.singular_values, sv)
+    for shape in ((20, 9), (9, 20), (12, 12)):
+        s = SnapshotMatrix(data=rng.standard_normal(shape))
+        q = min(shape)
+        for p in range(1, q + 1):
+            pod = compute_pod(s, p)
             assert pod.uniqueness_flag and pod.mode == p
+            for k in range(p, q + 1):
+                truncated = truncate_pod(factor_pod(s, k), p)
+                assert np.array_equal(truncated.basis.frame, pod.basis.frame)
+                assert np.array_equal(truncated.singular_values, pod.singular_values)
+
+
+def _sin_largest_angle(a, b):
+    """Sine of the largest principal angle between the spans of orthonormal a, b."""
+    return float(np.linalg.norm(a - b @ (b.T @ a), 2))
+
+
+def _with_spectrum(n, n_t, seed, sigma):
+    """Snapshot U diag(sigma) V^T with random orthonormal U (n x q) and V
+    (n_t x q), q = min(n, n_t): its exact left singular vectors are U."""
+    rng = np.random.default_rng(seed)
+    q = min(n, n_t)
+    u, _ = np.linalg.qr(rng.standard_normal((n, q)))
+    v, _ = np.linalg.qr(rng.standard_normal((n_t, q)))
+    return SnapshotMatrix(data=(u * sigma) @ v.T), u
+
+
+@pytest.mark.parametrize("shape", [(50, 8), (8, 50), (30, 30), (400, 20)])
+def test_pod_matches_thin_svd_oracle(shape):
+    q = min(shape)
+    # well-separated modes: every gap sigma_j - sigma_{j+1} is sigma_1 / q
+    s, _ = _with_spectrum(*shape, q, np.arange(q, 0, -1.0))
+    factor = factor_pod(s, q)
+    frames, sv = thin_svd_pod(s.data, q)
+    assert np.max(np.abs(factor.singular_values - sv)) <= 1e-13 * sv[0]
+    assert np.array_equal(singular_spectrum(s), factor.singular_values)
+    for p in range(1, q + 1):
+        frame = truncate_pod(factor, p).basis.frame
+        assert _sin_largest_angle(frame, frames[:, :p]) <= 1e-12
+
+
+@pytest.mark.parametrize("n, n_t", [(400, 60), (4000, 200)])
+def test_graded_spectrum_every_mode_accepted(n, n_t):
+    # sigma log-spaced over 13 decades: u_j = S v_j / sigma_j loses
+    # orthogonality like sigma_1 / sigma_j, which the re-orthonormalisation
+    # must repair for every mode up to the numerical rank
+    s, exact = _with_spectrum(n, n_t, 5, np.logspace(0, -13, n_t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor = factor_pod(s, n_t)
+    rank = factor.vectors.shape[1]
+    assert rank >= n_t * 9 // 10
+    oracle, _ = thin_svd_pod(s.data, rank)
+    for p in range(1, rank + 1):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pod = truncate_pod(factor, p)
+        # the only warning allowed is the documented gap flag
+        assert len(caught) == (not pod.uniqueness_flag)
+        assert all("degenerate singular spectrum" in str(w.message) for w in caught)
+        if p % 10 == 0 or p == rank:
+            got = _sin_largest_angle(pod.basis.frame, exact[:, :p])
+            assert got <= 10.0 * _sin_largest_angle(oracle[:, :p], exact[:, :p])
+
+
+@pytest.mark.parametrize("data, rank", [
+    (np.zeros((6, 3)), 0),
+    (np.zeros((3, 6)), 0),
+    (np.outer(np.arange(1.0, 11.0), [1.0, -2.0, 0.5, 3.0]), 1),
+    (np.outer([1.0, -2.0, 0.5, 3.0], np.arange(1.0, 11.0)), 1),
+    (np.column_stack([np.eye(8)[:, 0], np.eye(8)[:, 1], np.eye(8)[:, 0] + np.eye(8)[:, 1]]), 2),
+], ids=["zero-tall", "zero-wide", "rank1-tall", "rank1-wide", "rank2-tall"])
+def test_rank_deficient_raises_degenerate_rank_without_warnings(data, rank):
+    # modes past the rank are a DegenerateRankError, not "exceeds the modes
+    # the factor keeps", and their sigma_j = 0 is never divided by
+    s = SnapshotMatrix(data=data)
+    q = min(data.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor = factor_pod(s, q)
+        assert factor.vectors.shape[1] == rank
+        for p in range(rank + 1, q + 1):
+            with pytest.raises(DegenerateRankError):
+                compute_pod(s, p)
+            with pytest.raises(DegenerateRankError):
+                truncate_pod(factor, p)
 
 
 def test_truncate_beyond_kept_modes_rejected():
