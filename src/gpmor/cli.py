@@ -109,10 +109,8 @@ def cmd_pod(args):
         stem = Path(path).stem
         fileio.write_frame_bin(out / f"basis_{stem}.gpf", pod.basis)
         if args.report in ("csv", "both"):
-            with open(out / f"spectrum_{stem}.csv", "w") as fh:
-                fh.write("# gpm-spectrum\n")
-                for i, sv in enumerate(pod.singular_values):
-                    fh.write(f"{i},{fmt(sv)}\n")
+            fileio.write_csv(out / f"spectrum_{stem}.csv", "# gpm-spectrum",
+                             enumerate(pod.singular_values.tolist()))
         summary["inputs"].append(
             {
                 "file": str(path),
@@ -163,10 +161,8 @@ def cmd_sweep_c2(args):
     ts = _load_training_set(args)
     sweep = c2_sweep(ts, args.lo, args.hi, args.samples)
     if args.report in ("csv", "both"):
-        with open(out / "sweep_c2.csv", "w") as fh:
-            fh.write("# gpm-sweep lambda,theta_max,c2_ok\n")
-            for lam, theta, ok in zip(sweep.grid, sweep.thetas, sweep.c2_ok):
-                fh.write(f"{fmt(lam)},{fmt(theta)},{int(ok)}\n")
+        fileio.write_csv(out / "sweep_c2.csv", "# gpm-sweep lambda,theta_max,c2_ok",
+                         zip(sweep.grid.tolist(), sweep.thetas.tolist(), map(int, sweep.c2_ok)))
     unstable = sweep.unstable_intervals()
     if not sweep.c1.ok:
         _say(args, f"sweep invalid: C1 failed at node(s) {list(sweep.c1.failing_indices)}")
@@ -247,10 +243,8 @@ def cmd_metrics(args):
     reference = fileio.read_snapshot(args.reference)
     series = error_series(approx, reference)
     if args.report in ("csv", "both"):
-        with open(out / "metrics.csv", "w") as fh:
-            fh.write("# gpm-metrics t_index,e_l2\n")
-            for i, e in enumerate(series.per_snapshot):
-                fh.write(f"{i},{fmt(e)}\n")
+        fileio.write_csv(out / "metrics.csv", "# gpm-metrics t_index,e_l2",
+                         enumerate(series.per_snapshot))
     if args.report in ("json", "both"):
         fileio.write_json(out / "metrics.json", series.to_dict())
     _say(args, f"frobenius error = {fmt(series.frobenius)}")

@@ -12,6 +12,7 @@ source of truth.
 """
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -43,17 +44,20 @@ def write_snapshot_bin(path, snap):
 
 def _read_bin(path, magic, header):
     """Header fields after the magic and the column-major f64 payload, shaped
-    by the first two fields; the payload is a view of the file bytes."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != magic:
-        raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
-    fields = struct.unpack_from(header, raw, 4)
-    rows, cols = fields[:2]
-    offset = 4 + struct.calcsize(header)
-    expected = rows * cols * 8
-    if len(raw) - offset != expected:
-        raise DataError(f"{path}: payload holds {len(raw) - offset} bytes, expected {expected}")
-    data = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=offset)
+    by the first two fields. The payload is read once into a fresh, aligned
+    array and frozen, so the types that take it keep it without a copy."""
+    with open(path, "rb") as fh:
+        head = fh.read(4 + struct.calcsize(header))
+        if head[:4] != magic:
+            raise DataError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+        fields = struct.unpack_from(header, head, 4)
+        rows, cols = fields[:2]
+        payload = os.fstat(fh.fileno()).st_size - len(head)
+        expected = rows * cols * 8
+        if payload != expected:
+            raise DataError(f"{path}: payload holds {payload} bytes, expected {expected}")
+        data = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    data.setflags(write=False)
     return fields, data.reshape((rows, cols), order="F")
 
 
@@ -77,12 +81,13 @@ def read_frame_bin(path):
 # -- CSV ---------------------------------------------------------------------
 
 
-def _write_matrix_csv(path, header, matrix):
+def write_csv(path, header, rows):
+    """A `# gpm-...` header line, then one comma-separated line per row of
+    Python ints and floats; a float's repr is its fmt form."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in matrix:
-            # repr of a Python float is fmt, without a call per value
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _read_matrix_csv(path):
@@ -110,7 +115,8 @@ def _read_matrix_csv(path):
 
 
 def write_snapshot_csv(path, snap):
-    _write_matrix_csv(path, f"# gpm-snapshot lambda={fmt(snap.param)}", snap.data)
+    header = f"# gpm-snapshot lambda={fmt(snap.param)}"
+    write_csv(path, header, map(np.ndarray.tolist, snap.data))
 
 
 def read_snapshot_csv(path):
@@ -122,7 +128,7 @@ def read_snapshot_csv(path):
 
 
 def write_frame_csv(path, point):
-    _write_matrix_csv(path, "# gpm-frame orthonormal", point.frame)
+    write_csv(path, "# gpm-frame orthonormal", map(np.ndarray.tolist, point.frame))
 
 
 def read_frame_csv(path):
@@ -132,7 +138,7 @@ def read_frame_csv(path):
 
 def write_distance_table(path, table):
     modes = ",".join(str(m) for m in table.modes)
-    _write_matrix_csv(path, f"# gpm-c3-table modes={modes}", table.values)
+    write_csv(path, f"# gpm-c3-table modes={modes}", map(np.ndarray.tolist, table.values))
 
 
 def read_distance_table(path):
@@ -156,23 +162,21 @@ def read_distance_table(path):
     return DistanceTable(modes=modes, values=values)
 
 
-def read_snapshot(path):
-    """Read a snapshot in either format, picked by file magic."""
+def _read_either(path, magic, read_bin, read_csv):
+    """Read with read_bin when the file starts with `magic`, else with read_csv."""
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == SNAPSHOT_MAGIC:
-        return read_snapshot_bin(path)
-    return read_snapshot_csv(path)
+        head = fh.read(4)
+    return (read_bin if head == magic else read_csv)(path)
+
+
+def read_snapshot(path):
+    """Read a snapshot in either format, picked by file magic."""
+    return _read_either(path, SNAPSHOT_MAGIC, read_snapshot_bin, read_snapshot_csv)
 
 
 def read_frame(path):
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == FRAME_MAGIC:
-        return read_frame_bin(path)
-    return read_frame_csv(path)
+    return _read_either(path, FRAME_MAGIC, read_frame_bin, read_frame_csv)
 
 
 # -- JSON --------------------------------------------------------------------

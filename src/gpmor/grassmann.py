@@ -59,6 +59,24 @@ def deterministic_qr(mat):
     return q * signs
 
 
+def _frozen_float(a):
+    """`a` as a read-only float64 array. An aligned, read-only float64 array
+    over which no writeable array lies (a binary read's payload) is kept as
+    is; anything else is copied once and the copy frozen, so a caller's
+    writeable array is never frozen or shared. An unaligned view is copied
+    too: BLAS calls on one run several times slower."""
+    keep = isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.aligned
+    base = a
+    while keep and isinstance(base, np.ndarray):
+        keep = not base.flags.writeable
+        base = base.base
+    if keep:
+        return a
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 def overlap_invertible(sv):
     """C1 predicate on the singular values (descending) of an overlap Y^T Y':
     the smallest is at least OVERLAP_SINGULAR_TOL times the largest."""
@@ -83,7 +101,7 @@ class GrassmannPoint:
     frame: np.ndarray
 
     def __post_init__(self):
-        frame = np.array(self.frame, dtype=float)
+        frame = _frozen_float(self.frame)
         if frame.ndim != 2:
             raise ParameterError(f"frame must be a 2-D matrix, got ndim={frame.ndim}")
         n, p = frame.shape
@@ -98,7 +116,7 @@ class GrassmannPoint:
             )
         if drift > FRAME_FIX_TOL:
             frame = deterministic_qr(frame)
-        frame.setflags(write=False)
+            frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
 
     @property

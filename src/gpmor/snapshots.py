@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateRankError, ParameterError
-from .grassmann import GrassmannPoint, fix_svd_signs
+from .grassmann import GrassmannPoint, _frozen_float, fix_svd_signs
 
 # Relative gap sigma_p - sigma_{p+1} below which the minimizing subspace is
 # flagged as non-unique.
@@ -30,14 +30,13 @@ class SnapshotMatrix:
     param: float = 0.0
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=float)
+        data = _frozen_float(self.data)
         if data.ndim != 2:
             raise ParameterError(f"snapshot data must be 2-D, got ndim={data.ndim}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ParameterError(f"snapshot data must be non-empty, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise DataError("snapshot data contains non-finite entries")
-        data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "param", float(self.param))
 

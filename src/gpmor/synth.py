@@ -22,7 +22,7 @@ bitwise-identical snapshots.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -74,16 +74,7 @@ class FamilySpec:
         object.__setattr__(self, "params", params)
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "n_t": self.n_t,
-            "mode_count": self.mode_count,
-            "kind": self.kind,
-            "rate": self.rate,
-            "seed": self.seed,
-            "params": list(self.params),
-            "noise": self.noise,
-        }
+        return dict(asdict(self), params=list(self.params))
 
 
 @dataclass(frozen=True)
@@ -97,27 +88,51 @@ def _ladder(p):
     return LADDER_TOP * LADDER_RATIO ** np.arange(p)
 
 
-def _family_bases(spec, rng, width):
-    """Random ambient frame (n x width) and time profiles shared by all
-    parameters. The frame is Haar on the Stiefel manifold, distributed as the
-    first `width` columns of a random n x n rotation, at O(n * width) memory."""
+def _synthesize(spec, width, trajectory, noise, extra):
+    """The work every kind shares. Seeds the RNG, draws a random ambient frame
+    (n x width) and the time profiles, asks `trajectory(ambient, rng)` for the
+    kind's map lam -> n x p directions (it draws what else it needs from rng),
+    then builds each snapshot as (directions * ladder) @ profiles^T plus
+    noise, with one noise draw per parameter in order. The manifest holds the
+    shared keys and the kind's `extra` ones. The frame is Haar on
+    the Stiefel manifold, distributed as the first `width` columns of a random
+    n x n rotation, at O(n * width) memory."""
+    rng = np.random.default_rng(np.random.PCG64(spec.seed))
     ambient = deterministic_qr(rng.standard_normal((spec.n, width)))
     profiles = deterministic_qr(rng.standard_normal((spec.n_t, spec.mode_count)))
-    return ambient, profiles
+    directions = trajectory(ambient, rng)
+    ladder = _ladder(spec.mode_count)
+    snaps = []
+    for lam in spec.params:
+        data = (directions(lam) * ladder) @ profiles.T
+        data += noise * rng.standard_normal((spec.n, spec.n_t))
+        # frozen here, so SnapshotMatrix keeps it instead of copying it
+        data.setflags(write=False)
+        snaps.append(SnapshotMatrix(data=data, param=lam))
+    manifest = {
+        "schema": "gpm/1",
+        "spec": spec.to_dict(),
+        "rng": RNG_NAME,
+        "singular_value_ladder": ladder.tolist(),
+        **extra,
+    }
+    return SynthFamily(spec=spec, snapshots=tuple(snaps), manifest=manifest)
 
 
-def _assemble(spec, directions, profiles, rng, lam, noise):
-    core = (directions * _ladder(spec.mode_count)) @ profiles.T
-    data = core + noise * rng.standard_normal((spec.n, spec.n_t))
-    return SnapshotMatrix(data=data, param=lam)
+def _turning(angles):
+    """Trajectory in which direction i turns by angles(lam)[i] inside the plane
+    (b_2i, b_2i+1) of an n x 2p ambient frame."""
 
+    def trajectory(ambient, rng):
+        even, odd = ambient[:, 0::2], ambient[:, 1::2]
 
-def _rotation_directions(ambient, mode_count, angle):
-    """Each direction i turned by `angle` inside the plane (b_{2i}, b_{2i+1})."""
-    cols = []
-    for i in range(mode_count):
-        cols.append(np.cos(angle) * ambient[:, 2 * i] + np.sin(angle) * ambient[:, 2 * i + 1])
-    return np.column_stack(cols)
+        def directions(lam):
+            a = angles(lam)
+            return np.cos(a) * even + np.sin(a) * odd
+
+        return directions
+
+    return trajectory
 
 
 def gen_rotation_family(spec):
@@ -138,27 +153,9 @@ def gen_rotation_family(spec):
             RuntimeWarning,
             stacklevel=2,
         )
-    rng = np.random.default_rng(np.random.PCG64(spec.seed))
-    ambient, profiles = _family_bases(spec, rng, 2 * spec.mode_count)
-    snaps = tuple(
-        _assemble(
-            spec,
-            _rotation_directions(ambient, spec.mode_count, spec.rate * lam),
-            profiles,
-            rng,
-            lam,
-            spec.noise,
-        )
-        for lam in spec.params
-    )
-    manifest = {
-        "schema": "gpm/1",
-        "spec": spec.to_dict(),
-        "rng": RNG_NAME,
-        "singular_value_ladder": _ladder(spec.mode_count).tolist(),
-        "theta1_per_unit_param": spec.rate,
-    }
-    return SynthFamily(spec=spec, snapshots=snaps, manifest=manifest)
+    trajectory = _turning(lambda lam: np.full(spec.mode_count, spec.rate * lam))
+    return _synthesize(spec, 2 * spec.mode_count, trajectory, spec.noise,
+                       {"theta1_per_unit_param": spec.rate})
 
 
 def gen_crossing_family(spec):
@@ -192,30 +189,15 @@ def gen_nested_family(spec):
     """
     if spec.kind != "nested":
         raise ParameterError(f"expected kind='nested', got {spec.kind!r}")
-    rng = np.random.default_rng(np.random.PCG64(spec.seed))
-    ambient, profiles = _family_bases(spec, rng, 2 * spec.mode_count)
-    fixed = ambient[:, [2 * i for i in range(1, spec.mode_count)]] if spec.mode_count > 1 else None
-
-    def directions(lam):
-        angle = spec.rate * lam
-        moving = np.cos(angle) * ambient[:, 0] + np.sin(angle) * ambient[:, 1]
-        if fixed is None:
-            return moving[:, None]
-        return np.column_stack([moving, fixed])
-
+    # the other directions turn by 0: cos 0 = 1 and sin 0 = 0 are exact, so
+    # each stays its ambient column bit for bit
+    rest = np.zeros(spec.mode_count - 1)
+    trajectory = _turning(lambda lam: np.r_[spec.rate * lam, rest])
     noise = min(spec.noise, NESTED_NOISE)
-    snaps = tuple(
-        _assemble(spec, directions(lam), profiles, rng, lam, noise) for lam in spec.params
-    )
-    manifest = {
-        "schema": "gpm/1",
-        "spec": spec.to_dict(),
-        "rng": RNG_NAME,
-        "singular_value_ladder": _ladder(spec.mode_count).tolist(),
+    return _synthesize(spec, 2 * spec.mode_count, trajectory, noise, {
         "noise": noise,
         "nesting": "exact by construction; cross-mode geometric distances vanish",
-    }
-    return SynthFamily(spec=spec, snapshots=snaps, manifest=manifest)
+    })
 
 
 def _skew(rng, size):
@@ -237,30 +219,18 @@ def gen_nonnested_family(spec):
 
     if spec.kind != "nonnested":
         raise ParameterError(f"expected kind='nonnested', got {spec.kind!r}")
-    rng = np.random.default_rng(np.random.PCG64(spec.seed))
+
+    def trajectory(ambient, rng):
+        u0 = ambient[:, : spec.mode_count]
+        k1 = _skew(rng, spec.n) * spec.rate
+        # curvature generator confined to the span beyond the two leading directions
+        w = ambient[:, 2:]
+        k2 = w @ _skew(rng, spec.n - 2) @ w.T * spec.rate
+        return lambda lam: expm(lam * k1 + lam * lam * k2) @ u0
+
     # K1 and K2 act on the whole space, so this kind draws the full n x n frame
-    ambient, profiles = _family_bases(spec, rng, spec.n)
-    u0 = ambient[:, : spec.mode_count]
-    k1 = _skew(rng, spec.n) * spec.rate
-    # curvature generator confined to the span beyond the two leading directions
-    w = ambient[:, 2:]
-    k2 = w @ _skew(rng, spec.n - 2) @ w.T * spec.rate
-
-    def directions(lam):
-        return expm(lam * k1 + lam * lam * k2) @ u0
-
-    snaps = tuple(
-        _assemble(spec, directions(lam), profiles, rng, lam, spec.noise)
-        for lam in spec.params
-    )
-    manifest = {
-        "schema": "gpm/1",
-        "spec": spec.to_dict(),
-        "rng": RNG_NAME,
-        "singular_value_ladder": _ladder(spec.mode_count).tolist(),
-        "nesting": "broken by construction; expect a large C3 ratio",
-    }
-    return SynthFamily(spec=spec, snapshots=snaps, manifest=manifest)
+    return _synthesize(spec, spec.n, trajectory, spec.noise,
+                       {"nesting": "broken by construction; expect a large C3 ratio"})
 
 
 _GENERATORS = {

@@ -6,8 +6,8 @@ the Lagrange oracle uses the barycentric form instead of the product form, the
 metric oracles use explicit Python loops instead of vectorized numpy, and the
 POD oracle takes one thin SVD of the whole snapshot matrix instead of the QR
 triangle and back-projection the library uses.
-The nonnested-family oracle is the exception: it pins a generator's random
-draw by replaying the same operations, so it matches bit for bit on any
+The synth-family oracles are the exception: they pin a generator's random
+draw by replaying the same operations, so they match bit for bit on any
 platform where the library does.
 """
 
@@ -167,6 +167,33 @@ def nonnested_snapshots(n, n_t, p, rate, seed, params, noise):
     out = []
     for lam in params:
         directions = expm(lam * k1 + lam * lam * k2) @ ambient[:, :p]
+        out.append((directions * ladder) @ profiles.T + noise * rng.standard_normal((n, n_t)))
+    return out
+
+
+def turning_snapshots(n, n_t, p, rate, seed, params, noise, moving):
+    """Snapshot data of a rotation, crossing or nested family, in the
+    generator's draw order: the n x 2p Gaussian QR, the time profiles, then
+    one noise block per parameter. Direction i is built on its own: the first
+    `moving` directions turn by rate * lam inside the plane (b_2i, b_2i+1),
+    the others are b_2i as drawn."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+
+    def frame(shape):
+        q, r = np.linalg.qr(rng.standard_normal(shape))
+        return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+
+    ambient = frame((n, 2 * p))
+    profiles = frame((n_t, p))
+    ladder = 10.0 * 0.5 ** np.arange(p)
+    out = []
+    for lam in params:
+        angle = rate * lam
+        cols = []
+        for i in range(p):
+            even, odd = ambient[:, 2 * i], ambient[:, 2 * i + 1]
+            cols.append(np.cos(angle) * even + np.sin(angle) * odd if i < moving else even.copy())
+        directions = np.column_stack(cols)
         out.append((directions * ladder) @ profiles.T + noise * rng.standard_normal((n, n_t)))
     return out
 

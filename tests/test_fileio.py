@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,27 @@ def test_truncated_payload(tmp_path):
             path.write_bytes(raw[:extra] if extra < 0 else raw + b"\x00" * extra)
             with pytest.raises(DataError, match=rf"payload holds {64 + extra} bytes, expected 64$"):
                 read(path)
+
+
+def test_binary_read_holds_the_payload_once(tmp_path):
+    # the payload is read into one aligned, frozen array that the snapshot or
+    # frame keeps: no second copy, and no unaligned view that slows BLAS
+    rng = np.random.default_rng(9)
+    snap = SnapshotMatrix(data=rng.standard_normal((4000, 200)))
+    point = GrassmannPoint(np.linalg.qr(rng.standard_normal((4000, 50)))[0])
+    for write, read, obj, attr in ((write_snapshot_bin, read_snapshot, snap, "data"),
+                                   (write_frame_bin, read_frame, point, "frame")):
+        path = tmp_path / f"{attr}.bin"
+        write(path, obj)
+        tracemalloc.start()
+        try:
+            back = getattr(read(path), attr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
+        assert np.array_equal(back, getattr(obj, attr))
+        assert back.flags.aligned and not back.flags.writeable
 
 
 def test_csv_rows_match_per_value_fmt(tmp_path):

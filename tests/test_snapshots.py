@@ -27,6 +27,25 @@ def test_rank_one_two_columns():
     assert pod.singular_values[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_writeable_input_is_copied_and_left_writeable():
+    data = np.arange(6.0).reshape(3, 2)
+    frame = np.eye(3)[:, :2]
+    for given, kept in ((data, SnapshotMatrix(data=data).data),
+                        (frame, GrassmannPoint(frame).frame)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+    # a read-only view still aliases the writeable array under it
+    view = data[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(SnapshotMatrix(data=view).data, data)
+    # a frozen float64 array with nothing writeable under it is kept as is
+    frozen_data, frozen_frame = np.array(data), np.array(frame)
+    frozen_data.setflags(write=False)
+    frozen_frame.setflags(write=False)
+    assert SnapshotMatrix(data=frozen_data).data is frozen_data
+    assert GrassmannPoint(frozen_frame).frame is frozen_frame
+
+
 def test_diagonal_case():
     s = SnapshotMatrix(data=np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
     pod = compute_pod(s, 1)

@@ -18,7 +18,7 @@ from gpmor import (
     riemannian_distance,
     singular_spectrum,
 )
-from oracles import nonnested_snapshots
+from oracles import nonnested_snapshots, turning_snapshots
 
 from gpmor.synth import _ladder
 
@@ -177,6 +177,21 @@ def test_nonnested_matches_full_ambient_draw(n, n_t, p, seed):
                       params=params)
     fam = gen_nonnested_family(spec)
     expected = nonnested_snapshots(n, n_t, p, 0.3, seed, params, spec.noise)
+    for snap, data in zip(fam.snapshots, expected):
+        assert np.array_equal(snap.data, data)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+@pytest.mark.parametrize("n, n_t, p", [(14, 9, 1), (14, 9, 3), (4000, 200, 10)])
+@pytest.mark.parametrize("kind, rate, moving", [("rotation", 0.2, None), ("crossing", 1.1, None),
+                                                ("nested", 0.4, 1)])
+def test_turning_kinds_match_column_oracle(kind, rate, moving, n, n_t, p, seed):
+    params = (-0.7, 0.0, 0.45, 1.3)
+    spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind=kind, rate=rate, seed=seed, params=params)
+    fam = generate(spec)
+    noise = min(spec.noise, 1e-10) if kind == "nested" else spec.noise
+    expected = turning_snapshots(n, n_t, p, rate, seed, params, noise, moving or p)
+    assert [s.param for s in fam.snapshots] == list(params)
     for snap, data in zip(fam.snapshots, expected):
         assert np.array_equal(snap.data, data)
 
