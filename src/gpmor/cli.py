@@ -30,32 +30,27 @@ def _say(args, message):
         print(message)
 
 
-def _outdir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _training_sets(args, modes):
+    """(mode, TrainingSet) for each mode in order. Each snapshot is read and
+    factored once at max(modes), keeping only its POD factor, sorted by
+    parameter; every mode is then a truncation."""
+    factors = sorted((factor_pod(fileio.read_snapshot(p), max(modes)) for p in args.inputs),
+                     key=lambda f: f.param)
+    for p in modes:
+        points = tuple((f.param, truncate_pod(f, p).basis) for f in factors)
+        yield p, TrainingSet(points=points, reference_index=args.reference_index)
 
 
-def _factor_inputs(args, max_mode):
-    """Read and factor each snapshot once, keeping only its POD factor, sorted
-    by parameter; every mode up to max_mode is then a truncation."""
-    return sorted((factor_pod(fileio.read_snapshot(p), max_mode) for p in args.inputs),
-                  key=lambda f: f.param)
+def _report(args, name, write, *payload):
+    """write(path, *payload) for report `name` in the output directory, when
+    --report names its suffix (json or csv) or is both."""
+    if args.report in ("both", Path(name).suffix[1:]):
+        write(args.out / name, *payload)
 
 
-def _training_set(args, factors, mode):
-    points = [(f.param, truncate_pod(f, mode).basis) for f in factors]
-    return TrainingSet(points=tuple(points), reference_index=args.reference_index)
-
-
-def _load_training_set(args):
-    return _training_set(args, _factor_inputs(args, args.mode), args.mode)
-
-
-def _write_report(args, path, report):
-    """Write the JSON report when asked for and return its exit code."""
-    if args.report in ("json", "both"):
-        fileio.write_json(path, report.to_dict())
+def _write_report(args, name, report):
+    """Write a StabilityReport as JSON report `name` and return its exit code."""
+    _report(args, name, fileio.write_json, report.to_dict())
     return report.exit_code()
 
 
@@ -71,7 +66,6 @@ def _parse_list(text, kind, option):
 
 
 def cmd_synth(args):
-    out = _outdir(args)
     spec = FamilySpec(
         n=args.n,
         n_t=args.nt,
@@ -86,31 +80,29 @@ def cmd_synth(args):
     files = []
     for i, snap in enumerate(family.snapshots):
         if args.format in ("bin", "both"):
-            path = out / f"snapshot_{i:03d}.gpm"
+            path = args.out / f"snapshot_{i:03d}.gpm"
             fileio.write_snapshot_bin(path, snap)
             files.append(path.name)
         if args.format in ("csv", "both"):
-            path = out / f"snapshot_{i:03d}.csv"
+            path = args.out / f"snapshot_{i:03d}.csv"
             fileio.write_snapshot_csv(path, snap)
             files.append(path.name)
     manifest = dict(family.manifest)
     manifest["files"] = files
-    fileio.write_json(out / "manifest.json", manifest)
-    _say(args, f"wrote {len(files)} snapshot file(s) and manifest.json to {out}")
+    fileio.write_json(args.out / "manifest.json", manifest)
+    _say(args, f"wrote {len(files)} snapshot file(s) and manifest.json to {args.out}")
     return 0
 
 
 def cmd_pod(args):
-    out = _outdir(args)
     summary = {"schema": "gpm/1", "mode": args.mode, "inputs": []}
     for path in args.inputs:
         snap = fileio.read_snapshot(path)
         pod = compute_pod(snap, args.mode)
         stem = Path(path).stem
-        fileio.write_frame_bin(out / f"basis_{stem}.gpf", pod.basis)
-        if args.report in ("csv", "both"):
-            fileio.write_csv(out / f"spectrum_{stem}.csv", "# gpm-spectrum",
-                             enumerate(pod.singular_values.tolist()))
+        fileio.write_frame_bin(args.out / f"basis_{stem}.gpf", pod.basis)
+        _report(args, f"spectrum_{stem}.csv", fileio.write_csv, "# gpm-spectrum",
+                enumerate(pod.singular_values.tolist()))
         summary["inputs"].append(
             {
                 "file": str(path),
@@ -121,15 +113,13 @@ def cmd_pod(args):
                 "sigma_1": float(pod.singular_values[0]),
             }
         )
-    if args.report in ("json", "both"):
-        fileio.write_json(out / "pod_summary.json", summary)
-    _say(args, f"computed mode-{args.mode} POD for {len(args.inputs)} snapshot(s) into {out}")
+    _report(args, "pod_summary.json", fileio.write_json, summary)
+    _say(args, f"computed mode-{args.mode} POD for {len(args.inputs)} snapshot(s) into {args.out}")
     return 0
 
 
 def cmd_interpolate(args):
-    out = _outdir(args)
-    ts = _load_training_set(args)
+    [(_, ts)] = _training_sets(args, [args.mode])
     result = interpolate(ts, args.target)
     report = StabilityReport(
         c1=result.c1,
@@ -143,9 +133,9 @@ def cmd_interpolate(args):
             "extrapolated": result.extrapolated,
         },
     )
-    code = _write_report(args, out / "interpolation_report.json", report)
+    code = _write_report(args, "interpolation_report.json", report)
     if result.ok:
-        fileio.write_frame_bin(out / "interpolated.gpf", result.frame)
+        fileio.write_frame_bin(args.out / "interpolated.gpf", result.frame)
         _say(
             args,
             f"interpolated at lambda={fmt(result.target_param)} "
@@ -157,34 +147,28 @@ def cmd_interpolate(args):
 
 
 def cmd_sweep_c2(args):
-    out = _outdir(args)
-    ts = _load_training_set(args)
+    [(_, ts)] = _training_sets(args, [args.mode])
     sweep = c2_sweep(ts, args.lo, args.hi, args.samples)
-    if args.report in ("csv", "both"):
-        fileio.write_csv(out / "sweep_c2.csv", "# gpm-sweep lambda,theta_max,c2_ok",
-                         zip(sweep.grid.tolist(), sweep.thetas.tolist(), map(int, sweep.c2_ok)))
+    _report(args, "sweep_c2.csv", fileio.write_csv, "# gpm-sweep lambda,theta_max,c2_ok",
+            zip(sweep.grid.tolist(), sweep.thetas.tolist(), map(int, sweep.c2_ok)))
     unstable = sweep.unstable_intervals()
     if not sweep.c1.ok:
         _say(args, f"sweep invalid: C1 failed at node(s) {list(sweep.c1.failing_indices)}")
-    if args.report in ("json", "both"):
-        fileio.write_json(
-            out / "sweep_c2.json",
-            {
-                "schema": "gpm/1",
-                "mode": ts.mode,
-                "reference_index": args.reference_index,
-                "grid": {"lo": args.lo, "hi": args.hi, "samples": args.samples},
-                "unstable_intervals": unstable,
-                "invalid_samples": 0 if sweep.c1.ok else len(sweep.grid),
-                "c1": sweep.c1.to_dict(),
-            },
-        )
+    summary = {
+        "schema": "gpm/1",
+        "mode": ts.mode,
+        "reference_index": args.reference_index,
+        "grid": {"lo": args.lo, "hi": args.hi, "samples": args.samples},
+        "unstable_intervals": unstable,
+        "invalid_samples": 0 if sweep.c1.ok else len(sweep.grid),
+        "c1": sweep.c1.to_dict(),
+    }
+    _report(args, "sweep_c2.json", fileio.write_json, summary)
     _say(args, f"swept {len(sweep.grid)} samples; {len(unstable)} unstable interval(s)")
     return StabilityReport(c1=sweep.c1).exit_code()
 
 
 def cmd_check_c3(args):
-    out = _outdir(args)
     if args.table is not None:
         table = fileio.read_distance_table(args.table)
     else:
@@ -194,10 +178,9 @@ def cmd_check_c3(args):
         modes = _parse_list(args.modes, int, "--modes")
         if len(modes) < 2:
             raise ParameterError("check-c3 needs at least two modes")
-        factors = _factor_inputs(args, max(modes))
         results = []
-        for p in modes:
-            res = interpolate(_training_set(args, factors, p), args.target)
+        for p, ts in _training_sets(args, modes):
+            res = interpolate(ts, args.target)
             if not res.ok:
                 if not res.c1.ok:
                     _say(args, f"C1 failure at mode p={p}")
@@ -208,20 +191,18 @@ def cmd_check_c3(args):
                     c2=res.c2,
                     meta={"mode": p, "target": res.target_param, "threshold": args.threshold},
                 )
-                return _write_report(args, out / "c3_report.json", report)
+                return _write_report(args, "c3_report.json", report)
             results.append((p, res.frame))
         table = c3_distance_table(results)
     c3 = check_c3(table, threshold=args.threshold)
-    if args.report in ("csv", "both"):
-        fileio.write_distance_table(out / "c3_table.csv", table)
+    _report(args, "c3_table.csv", fileio.write_distance_table, table)
     report = StabilityReport(c3=c3, meta={"threshold": args.threshold})
-    code = _write_report(args, out / "c3_report.json", report)
+    code = _write_report(args, "c3_report.json", report)
     _say(args, f"epsilon={fmt(c3.epsilon)} threshold={fmt(c3.threshold)} -> {'ok' if c3.ok else 'UNSTABLE'}")
     return code
 
 
 def cmd_distance(args):
-    out = _outdir(args)
     a = fileio.read_frame(args.inputs[0])
     b = fileio.read_frame(args.inputs[1])
     payload = {
@@ -231,22 +212,18 @@ def cmd_distance(args):
     }
     if a.p == b.p:
         payload["riemannian_distance"] = riemannian_distance(a, b)
-    if args.report in ("json", "both"):
-        fileio.write_json(out / "distance.json", payload)
+    _report(args, "distance.json", fileio.write_json, payload)
     _say(args, f"geometric distance = {fmt(payload['geometric_distance'])}")
     return 0
 
 
 def cmd_metrics(args):
-    out = _outdir(args)
     approx = fileio.read_snapshot(args.approx)
     reference = fileio.read_snapshot(args.reference)
     series = error_series(approx, reference)
-    if args.report in ("csv", "both"):
-        fileio.write_csv(out / "metrics.csv", "# gpm-metrics t_index,e_l2",
-                         enumerate(series.per_snapshot))
-    if args.report in ("json", "both"):
-        fileio.write_json(out / "metrics.json", series.to_dict())
+    _report(args, "metrics.csv", fileio.write_csv, "# gpm-metrics t_index,e_l2",
+            enumerate(series.per_snapshot))
+    _report(args, "metrics.json", fileio.write_json, series.to_dict())
     _say(args, f"frobenius error = {fmt(series.frobenius)}")
     return 0
 
@@ -364,6 +341,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args = _apply_config(parser, args)
+        args.out = Path(args.out)
+        args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except GpmError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,10 +46,13 @@ def _read_bin(path, magic, header):
     """Header fields after the magic and the column-major f64 payload, shaped
     by the first two fields. The payload is read once into a fresh, aligned
     array and frozen, so the types that take it keep it without a copy."""
+    size = 4 + struct.calcsize(header)
     with open(path, "rb") as fh:
-        head = fh.read(4 + struct.calcsize(header))
+        head = fh.read(size)
         if head[:4] != magic:
             raise DataError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+        if len(head) < size:
+            raise DataError(f"{path}: short header: {len(head)} bytes, expected {size}")
         fields = struct.unpack_from(header, head, 4)
         rows, cols = fields[:2]
         payload = os.fstat(fh.fileno()).st_size - len(head)
@@ -114,6 +117,18 @@ def _read_matrix_csv(path):
     return header or "", np.array(rows)
 
 
+def _header_field(path, header, key, default, parse):
+    """parse() of the text after `key=` in a CSV header line, or `default`
+    when the header has no such field; a malformed value is a DataError."""
+    if f"{key}=" not in header:
+        return default
+    text = (header.split(f"{key}=")[1].split() or [""])[0]
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise DataError(f"{path}: header field {key}=: {exc}") from None
+
+
 def write_snapshot_csv(path, snap):
     header = f"# gpm-snapshot lambda={fmt(snap.param)}"
     write_csv(path, header, map(np.ndarray.tolist, snap.data))
@@ -121,10 +136,7 @@ def write_snapshot_csv(path, snap):
 
 def read_snapshot_csv(path):
     header, data = _read_matrix_csv(path)
-    lam = 0.0
-    if "lambda=" in header:
-        lam = float(header.split("lambda=")[1].split()[0])
-    return SnapshotMatrix(data=data, param=lam)
+    return SnapshotMatrix(data=data, param=_header_field(path, header, "lambda", 0.0, float))
 
 
 def write_frame_csv(path, point):
@@ -150,15 +162,10 @@ def read_distance_table(path):
         raise DataError(f"{path}: distance table is {m}x{values.shape[1]}, not square")
     if not np.all(np.isfinite(values)):
         raise DataError(f"{path}: distance table has non-finite entries")
-    modes = tuple(range(m))
-    if "modes=" in header:
-        text = (header.split("modes=")[1].split() or [""])[0]
-        try:
-            modes = tuple(int(x) for x in text.split(",") if x.strip())
-        except ValueError as exc:
-            raise DataError(f"{path}: header mode list: {exc}") from None
-        if len(modes) != m:
-            raise DataError(f"{path}: header names {len(modes)} modes for a {m}x{m} table")
+    modes = _header_field(path, header, "modes", tuple(range(m)),
+                          lambda t: tuple(int(x) for x in t.split(",") if x.strip()))
+    if len(modes) != m:
+        raise DataError(f"{path}: header names {len(modes)} modes for a {m}x{m} table")
     return DistanceTable(modes=modes, values=values)
 
 

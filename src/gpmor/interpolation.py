@@ -78,8 +78,9 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class InterpolationResult:
-    """Outcome of one interpolation: the frame when stable, and the C1/C2
-    records either way (c2 is None when C1 failed, since no lift exists)."""
+    """Outcome of one interpolation: the velocity and frame when stable, and
+    the C1/C2 records either way (c2 is None when C1 failed, since no lift
+    exists)."""
 
     target_param: float
     reference_index: int
@@ -94,13 +95,16 @@ class InterpolationResult:
         return self.frame is not None
 
 
-def _training_lifts(ts, ref):
-    """Log-map every training point from the reference, which C1 must already
-    admit; the reference's own lift is identically zero."""
+def _tangent_step(ts, ref):
+    """C1 record at the reference and, when C1 holds, the (N, n, p) stack of
+    every training point's log-map lift from it, else None. The reference's
+    own lift is identically zero."""
+    c1 = check_c1(ts, reference_index=ref)
+    if not c1.ok:
+        return c1, None
     base = ts.points[ref][1]
-    lifts = [np.zeros_like(base.frame) if i == ref else log_map(base, pt).lift
-             for i, (_, pt) in enumerate(ts.points)]
-    return base, lifts
+    return c1, np.stack([np.zeros_like(base.frame) if i == ref else log_map(base, pt).lift
+                         for i, (_, pt) in enumerate(ts.points)])
 
 
 def interpolate(ts, target):
@@ -108,23 +112,28 @@ def interpolate(ts, target):
 
     On a C1 failure the result carries the C1 record with every offending
     index and no lift; on a C2 failure (largest combined-lift angle at or past
-    pi/2 - C2_MARGIN) it carries the lift and no frame. Neither is raised as
-    an exception: both are verdicts the caller is expected to inspect.
+    pi/2 - C2_MARGIN) it carries the C2 record and no velocity or frame.
+    Neither is raised as an exception: both are verdicts the caller is
+    expected to inspect. C2 is judged on the combined lift before it becomes
+    a TangentVector, so a target past the cut locus gets the C2 verdict
+    however far outside the hull it lies, not the horizontality check's
+    error on the weights' rounding.
     """
     target = float(target)
     ref = ts.resolve_reference(target)
     extrapolated = not (min(ts.params) <= target <= max(ts.params))
-    c1 = check_c1(ts, reference_index=ref)
-    if not c1.ok:
+    c1, lifts = _tangent_step(ts, ref)
+    if lifts is None:
         return InterpolationResult(target, ref, c1, extrapolated=extrapolated)
-    base, lifts = _training_lifts(ts, ref)
-    weights = lagrange_weights(ts.params, target)
-    combined = np.zeros_like(base.frame)
-    for w, z in zip(weights, lifts):
+    combined = np.zeros_like(lifts[0])
+    for w, z in zip(lagrange_weights(ts.params, target), lifts):
         combined += w * z
+    c2 = check_c2(combined)
+    if not c2.ok:
+        return InterpolationResult(target, ref, c1, c2, extrapolated=extrapolated)
+    base = ts.points[ref][1]
     velocity = TangentVector(base=base, lift=combined)
-    c2 = check_c2(velocity)
-    frame = geodesic(base, velocity, 1.0) if c2.ok else None
+    frame = geodesic(base, velocity, 1.0)
     return InterpolationResult(target, ref, c1, c2, frame, velocity, extrapolated)
 
 
@@ -165,8 +174,7 @@ def c2_sweep(ts, lo, hi, samples):
     if ts.reference_index is None:
         raise ParameterError("c2_sweep needs an explicit reference index")
     grid = np.linspace(lo, hi, samples)
-    c1 = check_c1(ts)
-    if not c1.ok:
+    c1, lifts = _tangent_step(ts, ts.reference_index)
+    if lifts is None:
         return C2Sweep(grid, np.full(samples, np.nan), c1)
-    _, lifts = _training_lifts(ts, ts.reference_index)
-    return C2Sweep(grid, kernels.theta_curve(np.stack(lifts), np.asarray(ts.params), grid), c1)
+    return C2Sweep(grid, kernels.theta_curve(lifts, np.asarray(ts.params), grid), c1)

@@ -113,9 +113,9 @@ def check_c1(ts, reference_index=None):
     )
 
 
-def check_c2(v):
-    """C2 verdict for a tangent vector: largest lift singular value below pi/2."""
-    theta1 = v.theta_max
+def check_c2(lift):
+    """C2 verdict for an n x p horizontal lift: largest singular value below pi/2."""
+    theta1 = float(np.linalg.norm(lift, 2))
     return C2Record(ok=below_cut_locus(theta1), theta_max=theta1)
 
 

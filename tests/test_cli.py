@@ -427,6 +427,22 @@ def test_check_c3_c2_failure_writes_report(tmp_path):
     assert "c3" not in report
 
 
+def test_far_outside_hull_exit_11(tmp_path):
+    # eight nodes extrapolated to lambda = 20: the C2 verdict, not an error
+    # from the horizontality check on the weights' rounding
+    files = synth_family(tmp_path / "fam", n=200, nt=40, modes=3, seed=1,
+                         params="0,1,2,3,4,5,6,7")
+    out = tmp_path / "interp"
+    assert run("--out", out, "--quiet", "interpolate", *files, "--mode", 3,
+               "--target", 20) == 11
+    assert read_json(out / "interpolation_report.json")["c2"]["ok"] is False
+    out = tmp_path / "c3"
+    assert run("--out", out, "--quiet", "check-c3", *files, "--modes", "1,2,3",
+               "--target", 20) == 11
+    report = read_json(out / "c3_report.json")
+    assert report["meta"]["mode"] == 1 and report["c2"]["ok"] is False
+
+
 @pytest.mark.parametrize("missing", ["--modes", "--target"])
 def test_check_c3_missing_option_exit_2(tmp_path, capsys, missing):
     files = synth_family(tmp_path / "fam")
@@ -560,6 +576,72 @@ def test_config_list_matches_command_line(tmp_path):
 
 def test_missing_input_exit_2(tmp_path):
     assert run("--out", tmp_path / "pod", "pod", tmp_path / "nope.gpm", "--mode", 1) == 2
+
+
+@pytest.mark.parametrize("command, name, content", [
+    ("pod", "nan.csv", b"# gpm-snapshot lambda=abc\n1.0,2.0\n3.0,4.0\n"),
+    ("pod", "empty.csv", b"# gpm-snapshot lambda=\n1.0,2.0\n3.0,4.0\n"),
+    ("pod", "short.gpm", b"GPM1abc"),
+    ("distance", "short.gpf", b"GPF1abc"),
+], ids=["lambda-abc", "lambda-empty", "short-snapshot", "short-frame"])
+def test_malformed_input_file_exit_2(tmp_path, capsys, command, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    argv = [path, "--mode", 1] if command == "pod" else [path, path]
+    assert run("--out", tmp_path / "out", command, *argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+# -- --report -------------------------------------------------------------------
+
+SNAPSHOTS = [f"snapshot_{i:03d}" for i in range(3)]
+
+# per call: (files written always, JSON reports, CSV reports)
+REPORT_FILES = {
+    "synth": ({*(f"{s}.gpm" for s in SNAPSHOTS), "manifest.json"}, set(), set()),
+    "pod": ({f"basis_{s}.gpf" for s in SNAPSHOTS}, {"pod_summary.json"},
+            {f"spectrum_{s}.csv" for s in SNAPSHOTS}),
+    "interpolate": ({"interpolated.gpf"}, {"interpolation_report.json"}, set()),
+    "sweep-c2": (set(), {"sweep_c2.json"}, {"sweep_c2.csv"}),
+    "check-c3": (set(), {"c3_report.json"}, {"c3_table.csv"}),
+    "check-c3-table": (set(), {"c3_report.json"}, {"c3_table.csv"}),
+    "distance": (set(), {"distance.json"}, set()),
+    "metrics": (set(), {"metrics.json"}, {"metrics.csv"}),
+}
+
+
+def _report_argv(call, fam, files):
+    return {
+        "synth": ["--seed", 3, "synth", "--kind", "rotation", "--n", 8, "--nt", 12,
+                  "--modes", 2, "--params=0.0,1.0,2.0"],
+        "pod": ["pod", *files, "--mode", 2],
+        "interpolate": ["interpolate", *files, "--mode", 2, "--target", 0.5],
+        "sweep-c2": ["sweep-c2", *files, "--mode", 2, "--lo", 0, "--hi", 2, "--samples", 5,
+                     "--reference-index", 1],
+        "check-c3": ["check-c3", *files, "--modes", "1,2", "--target", 0.5],
+        "check-c3-table": ["check-c3", "--table", fam / "table.csv"],
+        "distance": ["distance", fam / "a.gpf", fam / "b.gpf"],
+        "metrics": ["metrics", "--approx", files[0], "--reference", files[1]],
+    }[call]
+
+
+@pytest.mark.parametrize("report", ["json", "csv", "both"])
+@pytest.mark.parametrize("call", list(REPORT_FILES))
+def test_report_gates_only_json_and_csv_reports(tmp_path, call, report):
+    fam = tmp_path / "fam"
+    files = synth_family(fam)
+    for name, path in (("a", files[0]), ("b", files[1])):
+        fileio.write_frame_bin(fam / f"{name}.gpf", compute_pod(read_snapshot(path), 2).basis)
+    (fam / "table.csv").write_text("# gpm-c3-table modes=1,2\n0.0,0.1\n0.1,0.0\n")
+    out = tmp_path / "out"
+    assert run("--out", out, "--quiet", "--report", report, *_report_argv(call, fam, files)) == 0
+    always, json_reports, csv_reports = REPORT_FILES[call]
+    expected = set(always)
+    if report in ("json", "both"):
+        expected |= json_reports
+    if report in ("csv", "both"):
+        expected |= csv_reports
+    assert {p.name for p in out.iterdir()} == expected
 
 
 def test_full_pipeline_determinism(tmp_path):

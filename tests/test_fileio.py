@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,22 @@ def test_truncated_payload(tmp_path):
             path.write_bytes(raw[:extra] if extra < 0 else raw + b"\x00" * extra)
             with pytest.raises(DataError, match=rf"payload holds {64 + extra} bytes, expected 64$"):
                 read(path)
+
+
+def test_binary_shorter_than_header(tmp_path):
+    for magic, read, size in ((b"GPM1", read_snapshot, 28), (b"GPF1", read_frame, 20)):
+        path = tmp_path / "short.bin"
+        path.write_bytes(magic + b"abc")
+        with pytest.raises(DataError, match=rf"short header: 7 bytes, expected {size}$"):
+            read(path)
+
+
+@pytest.mark.parametrize("field", ["lambda=abc", "lambda="])
+def test_malformed_snapshot_header_field(tmp_path, field):
+    path = tmp_path / "s.csv"
+    path.write_text(f"# gpm-snapshot {field}\n1.0,2.0\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: header field lambda=")):
+        read_snapshot_csv(path)
 
 
 def test_binary_read_holds_the_payload_once(tmp_path):

@@ -284,6 +284,23 @@ def test_sweep_c1_failure_marks_all_invalid():
     assert sweep.unstable_intervals() == []
 
 
+def test_far_outside_hull_gives_c2_verdict_matching_sweep():
+    # eight nodes extrapolated to lambda = 20..50: the Lagrange weights grow
+    # so large that the combined lift leaves the horizontal space by more than
+    # the TangentVector tolerance, yet the verdict must still be C2's
+    spec = FamilySpec(
+        n=200, n_t=40, mode_count=3, kind="rotation", rate=0.1, seed=1,
+        params=tuple(float(x) for x in range(8)),
+    )
+    pts = tuple((s.param, compute_pod(s, 3).basis) for s in gen_rotation_family(spec).snapshots)
+    sweep = c2_sweep(TrainingSet(points=pts, reference_index=7), 20.0, 50.0, 4)
+    for target, swept in zip((20.0, 30.0, 50.0), sweep.thetas[[0, 1, 3]]):
+        res = interpolate(TrainingSet(points=pts), target)
+        assert res.reference_index == 7 and res.c1.ok
+        assert not res.c2.ok and res.frame is None and res.velocity is None
+        assert res.c2.theta_max == pytest.approx(swept, rel=1e-9)
+
+
 C1_PASSED = C1Record(ok=True, failing_indices=(), min_singular_values=(1.0, 1.0))
 
 

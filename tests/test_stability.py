@@ -85,11 +85,11 @@ def test_c2_verdicts():
     rng = np.random.default_rng(1)
     base = random_grassmann_point(rng, 8, 2)
     zero = random_tangent(rng, base, theta1=0.0)
-    assert check_c2(zero).ok and check_c2(zero).theta_max == 0.0
+    assert check_c2(zero.lift).ok and check_c2(zero.lift).theta_max == 0.0
     near = random_tangent(rng, base, theta1=1.5707)
-    assert check_c2(near).ok
+    assert check_c2(near.lift).ok
     over = random_tangent(rng, base, theta1=1.58)
-    assert not check_c2(over).ok
+    assert not check_c2(over.lift).ok
 
 
 def test_c2_margin_shared_with_cut_locus_check():
@@ -97,7 +97,7 @@ def test_c2_margin_shared_with_cut_locus_check():
     base = GrassmannPoint(np.eye(4)[:, :1])
     v = TangentVector(base=base, lift=np.array([[0.0], [np.pi / 2 - 5e-13], [0.0], [0.0]]))
     assert not in_injectivity_domain(v).cut_locus_ok
-    assert not check_c2(v).ok
+    assert not check_c2(v.lift).ok
 
 
 # -- C3 -----------------------------------------------------------------------
