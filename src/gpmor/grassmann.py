@@ -130,10 +130,12 @@ class GrassmannPoint:
 
 @dataclass(frozen=True)
 class TangentVector:
-    """A tangent vector at `base`, stored as its horizontal lift (Z^T Y = 0)."""
+    """A tangent vector at `base`, stored as its horizontal lift (Z^T Y = 0,
+    every entry within `horizontal_tol`)."""
 
     base: GrassmannPoint
     lift: np.ndarray
+    horizontal_tol: float = HORIZONTAL_TOL
 
     def __post_init__(self):
         lift = np.array(self.lift, dtype=float)
@@ -144,7 +146,7 @@ class TangentVector:
         if not np.all(np.isfinite(lift)):
             raise ParameterError("lift contains non-finite entries")
         horiz = np.max(np.abs(lift.T @ self.base.frame)) if lift.size else 0.0
-        if horiz > HORIZONTAL_TOL:
+        if horiz > self.horizontal_tol:
             raise TangentDomainError(
                 f"lift is not horizontal at base (max |Z^T Y| = {horiz:.3e})"
             )

@@ -13,7 +13,14 @@ import numpy as np
 
 from . import kernels
 from .errors import ParameterError
-from .grassmann import GrassmannPoint, TangentVector, below_cut_locus, geodesic, log_map
+from .grassmann import (
+    HORIZONTAL_TOL,
+    GrassmannPoint,
+    TangentVector,
+    below_cut_locus,
+    geodesic,
+    log_map,
+)
 from .stability import C1Record, C2Record, check_c1, check_c2
 
 
@@ -125,14 +132,19 @@ def interpolate(ts, target):
     c1, lifts = _tangent_step(ts, ref)
     if lifts is None:
         return InterpolationResult(target, ref, c1, extrapolated=extrapolated)
+    weights = lagrange_weights(ts.params, target)
     combined = np.zeros_like(lifts[0])
-    for w, z in zip(lagrange_weights(ts.params, target), lifts):
+    for w, z in zip(weights, lifts):
         combined += w * z
     c2 = check_c2(combined)
     if not c2.ok:
         return InterpolationResult(target, ref, c1, c2, extrapolated=extrapolated)
     base = ts.points[ref][1]
-    velocity = TangentVector(base=base, lift=combined)
+    # each lift passed HORIZONTAL_TOL in log_map, so their combination leaves
+    # the horizontal space by at most sum |w_i| times that: far extrapolation
+    # weights amplify the lifts' rounding, not a defect of the combination
+    tol = HORIZONTAL_TOL * max(1.0, sum(map(abs, weights)))
+    velocity = TangentVector(base=base, lift=combined, horizontal_tol=tol)
     frame = geodesic(base, velocity, 1.0)
     return InterpolationResult(target, ref, c1, c2, frame, velocity, extrapolated)
 

@@ -201,22 +201,40 @@ def gen_nested_family(spec):
 
 
 def _skew(rng, size):
+    """A size x size skew-symmetric generator of unit 2-norm, or the zero one
+    when the draw has none (size 1, or 0)."""
     a = rng.standard_normal((size, size))
     k = a - a.T
-    return k / np.linalg.norm(k, 2)
+    norm = np.linalg.norm(k, 2)
+    return k / norm if norm > 0.0 else k
+
+
+def expm_skew(a, b):
+    """exp(a) @ b for a real skew-symmetric a, from one symmetric
+    eigendecomposition a^T a = V diag(w^2) V^T: the even and odd parts of the
+    exponential series are cos and sinc of sqrt(a^T a), so
+    exp(a) b = V cos(W) V^T b + a V sinc(W) V^T b (Moler & Van Loan, SIAM Rev.
+    2003). Each w_j is read as |a v_j| rather than from its eigenvalue, which
+    eigh gives only to u |a|^2 absolutely: the norm keeps cos^2 + sin^2 = 1
+    per column, so orthonormal columns of b stay orthonormal to rounding.
+    a = 0 gives b back bit for bit."""
+    v = np.linalg.eigh(a.T @ a)[1]
+    av = a @ v
+    w = np.linalg.norm(av, axis=0)
+    c = v.T @ b
+    return v @ (np.cos(w)[:, None] * c) + av @ (np.sinc(w / np.pi)[:, None] * c)
 
 
 def gen_nonnested_family(spec):
     """C3-unstable family: curved, mode-coupled subspace trajectories.
 
     The design frame is Q(lam) = expm(rate*lam*K1 + rate*lam^2*K2) applied to a
-    fixed orthonormal block. K2 acts only on the directions past the first two,
-    so low-mode interpolants stay nearly exact while higher-mode interpolants
-    pick up large, mode-dependent errors: the cross-mode distance table spreads
-    over orders of magnitude and the C3 ratio blows up.
+    fixed orthonormal block (by `expm_skew`). K2 acts only on the directions
+    past the first two, so low-mode interpolants stay nearly exact while
+    higher-mode interpolants pick up large, mode-dependent errors: the
+    cross-mode distance table spreads over orders of magnitude and the C3
+    ratio blows up.
     """
-    from scipy.linalg import expm  # deferred: loading scipy.linalg slows every CLI start-up
-
     if spec.kind != "nonnested":
         raise ParameterError(f"expected kind='nonnested', got {spec.kind!r}")
 
@@ -226,7 +244,7 @@ def gen_nonnested_family(spec):
         # curvature generator confined to the span beyond the two leading directions
         w = ambient[:, 2:]
         k2 = w @ _skew(rng, spec.n - 2) @ w.T * spec.rate
-        return lambda lam: expm(lam * k1 + lam * lam * k2) @ u0
+        return lambda lam: expm_skew(lam * k1 + lam * lam * k2, u0)
 
     # K1 and K2 act on the whole space, so this kind draws the full n x n frame
     return _synthesize(spec, spec.n, trajectory, spec.noise,

@@ -140,13 +140,17 @@ def random_tangent(rng, base, theta1=None):
     return TangentVector(base=base, lift=z)
 
 
-def nonnested_snapshots(n, n_t, p, rate, seed, params, noise):
+def nonnested_snapshots(n, n_t, p, rate, seed, params, noise, expm_apply=None):
     """Snapshot data of a nonnested family drawn from an n x n ambient
     rotation, in the generator's draw order: the n x n Gaussian QR, the time
     profiles, the skew generators K1 (n x n) and K2 (n-2 x n-2, on the
-    trailing ambient columns), then one noise block per parameter."""
-    from scipy.linalg import expm
+    trailing ambient columns; a draw with zero norm stays zero), then one
+    noise block per parameter. expm_apply(A, B) gives exp(A) @ B; it defaults
+    to the generator's own `expm_skew`, so the replay is bitwise, and
+    scipy.linalg.expm is the independent check."""
+    from gpmor.synth import expm_skew
 
+    expm_apply = expm_apply or expm_skew
     rng = np.random.default_rng(np.random.PCG64(seed))
 
     def frame(shape):
@@ -156,7 +160,8 @@ def nonnested_snapshots(n, n_t, p, rate, seed, params, noise):
     def skew(size):
         a = rng.standard_normal((size, size))
         k = a - a.T
-        return k / np.linalg.norm(k, 2)
+        norm = np.linalg.norm(k, 2)
+        return k / norm if norm else k
 
     ambient = frame((n, n))
     profiles = frame((n_t, p))
@@ -166,9 +171,16 @@ def nonnested_snapshots(n, n_t, p, rate, seed, params, noise):
     ladder = 10.0 * 0.5 ** np.arange(p)
     out = []
     for lam in params:
-        directions = expm(lam * k1 + lam * lam * k2) @ ambient[:, :p]
+        directions = expm_apply(lam * k1 + lam * lam * k2, ambient[:, :p])
         out.append((directions * ladder) @ profiles.T + noise * rng.standard_normal((n, n_t)))
     return out
+
+
+def scipy_expm_apply(a, b):
+    """exp(a) @ b by scipy's scaling-and-squaring Pade expm."""
+    from scipy.linalg import expm
+
+    return expm(a) @ b
 
 
 def turning_snapshots(n, n_t, p, rate, seed, params, noise, moving):

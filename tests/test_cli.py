@@ -19,6 +19,7 @@ from gpmor import (
     riemannian_distance,
 )
 from gpmor.fileio import fmt, read_frame, read_json, read_snapshot, write_snapshot_bin
+from gpmor.synth import KINDS
 
 
 def run(*argv):
@@ -48,13 +49,31 @@ def test_cli_import_does_not_load_scipy():
     assert _exit_code_in_fresh_process("0") == 0
 
 
-def test_pod_and_check_c3_do_not_load_scipy(tmp_path):
+def _scipy_free_argv(call, fam, files):
+    if call.startswith("synth-"):
+        return ["--seed", 3, "synth", "--kind", call[len("synth-"):], "--n", 12, "--nt", 8,
+                "--modes", 2, "--params=0,1,2"]
+    return {
+        "pod": ["pod", *files, "--mode", 3],
+        "interpolate": ["interpolate", *files, "--mode", 3, "--target", 1.5],
+        "sweep-c2": ["sweep-c2", *files, "--mode", 3, "--lo", 0, "--hi", 2, "--samples", 11,
+                     "--reference-index", 1],
+        "check-c3": ["check-c3", *files, "--modes", "1,2,3", "--target", 1.5],
+        "distance": ["distance", fam / "a.gpf", fam / "b.gpf"],
+        "metrics": ["metrics", "--approx", files[0], "--reference", files[1]],
+    }[call]
+
+
+@pytest.mark.parametrize("call", [*(f"synth-{kind}" for kind in KINDS), "pod", "interpolate",
+                                  "sweep-c2", "check-c3", "distance", "metrics"])
+def test_subcommand_does_not_load_scipy(tmp_path, call):
     # a tall family goes through the QR triangle of every snapshot
-    files = synth_family(tmp_path / "fam", n=60, nt=12, modes=3)
-    for argv in (["pod", *files, "--mode", "3"],
-                 ["check-c3", *files, "--modes", "1,2,3", "--target", "1.5"]):
-        argv = ["--out", str(tmp_path / argv[0]), "--quiet", *argv]
-        assert _exit_code_in_fresh_process(f"gpmor.cli.main({argv!r})") == 0
+    fam = tmp_path / "fam"
+    files = synth_family(fam, n=60, nt=12, modes=3)
+    for name, path in (("a", files[0]), ("b", files[1])):
+        fileio.write_frame_bin(fam / f"{name}.gpf", compute_pod(read_snapshot(path), 3).basis)
+    argv = ["--out", tmp_path / "out", "--quiet", *_scipy_free_argv(call, fam, files)]
+    assert _exit_code_in_fresh_process(f"gpmor.cli.main({list(map(str, argv))!r})") == 0
 
 
 # -- synth --------------------------------------------------------------------
@@ -441,6 +460,23 @@ def test_far_outside_hull_exit_11(tmp_path):
                "--target", 20) == 11
     report = read_json(out / "c3_report.json")
     assert report["meta"]["mode"] == 1 and report["c2"]["ok"] is False
+
+
+def test_far_extrapolation_within_c2_exit_0(tmp_path):
+    # the lifts' rounding, amplified by weights summing to ~8e6, is not a
+    # horizontality error: the frame comes back with the sweep's theta_1
+    files = synth_family(tmp_path / "fam", n=200, nt=40, modes=3, seed=1, rate=0.01,
+                         noise=0, params="0,1,2,3,4,5,6,7")
+    out = tmp_path / "interp"
+    assert run("--out", out, "--quiet", "interpolate", *files, "--mode", 3,
+               "--target", 20) == 0
+    theta = read_json(out / "interpolation_report.json")["c2"]["theta_max"]
+    assert read_frame(out / "interpolated.gpf").frame.shape == (200, 3)
+    sweep = tmp_path / "sweep"
+    assert run("--out", sweep, "--quiet", "sweep-c2", *files, "--mode", 3,
+               "--reference-index", 7, "--lo", 0, "--hi", 20, "--samples", 21) == 0
+    lam, swept, _ = read_sweep_csv(sweep / "sweep_c2.csv")
+    assert lam[-1] == 20.0 and theta == pytest.approx(swept[-1], rel=1e-9)
 
 
 @pytest.mark.parametrize("missing", ["--modes", "--target"])

@@ -19,6 +19,7 @@ from gpmor import (
     interpolate,
     lagrange_weights,
     log_map,
+    principal_angles,
     riemannian_distance,
 )
 from oracles import barycentric_eval_weights, random_grassmann_point
@@ -299,6 +300,26 @@ def test_far_outside_hull_gives_c2_verdict_matching_sweep():
         assert res.reference_index == 7 and res.c1.ok
         assert not res.c2.ok and res.frame is None and res.velocity is None
         assert res.c2.theta_max == pytest.approx(swept, rel=1e-9)
+
+
+def test_far_extrapolation_within_c2_gives_frame_matching_sweep():
+    # noiseless and slow: theta_1 = 0.13 at lambda = 20, well inside C2, while
+    # weights with sum |w_i| ~ 8e6 lift the lifts' 1e-16 rounding to 1e-9
+    spec = FamilySpec(
+        n=200, n_t=40, mode_count=3, kind="rotation", rate=0.01, seed=1, noise=0.0,
+        params=(*(float(x) for x in range(8)), 20.0, 30.0),
+    )
+    snaps = gen_rotation_family(spec).snapshots
+    pts = tuple((s.param, compute_pod(s, 3).basis) for s in snaps[:8])
+    sweep = c2_sweep(TrainingSet(points=pts, reference_index=7), 20.0, 30.0, 2)
+    for snap, swept in zip(snaps[8:], sweep.thetas):
+        res = interpolate(TrainingSet(points=pts), snap.param)
+        assert res.ok and res.reference_index == 7
+        assert res.c2.theta_max == pytest.approx(0.01 * (snap.param - 7.0), rel=1e-6)
+        # the held-out snapshot's own subspace, which the family turns exactly
+        assert principal_angles(res.frame, compute_pod(snap, 3).basis).angles[0] < 1e-7
+    res = interpolate(TrainingSet(points=pts), 20.0)
+    assert res.c2.theta_max == pytest.approx(sweep.thetas[0], rel=1e-9)
 
 
 C1_PASSED = C1Record(ok=True, failing_indices=(), min_singular_values=(1.0, 1.0))

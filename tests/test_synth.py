@@ -18,9 +18,9 @@ from gpmor import (
     riemannian_distance,
     singular_spectrum,
 )
-from oracles import nonnested_snapshots, turning_snapshots
+from oracles import nonnested_snapshots, scipy_expm_apply, turning_snapshots
 
-from gpmor.synth import _ladder
+from gpmor.synth import _ladder, expm_skew
 
 
 def test_spec_validation():
@@ -170,15 +170,40 @@ def test_nonnested_deterministic():
         assert np.array_equal(sa.data, sb.data)
 
 
-@pytest.mark.parametrize("n, n_t, p, seed", [(10, 20, 3, 12), (16, 40, 5, 2)])
+@pytest.mark.parametrize("n, n_t, p, seed", [(10, 20, 3, 12), (16, 40, 5, 2),
+                                             (2, 5, 1, 0), (3, 5, 1, 0), (4, 5, 1, 0)])
 def test_nonnested_matches_full_ambient_draw(n, n_t, p, seed):
+    # n = 3 draws a 1 x 1 curvature generator and n = 2 an empty one: both have
+    # zero norm and must stay the zero generator, not 0 / 0
     params = (0.0, 1.0, 2.0, 3.0)
     spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind="nonnested", rate=0.3, seed=seed,
                       params=params)
     fam = gen_nonnested_family(spec)
     expected = nonnested_snapshots(n, n_t, p, 0.3, seed, params, spec.noise)
-    for snap, data in zip(fam.snapshots, expected):
+    independent = nonnested_snapshots(n, n_t, p, 0.3, seed, params, spec.noise, scipy_expm_apply)
+    for snap, data, ref in zip(fam.snapshots, expected, independent):
         assert np.array_equal(snap.data, data)
+        assert np.max(np.abs(snap.data - ref)) <= 1e-12
+
+
+def _random_skew(rng, n, norm):
+    a = rng.standard_normal((n, n))
+    a -= a.T
+    return a * (norm / np.linalg.norm(a, 2))
+
+
+@pytest.mark.parametrize("n", [*range(2, 61), 400])
+def test_expm_skew_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    p = max(1, n // 3)
+    b = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    for norm in (1e-8, 0.3, 3.0, 30.0):
+        a = _random_skew(rng, n, norm)
+        got = expm_skew(a, b)
+        assert np.max(np.abs(got - scipy_expm_apply(a, b))) <= 1e-12
+        assert np.max(np.abs(got.T @ got - np.eye(p))) <= 1e-13
+    # lam = 0 in the nonnested generator: zero times the generators, signed zeros included
+    assert np.array_equal(expm_skew(0.0 * a, b), b)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 17])
