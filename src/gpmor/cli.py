@@ -17,12 +17,16 @@ from .interpolation import TrainingSet, c2_sweep, interpolate
 from .metrics import error_series
 from .snapshots import compute_pod, factor_pod, truncate_pod
 from .stability import (
+    DEFAULT_C3_THRESHOLD,
+    EXIT_ERROR,
+    EXIT_OK,
     StabilityReport,
+    _c3_threshold,
     c3_distance_table,
     check_c3,
     grassmann_dimension,
 )
-from .synth import FamilySpec, generate
+from .synth import DEFAULT_NOISE, FamilySpec, generate
 
 
 def _say(args, message):
@@ -91,7 +95,7 @@ def cmd_synth(args):
     manifest["files"] = files
     fileio.write_json(args.out / "manifest.json", manifest)
     _say(args, f"wrote {len(files)} snapshot file(s) and manifest.json to {args.out}")
-    return 0
+    return EXIT_OK
 
 
 def cmd_pod(args):
@@ -115,7 +119,7 @@ def cmd_pod(args):
         )
     _report(args, "pod_summary.json", fileio.write_json, summary)
     _say(args, f"computed mode-{args.mode} POD for {len(args.inputs)} snapshot(s) into {args.out}")
-    return 0
+    return EXIT_OK
 
 
 def cmd_interpolate(args):
@@ -169,6 +173,7 @@ def cmd_sweep_c2(args):
 
 
 def cmd_check_c3(args):
+    _c3_threshold(args.threshold)
     if args.table is not None:
         table = fileio.read_distance_table(args.table)
     else:
@@ -214,7 +219,7 @@ def cmd_distance(args):
         payload["riemannian_distance"] = riemannian_distance(a, b)
     _report(args, "distance.json", fileio.write_json, payload)
     _say(args, f"geometric distance = {fmt(payload['geometric_distance'])}")
-    return 0
+    return EXIT_OK
 
 
 def cmd_metrics(args):
@@ -225,7 +230,7 @@ def cmd_metrics(args):
             enumerate(series.per_snapshot))
     _report(args, "metrics.json", fileio.write_json, series.to_dict())
     _say(args, f"frobenius error = {fmt(series.frobenius)}")
-    return 0
+    return EXIT_OK
 
 
 # -- parser ------------------------------------------------------------------
@@ -252,7 +257,7 @@ def build_parser():
     p.add_argument("--modes", type=int, required=True, help="number of designed modes")
     p.add_argument("--rate", type=float, default=0.1, help="radians per unit parameter")
     p.add_argument("--params", required=True, help="comma-separated parameter values")
-    p.add_argument("--noise", type=float, default=1e-6)
+    p.add_argument("--noise", type=float, default=DEFAULT_NOISE)
     p.add_argument("--format", choices=("bin", "csv", "both"), default="bin")
     p.set_defaults(func=cmd_synth)
 
@@ -282,7 +287,7 @@ def build_parser():
     p.add_argument("--modes", help="comma-separated mode list")
     p.add_argument("--target", type=float)
     p.add_argument("--reference-index", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=100.0)
+    p.add_argument("--threshold", type=float, default=DEFAULT_C3_THRESHOLD)
     p.add_argument("--table", help="read a precomputed distance-table CSV instead")
     p.set_defaults(func=cmd_check_c3)
 
@@ -346,10 +351,10 @@ def main(argv=None):
         return args.func(args)
     except GpmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_ERROR
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

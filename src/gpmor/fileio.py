@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .grassmann import GrassmannPoint
 from .snapshots import SnapshotMatrix
 from .stability import DistanceTable
@@ -154,19 +154,15 @@ def write_distance_table(path, table):
 
 
 def read_distance_table(path):
-    """Read a C3 distance table: a square, finite matrix whose `modes=` header,
-    when present, names one mode per row (default 0..m-1)."""
+    """Read a C3 distance table, one mode per row as the `modes=` header names
+    (default 0..m-1); DistanceTable's rules hold, as DataErrors naming the file."""
     header, values = _read_matrix_csv(path)
-    m = values.shape[0]
-    if values.shape[1] != m:
-        raise DataError(f"{path}: distance table is {m}x{values.shape[1]}, not square")
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{path}: distance table has non-finite entries")
-    modes = _header_field(path, header, "modes", tuple(range(m)),
-                          lambda t: tuple(int(x) for x in t.split(",") if x.strip()))
-    if len(modes) != m:
-        raise DataError(f"{path}: header names {len(modes)} modes for a {m}x{m} table")
-    return DistanceTable(modes=modes, values=values)
+    modes = _header_field(path, header, "modes", range(len(values)),
+                          lambda t: [int(x) for x in t.split(",") if x.strip()])
+    try:
+        return DistanceTable(modes=modes, values=values)
+    except ParameterError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _read_either(path, magic, read_bin, read_csv):

@@ -14,6 +14,7 @@ import numpy as np
 from . import kernels
 from .errors import ParameterError
 from .grassmann import (
+    FRAME_REJECT_TOL,
     HORIZONTAL_TOL,
     GrassmannPoint,
     TangentVector,
@@ -124,7 +125,8 @@ def interpolate(ts, target):
     expected to inspect. C2 is judged on the combined lift before it becomes
     a TangentVector, so a target past the cut locus gets the C2 verdict
     however far outside the hull it lies, not the horizontality check's
-    error on the weights' rounding.
+    error on the weights' rounding. A target that passes C2 with weights so
+    large that their rounding would break the frame is a ParameterError.
     """
     target = float(target)
     ref = ts.resolve_reference(target)
@@ -139,11 +141,20 @@ def interpolate(ts, target):
     c2 = check_c2(combined)
     if not c2.ok:
         return InterpolationResult(target, ref, c1, c2, extrapolated=extrapolated)
+    # far extrapolation weights amplify the lifts' rounding: the geodesic's
+    # frame leaves orthonormality by about sum |w_i| * eps (measured 0.6 to
+    # 1.13 times that), so past half the frame tolerance it is an input error
+    # named by its weights, not a frame that GrassmannPoint rejects
+    spread = sum(map(abs, weights))
+    if spread * np.finfo(float).eps > FRAME_REJECT_TOL / 2:
+        raise ParameterError(
+            f"target {target} needs Lagrange weights with sum |w_i| = {spread:.3e}; their "
+            f"rounding would leave the frame beyond its tolerance {FRAME_REJECT_TOL:g}"
+        )
     base = ts.points[ref][1]
     # each lift passed HORIZONTAL_TOL in log_map, so their combination leaves
-    # the horizontal space by at most sum |w_i| times that: far extrapolation
-    # weights amplify the lifts' rounding, not a defect of the combination
-    tol = HORIZONTAL_TOL * max(1.0, sum(map(abs, weights)))
+    # the horizontal space by at most sum |w_i| times that
+    tol = HORIZONTAL_TOL * max(1.0, spread)
     velocity = TangentVector(base=base, lift=combined, horizontal_tol=tol)
     frame = geodesic(base, velocity, 1.0)
     return InterpolationResult(target, ref, c1, c2, frame, velocity, extrapolated)

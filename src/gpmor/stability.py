@@ -8,6 +8,7 @@ C3: the non-inclusion defect across POD mode counts stays bounded
     (epsilon = (delta_max - delta_min) / delta_min below a threshold).
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,6 +20,7 @@ from .grassmann import below_cut_locus, geometric_distance, overlap_invertible
 DEFAULT_C3_THRESHOLD = 100.0
 
 EXIT_OK = 0
+EXIT_ERROR = 2
 EXIT_C1 = 10
 EXIT_C2 = 11
 EXIT_C3 = 12
@@ -58,16 +60,31 @@ class C2Record:
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """Symmetric table of pairwise geometric distances over a mode set."""
+    """Pairwise geometric distances over at least 2 pairwise-distinct int
+    modes, one row each: finite, non-negative, exactly symmetric, with a zero
+    diagonal. Every table is checked here; a violation is a ParameterError."""
 
     modes: tuple
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        try:
+            modes = tuple(map(operator.index, self.modes))
+            values = np.array(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"C3 table: {exc}") from None
+        m = len(modes)
+        if m < 2 or len(set(modes)) != m:
+            raise ParameterError(f"C3 table needs at least 2 pairwise distinct modes, got {modes}")
+        if values.shape != (m, m):
+            raise ParameterError(f"C3 table over {m} modes must be {m}x{m}, got shape {values.shape}")
+        if not np.all(np.isfinite(values) & (values >= 0.0)):
+            raise ParameterError("C3 table entries must be finite and non-negative")
+        if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
+            raise ParameterError("C3 table must be symmetric with a zero diagonal")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
+        object.__setattr__(self, "modes", modes)
 
     def to_dict(self):
         return {"modes": list(self.modes), "values": self.values.tolist()}
@@ -124,52 +141,39 @@ def c3_distance_table(results):
 
     results: list of (mode p, GrassmannPoint) with pairwise distinct modes.
     """
-    modes = [int(p) for p, _ in results]
-    if len(set(modes)) != len(modes):
-        raise ParameterError("modes must be pairwise distinct")
     frames = [pt for _, pt in results]
-    n = frames[0].n
-    for pt in frames:
-        if pt.n != n:
-            raise ParameterError("all frames must share the ambient dimension")
     m = len(frames)
     table = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            d = geometric_distance(frames[i], frames[j])
-            table[i, j] = d
-            table[j, i] = d
-    return DistanceTable(modes=tuple(modes), values=table)
+            table[i, j] = table[j, i] = geometric_distance(frames[i], frames[j])
+    return DistanceTable(modes=tuple(p for p, _ in results), values=table)
+
+
+def _c3_threshold(threshold):
+    """The C3 threshold as a float; it must be positive (NaN is not)."""
+    threshold = float(threshold)
+    if not threshold > 0.0:
+        raise ParameterError(f"C3 threshold must be positive, got {threshold}")
+    return threshold
 
 
 def check_c3(table, threshold=DEFAULT_C3_THRESHOLD):
     """C3 verdict from a distance table: spread of the off-diagonal entries.
 
-    epsilon = (delta_max - delta_min) / delta_min over the off-diagonal
-    distances. An all-zero off-diagonal (every pair coincides up to inclusion)
-    is defined as epsilon = 0 (stable); delta_min = 0 < delta_max makes the
-    ratio infinite (unstable).
+    A raw array is read as a DistanceTable over modes 0..m-1. epsilon =
+    (delta_max - delta_min) / delta_min over the off-diagonal distances. An
+    all-zero off-diagonal (every pair coincides up to inclusion) is defined as
+    epsilon = 0 (stable); delta_min = 0 < delta_max makes the ratio infinite
+    (unstable).
     """
-    if isinstance(table, DistanceTable):
-        dt = table
-        values = table.values
-    else:
-        values = np.array(table, dtype=float)
-        dt = None
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
-        raise ParameterError("c3 needs a square distance table over at least 2 modes")
-    mask = ~np.eye(values.shape[0], dtype=bool)
-    off = values[mask]
-    dmax = float(np.max(off))
-    dmin = float(np.min(off))
-    if dmax == 0.0:
-        epsilon = 0.0
-    elif dmin == 0.0:
-        epsilon = float("inf")
-    else:
-        epsilon = (dmax - dmin) / dmin
-    threshold = float(threshold)
-    return C3Record(epsilon=float(epsilon), threshold=threshold, ok=bool(epsilon < threshold), table=dt)
+    threshold = _c3_threshold(threshold)
+    if not isinstance(table, DistanceTable):
+        table = DistanceTable(range(len(table)), table)
+    off = table.values[~np.eye(len(table.modes), dtype=bool)]
+    dmin, dmax = float(off.min()), float(off.max())
+    epsilon = (dmax - dmin) / dmin if dmin > 0.0 else (0.0 if dmax == 0.0 else float("inf"))
+    return C3Record(epsilon=epsilon, threshold=threshold, ok=epsilon < threshold, table=table)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ Randomness comes from a seeded PCG64 generator; identical specs reproduce
 bitwise-identical snapshots.
 """
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -34,6 +35,7 @@ KINDS = ("rotation", "crossing", "nested", "nonnested")
 
 LADDER_TOP = 10.0
 LADDER_RATIO = 0.5
+DEFAULT_NOISE = 1e-6
 # The nested family needs its noise floor below the inclusion angle tolerance,
 # otherwise the analytic nesting would drown in POD noise.
 NESTED_NOISE = 1e-10
@@ -51,7 +53,7 @@ class FamilySpec:
     rate: float
     seed: int
     params: tuple
-    noise: float = 1e-6
+    noise: float = DEFAULT_NOISE
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -64,8 +66,10 @@ class FamilySpec:
             )
         if self.n_t < self.mode_count:
             raise ParameterError("n_t must be at least mode_count")
-        if self.rate < 0.0:
-            raise ParameterError("rate must be non-negative")
+        for name in ("rate", "noise"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParameterError(f"{name} must be finite and non-negative, got {value}")
         params = tuple(float(x) for x in self.params)
         if len(set(params)) != len(params):
             raise ParameterError("family parameters must be pairwise distinct")

@@ -479,6 +479,49 @@ def test_far_extrapolation_within_c2_exit_0(tmp_path):
     assert lam[-1] == 20.0 and theta == pytest.approx(swept[-1], rel=1e-9)
 
 
+@pytest.mark.parametrize("target, code", [(20, 0), (35, 0), (43, 2), (50, 2), (100, 2)])
+def test_far_extrapolation_weights_bound(tmp_path, capsys, target, code):
+    # the frame leaves orthonormality by about sum |w_i| * eps: 1.7e-7 at
+    # lambda = 35, inside half the tolerance 1e-6; 8.4e-7 at lambda = 43 and
+    # 2.6e-6 at lambda = 50 are not, and the error names the weights and the
+    # target instead of the frame
+    files = synth_family(tmp_path / "fam", n=200, nt=40, modes=3, seed=1, rate=0.01,
+                         noise=0, params="0,1,2,3,4,5,6,7")
+    out = tmp_path / "interp"
+    capsys.readouterr()
+    assert run("--out", out, "--quiet", "interpolate", *files, "--mode", 3,
+               "--target", target) == code
+    assert (out / "interpolated.gpf").exists() == (code == 0)
+    if code:
+        err = capsys.readouterr().err
+        assert "sum |w_i|" in err and f"target {float(target)}" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--noise", "-1"), ("--noise", "nan"), ("--noise", "inf"),
+    ("--rate", "nan"), ("--rate", "inf"),
+])
+@pytest.mark.parametrize("kind", ["nested", "crossing"])
+def test_synth_non_finite_or_negative_noise_or_rate_exit_2(tmp_path, capsys, kind, option, value):
+    argv = {"--noise": "1e-6", "--rate": "0.1", option: value}
+    code = run("--out", tmp_path, "--quiet", "synth", "--kind", kind, "--n", 8, "--nt", 12,
+               "--modes", 2, "--params=0,1", *(x for item in argv.items() for x in item))
+    assert code == 2
+    assert f"{option[2:]} must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_cli_defaults_are_the_library_constants():
+    from gpmor.stability import DEFAULT_C3_THRESHOLD
+    from gpmor.synth import DEFAULT_NOISE, FamilySpec
+
+    parser = cli.build_parser()
+    assert parser.parse_args(["check-c3"]).threshold == DEFAULT_C3_THRESHOLD
+    synth = parser.parse_args(["synth", "--kind", "rotation", "--n", "8", "--nt", "8",
+                               "--modes", "1", "--params=0"])
+    assert synth.noise == DEFAULT_NOISE == FamilySpec.noise
+
+
 @pytest.mark.parametrize("missing", ["--modes", "--target"])
 def test_check_c3_missing_option_exit_2(tmp_path, capsys, missing):
     files = synth_family(tmp_path / "fam")

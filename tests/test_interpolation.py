@@ -322,6 +322,18 @@ def test_far_extrapolation_within_c2_gives_frame_matching_sweep():
     assert res.c2.theta_max == pytest.approx(sweep.thetas[0], rel=1e-9)
 
 
+def test_far_extrapolation_weights_bound_is_a_parameter_error():
+    # lambda = 50 passes C2 (theta_1 = 0.43), but weights with sum |w_i| ~ 1e10
+    # would leave the geodesic's frame past its orthonormality tolerance
+    spec = FamilySpec(n=200, n_t=40, mode_count=3, kind="rotation", rate=0.01, seed=1,
+                      noise=0.0, params=tuple(float(x) for x in range(8)))
+    ts = TrainingSet(points=tuple((s.param, compute_pod(s, 3).basis)
+                                  for s in gen_rotation_family(spec).snapshots))
+    assert interpolate(ts, 35.0).ok
+    with pytest.raises(ParameterError, match=r"target 50.0 .* sum \|w_i\| = 1.1"):
+        interpolate(ts, 50.0)
+
+
 C1_PASSED = C1Record(ok=True, failing_indices=(), min_singular_values=(1.0, 1.0))
 
 

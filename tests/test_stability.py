@@ -121,11 +121,11 @@ def test_c3_table_hand_construction():
     assert table.values[0, 1] == pytest.approx(0.3, abs=1e-12)
 
 
-def test_c3_table_single_mode():
+def test_c3_table_rejects_single_mode():
+    # C3 compares modes, so a one-mode table has no off-diagonal to judge
     rng = np.random.default_rng(3)
-    table = c3_distance_table([(2, random_grassmann_point(rng, 8, 2))])
-    assert table.values.shape == (1, 1)
-    assert table.values[0, 0] == 0.0
+    with pytest.raises(ParameterError, match="at least 2"):
+        c3_distance_table([(2, random_grassmann_point(rng, 8, 2))])
 
 
 def test_c3_table_symmetric_zero_diagonal():

@@ -35,6 +35,15 @@ def test_spec_validation():
         FamilySpec(n=8, n_t=10, mode_count=2, kind="rotation", rate=-0.1, seed=0, params=(0.0,))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise", -1.0), ("noise", np.nan), ("noise", np.inf), ("rate", np.nan), ("rate", np.inf),
+])
+def test_spec_rejects_negative_or_non_finite_noise_and_rate(field, value):
+    kwargs = dict(n=8, n_t=10, mode_count=2, kind="nested", rate=0.1, seed=0, params=(0.0,))
+    with pytest.raises(ParameterError, match=f"{field} must be finite and non-negative"):
+        FamilySpec(**dict(kwargs, **{field: value}))
+
+
 def test_determinism_bitwise():
     spec = FamilySpec(n=8, n_t=12, mode_count=2, kind="rotation", rate=0.1, seed=5,
                       params=(0.0, 1.0))
