@@ -42,7 +42,7 @@ def _training_sets(args, modes):
                      key=lambda f: f.param)
     for p in modes:
         points = tuple((f.param, truncate_pod(f, p).basis) for f in factors)
-        yield p, TrainingSet(points=points, reference_index=args.reference_index)
+        yield p, TrainingSet(points=points)
 
 
 def _report(args, name, write, *payload):
@@ -124,7 +124,7 @@ def cmd_pod(args):
 
 def cmd_interpolate(args):
     [(_, ts)] = _training_sets(args, [args.mode])
-    result = interpolate(ts, args.target)
+    result = interpolate(ts, args.target, args.reference_index)
     report = StabilityReport(
         c1=result.c1,
         c2=result.c2,
@@ -152,7 +152,7 @@ def cmd_interpolate(args):
 
 def cmd_sweep_c2(args):
     [(_, ts)] = _training_sets(args, [args.mode])
-    sweep = c2_sweep(ts, args.lo, args.hi, args.samples)
+    sweep = c2_sweep(ts, args.lo, args.hi, args.samples, args.reference_index)
     _report(args, "sweep_c2.csv", fileio.write_csv, "# gpm-sweep lambda,theta_max,c2_ok",
             zip(sweep.grid.tolist(), sweep.thetas.tolist(), map(int, sweep.c2_ok)))
     unstable = sweep.unstable_intervals()
@@ -185,7 +185,7 @@ def cmd_check_c3(args):
             raise ParameterError("check-c3 needs at least two modes")
         results = []
         for p, ts in _training_sets(args, modes):
-            res = interpolate(ts, args.target)
+            res = interpolate(ts, args.target, args.reference_index)
             if not res.ok:
                 if not res.c1.ok:
                     _say(args, f"C1 failure at mode p={p}")

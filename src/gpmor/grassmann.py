@@ -208,31 +208,37 @@ def geodesic(base, v, t):
     return GrassmannPoint(frame)
 
 
+def log_lift(base, target):
+    """Singular values (descending) of the overlap Y^T Y' and, when they pass
+    overlap_invertible, the log map's lift from `base` to `target` (a thin SVD
+    of Y' (Y^T Y')^{-1} - Y, arctan on its singular values), else None."""
+    overlap = base.frame.T @ target.frame
+    sv = np.linalg.svd(overlap, compute_uv=False)
+    if not overlap_invertible(sv):
+        return sv, None
+    mat = np.linalg.solve(overlap.T, target.frame.T).T - base.frame
+    u, s, vt = _signed_thin_svd(mat)
+    return sv, (u * np.arctan(s)) @ vt
+
+
 def log_map(base, target):
     """Logarithm map: the velocity whose geodesic reaches `target` at unit time.
 
-    Defined only where the overlap Y^T Y' is invertible; computes a thin SVD of
-    Y' (Y^T Y')^{-1} - Y and applies arctan to its singular values.
-
-    Raises LogMapDomainError when the overlap is singular at tolerance (the C1
-    failure mode).
+    Raises LogMapDomainError when the overlap Y^T Y' is singular at tolerance
+    (the C1 failure mode); see log_lift.
     """
     _require_same_ambient(base, target)
     if base.p != target.p:
         raise ParameterError(f"mode mismatch: p={base.p} vs p'={target.p}")
     _require_half_dimension(base)
-    overlap = base.frame.T @ target.frame
-    sv = np.linalg.svd(overlap, compute_uv=False)
-    if not overlap_invertible(sv):
+    sv, lift = log_lift(base, target)
+    if lift is None:
         raise LogMapDomainError(
             "target lies outside the log-map domain: overlap matrix is singular "
             f"(min/max singular values {sv[-1]:.3e}/{sv[0]:.3e})",
             min_singular_value=float(sv[-1]),
             max_singular_value=float(sv[0]),
         )
-    mat = np.linalg.solve(overlap.T, target.frame.T).T - base.frame
-    u, s, vt = _signed_thin_svd(mat)
-    lift = (u * np.arctan(s)) @ vt
     return TangentVector(base=base, lift=lift)
 
 

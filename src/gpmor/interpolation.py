@@ -1,9 +1,11 @@
 """Lagrange interpolation of POD bases on G(p, n) with C1/C2 gates.
 
-The pipeline: pick a reference point, map every training point to its tangent
-space (C1 gate: all overlaps invertible), combine the lifts with Lagrange
-weights, check the largest singular value of the combined lift against pi/2
-(C2 gate), and exponentiate back to the manifold.
+The pipeline: from the reference node the call names, stability.tangent_step
+maps every training point to its tangent space (C1 gate: all overlaps
+invertible); the lifts are combined with Lagrange weights, the largest
+singular value of the combined lift is checked against pi/2 (C2 gate), and
+the result is exponentiated back to the manifold. A TrainingSet is only data;
+interpolate's reference defaults to the node nearest the target.
 """
 
 from dataclasses import dataclass
@@ -20,9 +22,8 @@ from .grassmann import (
     TangentVector,
     below_cut_locus,
     geodesic,
-    log_map,
 )
-from .stability import C1Record, C2Record, check_c1, check_c2
+from .stability import C1Record, C2Record, check_c2, tangent_step
 
 
 def lagrange_weights(params, target):
@@ -35,12 +36,9 @@ def lagrange_weights(params, target):
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Training points (parameter, subspace) sharing one mode p, plus the
-    reference-point choice. reference_index=None defers the choice to the
-    parameter-nearest node at interpolation time."""
+    """Training points (parameter, subspace) sharing one mode p."""
 
     points: tuple
-    reference_index: Optional[int] = None
 
     def __post_init__(self):
         points = tuple((float(lam), pt) for lam, pt in self.points)
@@ -58,8 +56,6 @@ class TrainingSet:
                 )
         if 2 * p > n:
             raise ParameterError(f"interpolation requires 2p <= n, got p={p}, n={n}")
-        if self.reference_index is not None and not 0 <= self.reference_index < len(points):
-            raise ParameterError(f"reference index {self.reference_index} out of range")
         object.__setattr__(self, "points", points)
 
     @property
@@ -73,15 +69,6 @@ class TrainingSet:
     @property
     def n(self):
         return self.points[0][1].n
-
-    def resolve_reference(self, target=None):
-        """Reference index: explicit choice, else the node nearest the target."""
-        if self.reference_index is not None:
-            return self.reference_index
-        if target is None:
-            raise ParameterError("no reference index set and no target to pick one from")
-        diffs = [abs(lam - float(target)) for lam in self.params]
-        return int(np.argmin(diffs))
 
 
 @dataclass(frozen=True)
@@ -103,20 +90,9 @@ class InterpolationResult:
         return self.frame is not None
 
 
-def _tangent_step(ts, ref):
-    """C1 record at the reference and, when C1 holds, the (N, n, p) stack of
-    every training point's log-map lift from it, else None. The reference's
-    own lift is identically zero."""
-    c1 = check_c1(ts, reference_index=ref)
-    if not c1.ok:
-        return c1, None
-    base = ts.points[ref][1]
-    return c1, np.stack([np.zeros_like(base.frame) if i == ref else log_map(base, pt).lift
-                         for i, (_, pt) in enumerate(ts.points)])
-
-
-def interpolate(ts, target):
-    """Interpolate the training subspaces at `target`.
+def interpolate(ts, target, reference_index=None):
+    """Interpolate the training subspaces at `target` from the reference node
+    `reference_index`, by default the node nearest the target.
 
     On a C1 failure the result carries the C1 record with every offending
     index and no lift; on a C2 failure (largest combined-lift angle at or past
@@ -129,9 +105,11 @@ def interpolate(ts, target):
     large that their rounding would break the frame is a ParameterError.
     """
     target = float(target)
-    ref = ts.resolve_reference(target)
+    ref = reference_index
+    if ref is None:
+        ref = int(np.argmin([abs(lam - target) for lam in ts.params]))
     extrapolated = not (min(ts.params) <= target <= max(ts.params))
-    c1, lifts = _tangent_step(ts, ref)
+    c1, lifts = tangent_step(ts, ref)
     if lifts is None:
         return InterpolationResult(target, ref, c1, extrapolated=extrapolated)
     weights = lagrange_weights(ts.params, target)
@@ -152,7 +130,7 @@ def interpolate(ts, target):
             f"rounding would leave the frame beyond its tolerance {FRAME_REJECT_TOL:g}"
         )
     base = ts.points[ref][1]
-    # each lift passed HORIZONTAL_TOL in log_map, so their combination leaves
+    # each lift passed HORIZONTAL_TOL in tangent_step, so their combination leaves
     # the horizontal space by at most sum |w_i| times that
     tol = HORIZONTAL_TOL * max(1.0, spread)
     velocity = TangentVector(base=base, lift=combined, horizontal_tol=tol)
@@ -182,8 +160,9 @@ class C2Sweep:
         return [[self.grid[a].item(), self.grid[b - 1].item()] for a, b in runs]
 
 
-def c2_sweep(ts, lo, hi, samples):
-    """Stability curve theta_1(lambda) on a uniform grid including both endpoints.
+def c2_sweep(ts, lo, hi, samples, reference_index):
+    """Stability curve theta_1(lambda) from the reference node
+    `reference_index` on a uniform grid including both endpoints.
 
     A C1 failure does not abort the sweep: it is the record's verdict.
     """
@@ -192,12 +171,10 @@ def c2_sweep(ts, lo, hi, samples):
     samples = int(samples)
     if samples < 2:
         raise ParameterError(f"need at least 2 sweep samples, got {samples}")
-    if not lo < hi:
-        raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
-    if ts.reference_index is None:
-        raise ParameterError("c2_sweep needs an explicit reference index")
+    if not 0.0 < hi - lo < np.inf:  # also refuses a non-finite bound or width
+        raise ParameterError(f"need finite lo < hi, got [{lo}, {hi}]")
     grid = np.linspace(lo, hi, samples)
-    c1, lifts = _tangent_step(ts, ts.reference_index)
+    c1, lifts = tangent_step(ts, reference_index)
     if lifts is None:
         return C2Sweep(grid, np.full(samples, np.nan), c1)
     return C2Sweep(grid, kernels.theta_curve(lifts, np.asarray(ts.params), grid), c1)

@@ -11,6 +11,8 @@ whatever n is.
 
 import numpy as np
 
+from .errors import ParameterError
+
 # Bytes of combined k x p blocks held at once; bounds the sweep's temporaries.
 _BLOCK_BYTES = 16 << 20
 
@@ -19,15 +21,21 @@ def lagrange_matrix(node_params, targets):
     """Lagrange cardinal weights w[m, i] = prod_{j != i} (t_m - l_j) / (l_i - l_j).
 
     At an exact node t_m = l_i, every other weight has a zero factor and every
-    factor of w[m, i] is exactly 1, so the row is exactly one-hot.
+    factor of w[m, i] is exactly 1, so the row is exactly one-hot. A weight
+    that is not finite (a non-finite target, or one so far out that the
+    product overflows) is a ParameterError naming the first such target.
     """
     node_params = np.asarray(node_params, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     w = np.ones((targets.shape[0], node_params.shape[0]))
-    for i, li in enumerate(node_params):
-        for j, lj in enumerate(node_params):
-            if i != j:
-                w[:, i] *= (targets - lj) / (li - lj)
+    with np.errstate(all="ignore"):
+        for i, li in enumerate(node_params):
+            for j, lj in enumerate(node_params):
+                if i != j:
+                    w[:, i] *= (targets - lj) / (li - lj)
+    bad = targets[~np.isfinite(w).all(axis=1)]
+    if bad.size:
+        raise ParameterError(f"Lagrange weights at target {bad[0]} are not finite")
     return w
 
 

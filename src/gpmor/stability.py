@@ -1,7 +1,9 @@
 """Auditable records for the three stability conditions C1/C2/C3.
 
 C1: every training point lies in the log-map domain of the reference point
-    (all overlap matrices non-singular).
+    (all overlap matrices non-singular). tangent_step(ts, reference_index)
+    records it and lifts every node in one pass; check_c1(ts,
+    reference_index) is its record half.
 C2: the interpolated lift stays inside the exponential-map injectivity domain
     (largest singular value below pi/2).
 C3: the non-inclusion defect across POD mode counts stays bounded
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .grassmann import below_cut_locus, geometric_distance, overlap_invertible
+from .grassmann import TangentVector, below_cut_locus, geometric_distance, log_lift
 
 DEFAULT_C3_THRESHOLD = 100.0
 
@@ -104,30 +106,29 @@ class C3Record:
         return d
 
 
-def check_c1(ts, reference_index=None):
-    """Record the smallest overlap singular value for every training point.
+def tangent_step(ts, reference_index):
+    """C1 record at the reference node and, when C1 holds, the (N, n, p) stack
+    of every node's lift from it (else None), from one log_lift per node, so
+    C1 fails exactly where log_map raises. Each lift passes TangentVector's
+    horizontality check as in log_map; the reference's own is exactly zero.
+    The one range check of a reference index."""
+    if not 0 <= reference_index < len(ts.points):
+        raise ParameterError(f"reference index {reference_index} out of range")
+    base = ts.points[reference_index][1]
+    svs, lifts = zip(*(log_lift(base, pt) for _, pt in ts.points))
+    failing = tuple(i for i, lift in enumerate(lifts) if lift is None)
+    c1 = C1Record(ok=not failing, failing_indices=failing,
+                  min_singular_values=tuple(float(sv[-1]) for sv in svs))
+    if failing:
+        return c1, None
+    stack = np.stack([TangentVector(base, lift).lift for lift in lifts])
+    stack[reference_index] = 0.0
+    return c1, stack
 
-    ok iff every overlap with the reference passes grassmann.overlap_invertible,
-    the guard of log_map, so log_map raises for exactly the failing indices.
-    """
-    ref = ts.reference_index if reference_index is None else reference_index
-    if ref is None:
-        raise ParameterError("check_c1 needs a reference index")
-    if not 0 <= ref < len(ts.points):
-        raise ParameterError(f"reference index {ref} out of range")
-    base = ts.points[ref][1]
-    min_svs = []
-    failing = []
-    for i, (_, pt) in enumerate(ts.points):
-        sv = np.linalg.svd(base.frame.T @ pt.frame, compute_uv=False)
-        min_svs.append(float(sv[-1]))
-        if not overlap_invertible(sv):
-            failing.append(i)
-    return C1Record(
-        ok=not failing,
-        failing_indices=tuple(failing),
-        min_singular_values=tuple(min_svs),
-    )
+
+def check_c1(ts, reference_index):
+    """C1 record at the reference node: the record half of tangent_step."""
+    return tangent_step(ts, reference_index)[0]
 
 
 def check_c2(lift):

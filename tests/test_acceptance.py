@@ -203,8 +203,8 @@ def test_criterion_08_c2_interval_detection():
     fam = gen_crossing_family(spec)
     offset = fam.manifest["crossing_offset"]
     pts = tuple((s.param, compute_pod(s, 2).basis) for s in fam.snapshots)
-    ts = TrainingSet(points=pts, reference_index=1)
-    sweep = c2_sweep(ts, -1.5, 1.5, 201)
+    ts = TrainingSet(points=pts)
+    sweep = c2_sweep(ts, -1.5, 1.5, 201, 1)
     step = 3.0 / 200
     bad = [lam for lam, c2_ok in zip(sweep.grid, sweep.c2_ok) if sweep.c1.ok and not c2_ok]
     neg_edge = max(x for x in bad if x < 0)

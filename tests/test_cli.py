@@ -375,6 +375,33 @@ def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
             assert ("svd", (n, nt)) not in calls
 
 
+def test_one_overlap_factorisation_per_node_and_mode(tmp_path, monkeypatch):
+    # the tangent step factors each overlap with the reference once: N calls
+    # of the shared overlap function per training set, so m * N for m modes
+    from gpmor import grassmann, stability
+
+    calls = []
+
+    def counting(base, target):
+        calls.append(target)
+        return log_lift(base, target)
+
+    log_lift = grassmann.log_lift
+    monkeypatch.setattr(grassmann, "log_lift", counting)
+    monkeypatch.setattr(stability, "log_lift", counting)
+    files = synth_family(tmp_path / "fam", kind="nested", n=16, nt=40, modes=5,
+                         rate=0.05, params="0,1,2,3", seed=7)
+    for argv, expected in (
+        (["interpolate", *files, "--mode", 3, "--target", 1.5], len(files)),
+        (["sweep-c2", *files, "--mode", 3, "--lo", 0, "--hi", 3, "--samples", 7,
+          "--reference-index", 1], len(files)),
+        (["check-c3", *files, "--modes", "1,2,3,4,5", "--target", 1.5], 5 * len(files)),
+    ):
+        calls.clear()
+        assert run("--out", tmp_path / argv[0], "--quiet", *argv) == 0
+        assert len(calls) == expected
+
+
 def test_check_c3_table_matches_per_mode_library_path(tmp_path):
     files = synth_family(tmp_path / "fam", kind="nonnested", n=16, nt=40, modes=5,
                          rate=0.3, params="0,1,2,3", seed=2)
@@ -495,6 +522,42 @@ def test_far_extrapolation_weights_bound(tmp_path, capsys, target, code):
     if code:
         err = capsys.readouterr().err
         assert "sum |w_i|" in err and f"target {float(target)}" in err
+
+
+def _target_argv(call, files, value, ref=1):
+    return [call, *files, "--reference-index", ref, *{
+        "interpolate": ["--mode", 3, f"--target={value}"],
+        "check-c3": ["--modes", "1,2,3", f"--target={value}"],
+        "sweep-c2": ["--mode", 3, "--lo", 0, f"--hi={value}", "--samples", 5],
+    }[call]]
+
+
+@pytest.mark.parametrize("call, value, message", [
+    *((call, value, f"Lagrange weights at target {float(value)} are not finite")
+      for call in ("interpolate", "check-c3") for value in ("nan", "inf", "-inf", "1e308", "1e200")),
+    ("sweep-c2", "inf", "need finite lo < hi, got [0.0, inf]"),
+    ("sweep-c2", "1e308", "Lagrange weights at target 2.5e+307 are not finite"),
+])
+def test_non_finite_weights_exit_2(tmp_path, capsys, call, value, message):
+    # four nodes: a non-finite target, or one whose weights overflow, is an
+    # error naming the target before any report, and no warning escapes
+    files = synth_family(tmp_path / "fam", n=40, nt=20, modes=3, seed=0, params="0,1,2,3")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("--out", out, "--quiet", *_target_argv(call, files, value)) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("ref", [7, -1])
+@pytest.mark.parametrize("call", ["interpolate", "sweep-c2", "check-c3"])
+def test_reference_index_out_of_range_exit_2(tmp_path, capsys, call, ref):
+    files = synth_family(tmp_path / "fam", params="0,1,2,3")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("--out", out, "--quiet", *_target_argv(call, files, 1.5, ref)) == 2
+    assert f"reference index {ref} out of range" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("option, value", [

@@ -25,11 +25,12 @@ from gpmor import (
 from oracles import barycentric_eval_weights, random_grassmann_point
 
 from gpmor.grassmann import C2_MARGIN
+from gpmor.stability import tangent_step
 
 
-def make_training_set(rng, n, p, params, reference_index=None):
+def make_training_set(rng, n, p, params):
     pts = tuple((lam, random_grassmann_point(rng, n, p)) for lam in params)
-    return TrainingSet(points=pts, reference_index=reference_index)
+    return TrainingSet(points=pts)
 
 
 # -- weights ------------------------------------------------------------------
@@ -98,8 +99,8 @@ def test_training_set_rejects_half_dimension_violation():
 def test_reference_defaults_to_nearest_node():
     rng = np.random.default_rng(4)
     ts = make_training_set(rng, 8, 2, [0.0, 1.0, 5.0])
-    assert ts.resolve_reference(4.2) == 2
-    assert ts.resolve_reference(0.4) == 0
+    assert interpolate(ts, 4.2).reference_index == 2
+    assert interpolate(ts, 0.4).reference_index == 0
 
 
 # -- interpolate --------------------------------------------------------------
@@ -147,8 +148,8 @@ def test_c1_failure_is_verdict_not_crash():
         (0.0, GrassmannPoint(np.eye(4)[:, :1])),
         (1.0, GrassmannPoint(np.eye(4)[:, 1:2])),
     )
-    ts = TrainingSet(points=pts, reference_index=0)
-    res = interpolate(ts, 0.5)
+    ts = TrainingSet(points=pts)
+    res = interpolate(ts, 0.5, reference_index=0)
     assert not res.c1.ok and not res.ok
     assert res.c1.failing_indices == (1,)
     assert res.frame is None
@@ -156,7 +157,7 @@ def test_c1_failure_is_verdict_not_crash():
 
 def test_c1_failure_lists_every_failing_node():
     pts = tuple((float(i), GrassmannPoint(np.eye(6)[:, i:i + 1])) for i in range(3))
-    res = interpolate(TrainingSet(points=pts, reference_index=0), 0.5)
+    res = interpolate(TrainingSet(points=pts), 0.5, reference_index=0)
     assert res.c1.failing_indices == (1, 2)
     assert res.c2 is None and not res.ok
 
@@ -178,18 +179,27 @@ def test_near_cut_locus_gives_a_verdict(n, p, log_gap, seed):
     turn = [np.linalg.qr(rng.standard_normal((p, p)))[0] for _ in range(2)]
     base = GrassmannPoint(q[:, :p] @ turn[0])
     far = GrassmannPoint((q[:, :p] * np.cos(angles) + q[:, p:] * np.sin(angles)) @ turn[1])
-    ts = TrainingSet(points=((0.0, base), (1.0, far)), reference_index=0)
-    c1 = check_c1(ts)
-    try:
-        log_map(base, far)
-    except LogMapDomainError:
-        assert not c1.ok
-    else:
-        assert c1.ok
-    res = interpolate(ts, 0.5)
-    assert res.c1 == c1 and (res.c2 is not None) == c1.ok
-    sweep = c2_sweep(ts, 0.0, 1.0, 5)
-    assert sweep.c1 == c1 and bool(np.all(np.isfinite(sweep.thetas))) == c1.ok
+    ts = TrainingSet(points=((0.0, base), (1.0, far)))
+    # from every reference: C1 fails exactly where log_map raises, and each
+    # lift is log_map's bit for bit, the reference's own exactly zero
+    for ref, (_, ref_pt) in enumerate(ts.points):
+        c1, lifts = tangent_step(ts, ref)
+        raises = set()
+        for i, (_, pt) in enumerate(ts.points):
+            try:
+                lift = log_map(ref_pt, pt).lift
+            except LogMapDomainError:
+                raises.add(i)
+                continue
+            if lifts is not None and i != ref:
+                assert lifts[i].tobytes() == lift.tobytes()
+        assert set(c1.failing_indices) == raises and c1.ok == (lifts is not None)
+        assert lifts is None or np.all(lifts[ref] == 0.0)
+        assert check_c1(ts, ref) == c1
+        res = interpolate(ts, 0.5, reference_index=ref)
+        assert res.c1 == c1 and (res.c2 is not None) == c1.ok
+        sweep = c2_sweep(ts, 0.0, 1.0, 5, ref)
+        assert sweep.c1 == c1 and bool(np.all(np.isfinite(sweep.thetas))) == c1.ok
 
 
 def test_c2_failure_returns_no_frame():
@@ -199,8 +209,8 @@ def test_c2_failure_returns_no_frame():
     )
     fam = gen_crossing_family(spec)
     pts = tuple((s.param, compute_pod(s, 1).basis) for s in fam.snapshots)
-    ts = TrainingSet(points=pts, reference_index=1)
-    res = interpolate(ts, 1.3)  # theta_1 = (pi/2) * 1.3 > pi/2
+    ts = TrainingSet(points=pts)
+    res = interpolate(ts, 1.3, reference_index=1)  # theta_1 = (pi/2) * 1.3 > pi/2
     assert res.c1.ok and not res.c2.ok
     assert res.frame is None
     assert res.c2.theta_max >= np.pi / 2 - 1e-12
@@ -215,8 +225,8 @@ def test_extrapolation_tagged():
 
 def test_velocity_is_horizontal():
     rng = np.random.default_rng(8)
-    ts = make_training_set(rng, 12, 2, [0.0, 0.1, 0.2], reference_index=1)
-    res = interpolate(ts, 0.15)
+    ts = make_training_set(rng, 12, 2, [0.0, 0.1, 0.2])
+    res = interpolate(ts, 0.15, reference_index=1)
     base = ts.points[1][1]
     assert np.max(np.abs(res.velocity.lift.T @ base.frame)) < 1e-10
 
@@ -229,8 +239,8 @@ def test_sweep_identical_points_all_zero():
     pt = random_grassmann_point(rng, 8, 2)
     frames = [pt.frame, pt.frame.copy(), pt.frame.copy()]
     pts = tuple((float(i), GrassmannPoint(f)) for i, f in enumerate(frames))
-    ts = TrainingSet(points=pts, reference_index=0)
-    sweep = c2_sweep(ts, 0.0, 2.0, 21)
+    ts = TrainingSet(points=pts)
+    sweep = c2_sweep(ts, 0.0, 2.0, 21, 0)
     assert sweep.c1.ok
     for theta, c2_ok in zip(sweep.thetas, sweep.c2_ok):
         assert theta == pytest.approx(0.0, abs=1e-12)
@@ -239,16 +249,16 @@ def test_sweep_identical_points_all_zero():
 
 def test_sweep_zero_at_reference_node():
     rng = np.random.default_rng(10)
-    ts = make_training_set(rng, 10, 2, [0.0, 0.5, 1.0], reference_index=1)
-    sweep = c2_sweep(ts, 0.0, 1.0, 5)
+    ts = make_training_set(rng, 10, 2, [0.0, 0.5, 1.0])
+    sweep = c2_sweep(ts, 0.0, 1.0, 5, 1)
     assert sweep.grid[2] == 0.5  # grid point exactly at lambda = 0.5
     assert sweep.thetas[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sweep_theta_at_nodes_matches_log():
     rng = np.random.default_rng(11)
-    ts = make_training_set(rng, 10, 2, [0.0, 0.5, 1.0], reference_index=0)
-    sweep = c2_sweep(ts, 0.0, 1.0, 3)
+    ts = make_training_set(rng, 10, 2, [0.0, 0.5, 1.0])
+    sweep = c2_sweep(ts, 0.0, 1.0, 3, 0)
     base = ts.points[0][1]
     for grid_lam, theta, (lam, pt) in zip(sweep.grid, sweep.thetas, ts.points):
         assert grid_lam == lam
@@ -265,8 +275,8 @@ def test_sweep_crossing_family_matches_prediction():
     fam = gen_crossing_family(spec)
     assert fam.manifest["crossing_offset"] == pytest.approx(1.0, abs=1e-15)
     pts = tuple((s.param, compute_pod(s, 2).basis) for s in fam.snapshots)
-    ts = TrainingSet(points=pts, reference_index=1)
-    sweep = c2_sweep(ts, -1.5, 1.5, 201)
+    ts = TrainingSet(points=pts)
+    sweep = c2_sweep(ts, -1.5, 1.5, 201, 1)
     step = 3.0 / 200
     bad = [lam for lam, c2_ok in zip(sweep.grid, sweep.c2_ok) if not c2_ok]
     assert abs(max(x for x in bad if x < 0) - (-1.0)) <= step + 1e-12
@@ -278,8 +288,8 @@ def test_sweep_c1_failure_marks_all_invalid():
         (0.0, GrassmannPoint(np.eye(4)[:, :1])),
         (1.0, GrassmannPoint(np.eye(4)[:, 1:2])),
     )
-    ts = TrainingSet(points=pts, reference_index=0)
-    sweep = c2_sweep(ts, 0.0, 1.0, 5)
+    ts = TrainingSet(points=pts)
+    sweep = c2_sweep(ts, 0.0, 1.0, 5, 0)
     assert not sweep.c1.ok and sweep.c1.failing_indices == (1,)
     assert np.all(np.isnan(sweep.thetas)) and not any(sweep.c2_ok)
     assert sweep.unstable_intervals() == []
@@ -294,7 +304,7 @@ def test_far_outside_hull_gives_c2_verdict_matching_sweep():
         params=tuple(float(x) for x in range(8)),
     )
     pts = tuple((s.param, compute_pod(s, 3).basis) for s in gen_rotation_family(spec).snapshots)
-    sweep = c2_sweep(TrainingSet(points=pts, reference_index=7), 20.0, 50.0, 4)
+    sweep = c2_sweep(TrainingSet(points=pts), 20.0, 50.0, 4, 7)
     for target, swept in zip((20.0, 30.0, 50.0), sweep.thetas[[0, 1, 3]]):
         res = interpolate(TrainingSet(points=pts), target)
         assert res.reference_index == 7 and res.c1.ok
@@ -311,7 +321,7 @@ def test_far_extrapolation_within_c2_gives_frame_matching_sweep():
     )
     snaps = gen_rotation_family(spec).snapshots
     pts = tuple((s.param, compute_pod(s, 3).basis) for s in snaps[:8])
-    sweep = c2_sweep(TrainingSet(points=pts, reference_index=7), 20.0, 30.0, 2)
+    sweep = c2_sweep(TrainingSet(points=pts), 20.0, 30.0, 2, 7)
     for snap, swept in zip(snaps[8:], sweep.thetas):
         res = interpolate(TrainingSet(points=pts), snap.param)
         assert res.ok and res.reference_index == 7
@@ -378,11 +388,11 @@ def test_sweep_c2_flags_use_the_margin():
 
 def test_sweep_validates_arguments():
     rng = np.random.default_rng(12)
-    ts = make_training_set(rng, 8, 2, [0.0, 1.0], reference_index=0)
+    ts = make_training_set(rng, 8, 2, [0.0, 1.0])
     with pytest.raises(ParameterError):
-        c2_sweep(ts, 0.0, 1.0, 1)
+        c2_sweep(ts, 0.0, 1.0, 1, 0)
     with pytest.raises(ParameterError):
-        c2_sweep(ts, 1.0, 0.0, 10)
-    ts_no_ref = make_training_set(rng, 8, 2, [0.0, 1.0])
-    with pytest.raises(ParameterError):
-        c2_sweep(ts_no_ref, 0.0, 1.0, 10)
+        c2_sweep(ts, 1.0, 0.0, 10, 0)
+    for ref in (2, -1):
+        with pytest.raises(ParameterError, match=f"reference index {ref} out of range"):
+            c2_sweep(ts, 0.0, 1.0, 10, ref)

@@ -52,7 +52,7 @@ def test_c1_identical_points_ok():
     rng = np.random.default_rng(0)
     pt = random_grassmann_point(rng, 8, 2)
     pts = tuple((float(i), GrassmannPoint(pt.frame.copy())) for i in range(3))
-    rec = check_c1(TrainingSet(points=pts, reference_index=0))
+    rec = check_c1(TrainingSet(points=pts), 0)
     assert rec.ok
     assert np.allclose(rec.min_singular_values, 1.0, atol=1e-12)
 
@@ -62,7 +62,7 @@ def test_c1_orthogonal_point_fails():
         (0.0, GrassmannPoint(np.eye(4)[:, :1])),
         (1.0, GrassmannPoint(np.eye(4)[:, 1:2])),
     )
-    rec = check_c1(TrainingSet(points=pts, reference_index=0))
+    rec = check_c1(TrainingSet(points=pts), 0)
     assert not rec.ok
     assert rec.failing_indices == (1,)
 
@@ -74,7 +74,7 @@ def test_c1_nested_family_all_modes_ok():
     fam = gen_nested_family(spec)
     for p in (1, 2, 5):
         pts = tuple((s.param, compute_pod(s, p).basis) for s in fam.snapshots)
-        rec = check_c1(TrainingSet(points=pts, reference_index=0))
+        rec = check_c1(TrainingSet(points=pts), 0)
         assert rec.ok
 
 

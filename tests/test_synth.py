@@ -138,8 +138,8 @@ def test_crossing_low_rate_sweep_all_ok():
                       params=(-0.5, 0.0, 0.5))
     fam = gen_crossing_family(spec)
     pts = tuple((s.param, compute_pod(s, 1).basis) for s in fam.snapshots)
-    ts = TrainingSet(points=pts, reference_index=1)
-    assert all(c2_sweep(ts, -0.5, 0.5, 51).c2_ok)
+    ts = TrainingSet(points=pts)
+    assert all(c2_sweep(ts, -0.5, 0.5, 51, 1).c2_ok)
 
 
 def test_crossing_theta_zero_at_reference():
@@ -147,8 +147,8 @@ def test_crossing_theta_zero_at_reference():
                       params=(-0.5, 0.0, 0.5))
     fam = gen_crossing_family(spec)
     pts = tuple((s.param, compute_pod(s, 1).basis) for s in fam.snapshots)
-    ts = TrainingSet(points=pts, reference_index=1)
-    sweep = c2_sweep(ts, -0.5, 0.5, 5)
+    ts = TrainingSet(points=pts)
+    sweep = c2_sweep(ts, -0.5, 0.5, 5, 1)
     assert sweep.grid[2] == 0.0
     assert sweep.thetas[2] == pytest.approx(0.0, abs=1e-10)
 
