@@ -15,7 +15,7 @@ from .fileio import fmt
 from .grassmann import geometric_distance, riemannian_distance
 from .interpolation import TrainingSet, c2_sweep, interpolate
 from .metrics import error_series
-from .snapshots import compute_pod, factor_pod, truncate_pod
+from .snapshots import truncate_pod
 from .stability import (
     DEFAULT_C3_THRESHOLD,
     EXIT_ERROR,
@@ -35,10 +35,10 @@ def _say(args, message):
 
 
 def _training_sets(args, modes):
-    """(mode, TrainingSet) for each mode in order. Each snapshot is read and
-    factored once at max(modes), keeping only its POD factor, sorted by
-    parameter; every mode is then a truncation."""
-    factors = sorted((factor_pod(fileio.read_snapshot(p), max(modes)) for p in args.inputs),
+    """(mode, TrainingSet) for each mode in order. Each snapshot's POD factor
+    is loaded once at max(modes) and sorted by parameter; every mode is then
+    a truncation."""
+    factors = sorted((fileio.read_pod_factor(p, max(modes)) for p in args.inputs),
                      key=lambda f: f.param)
     for p in modes:
         points = tuple((f.param, truncate_pod(f, p).basis) for f in factors)
@@ -101,8 +101,8 @@ def cmd_synth(args):
 def cmd_pod(args):
     summary = {"schema": "gpm/1", "mode": args.mode, "inputs": []}
     for path in args.inputs:
-        snap = fileio.read_snapshot(path)
-        pod = compute_pod(snap, args.mode)
+        factor = fileio.read_pod_factor(path, args.mode)
+        pod = truncate_pod(factor, args.mode)
         stem = Path(path).stem
         fileio.write_frame_bin(args.out / f"basis_{stem}.gpf", pod.basis)
         _report(args, f"spectrum_{stem}.csv", fileio.write_csv, "# gpm-spectrum",
@@ -110,9 +110,9 @@ def cmd_pod(args):
         summary["inputs"].append(
             {
                 "file": str(path),
-                "param": snap.param,
-                "n": snap.n,
-                "n_t": snap.n_t,
+                "param": factor.param,
+                "n": factor.shape[0],
+                "n_t": factor.shape[1],
                 "uniqueness": pod.uniqueness_flag,
                 "sigma_1": float(pod.singular_values[0]),
             }

@@ -9,22 +9,42 @@ CSV matrix with one mode per row. All text output uses the shortest
 round-trip decimal form of each 64-bit float, so re-reading a file
 reproduces the in-memory values exactly; the binary format remains the
 source of truth.
+
+POD factor cache ("GPC1"), kept as `.gpmor_cache/<file name>.pod` beside a
+snapshot file: magic, u32-LE key length, the key, i64-LE n, n_t, the
+max_mode it was built with (clamped to [0, min(n, n_t)]) and the number of
+vectors kept, f64-LE lambda, u32-LE CRC-32 of the payload, then the payload:
+min(n, n_t) f64-LE singular values and the n x kept f64-LE vectors
+column-major. The key is the snapshot file's u64-LE byte count, its CRC-32
+and Adler-32 (u32-LE each), then the numpy version and BLAS build as text,
+since another build may factor the same bytes differently in the last bit.
+The key does not name the CPU; a cache moved to a machine whose BLAS picks
+other kernels should be deleted.
 """
 
+import contextlib
 import json
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, ParameterError
 from .grassmann import GrassmannPoint
-from .snapshots import SnapshotMatrix
+from .snapshots import PodFactor, SnapshotMatrix, factor_pod, kept_modes
 from .stability import DistanceTable
 
 SNAPSHOT_MAGIC = b"GPM1"
 FRAME_MAGIC = b"GPF1"
+POD_CACHE_MAGIC = b"GPC1"
+POD_CACHE_DIR = ".gpmor_cache"
+_POD_CACHE_HEADER = struct.Struct("<qqqqdI")
+_KEY_CHUNK = 1 << 20
+_BLAS = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+_BUILD = " ".join([f"numpy {np.__version__};",
+                   *(str(_BLAS.get(k)) for k in ("name", "version", "openblas configuration"))])
 
 
 def fmt(x):
@@ -180,6 +200,97 @@ def read_snapshot(path):
 
 def read_frame(path):
     return _read_either(path, FRAME_MAGIC, read_frame_bin, read_frame_csv)
+
+
+# -- POD factor cache ----------------------------------------------------------
+
+
+def _pod_cache_prefix(path):
+    """The bytes a valid cache entry for snapshot file `path` starts with: the
+    magic and the key, the file streamed in _KEY_CHUNK pieces."""
+    size, crc, adler = 0, 0, 1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_KEY_CHUNK):
+            size += len(chunk)
+            crc = zlib.crc32(chunk, crc)
+            adler = zlib.adler32(chunk, adler)
+    key = struct.pack("<QII", size, crc, adler) + _BUILD.encode()
+    return POD_CACHE_MAGIC + struct.pack("<I", len(key)) + key
+
+
+def _load_pod_cache(cache, prefix, max_mode):
+    """The factor_pod result at max_mode from cache file `cache`, or None when
+    the file is missing, does not start with `prefix`, is malformed or keeps
+    fewer vectors than max_mode needs."""
+    try:
+        with open(cache, "rb") as fh:
+            if fh.read(len(prefix)) != prefix:
+                return None
+            head = fh.read(_POD_CACHE_HEADER.size)
+            if len(head) < _POD_CACHE_HEADER.size:
+                return None
+            n, n_t, built, kept, lam, crc = _POD_CACHE_HEADER.unpack(head)
+            q = min(n, n_t)
+            payload = os.fstat(fh.fileno()).st_size - fh.tell()
+            if n < 1 or n_t < 1 or not 0 <= kept <= q or payload != 8 * (q + n * kept):
+                return None
+            sv = np.fromfile(fh, dtype="<f8", count=q)
+            vectors = np.fromfile(fh, dtype="<f8", count=n * kept)
+    except OSError:
+        return None
+    if zlib.crc32(vectors, zlib.crc32(sv)) != crc or kept != kept_modes(sv, (n, n_t), built):
+        return None
+    keep = kept_modes(sv, (n, n_t), max_mode)
+    if keep > kept:
+        return None
+    vectors = vectors.reshape((n, kept), order="F")[:, :keep]
+    order = np.asfortranarray if n > n_t else np.ascontiguousarray
+    return PodFactor(vectors=order(vectors), singular_values=sv, shape=(n, n_t), param=lam)
+
+
+def _store_pod_cache(cache, prefix, factor, max_mode):
+    """Write `factor`, built at max_mode, as cache file `cache` through a
+    temporary file and os.replace, so a reader sees the old file or the new."""
+    n, n_t = factor.shape
+    sv = np.asarray(factor.singular_values, dtype="<f8").tobytes()
+    vectors = np.asarray(factor.vectors, dtype="<f8").tobytes(order="F")
+    built = min(max(int(max_mode), 0), min(n, n_t))
+    kept = factor.vectors.shape[1]
+    crc = zlib.crc32(vectors, zlib.crc32(sv))
+    head = _POD_CACHE_HEADER.pack(n, n_t, built, kept, factor.param, crc)
+    cache.parent.mkdir(exist_ok=True)
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for part in (prefix, head, sv, vectors):
+                fh.write(part)
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
+def read_pod_factor(path, max_mode):
+    """factor_pod(read_snapshot(path), max_mode), bit for bit.
+
+    The factor comes from the cache file beside the snapshot when its key
+    matches the file's bytes and it keeps the vectors max_mode needs (column
+    j does not depend on max_mode); a hit streams the snapshot for its key
+    and parses nothing. Otherwise the snapshot is read and factored, and the
+    cache rewritten unless the file changed meanwhile; a cache that cannot be
+    written is skipped silently.
+    """
+    path = Path(path)
+    cache = path.parent / POD_CACHE_DIR / f"{path.name}.pod"
+    prefix = _pod_cache_prefix(path)
+    factor = _load_pod_cache(cache, prefix, max_mode)
+    if factor is None:
+        factor = factor_pod(read_snapshot(path), max_mode)
+        with contextlib.suppress(OSError):
+            if _pod_cache_prefix(path) == prefix:
+                _store_pod_cache(cache, prefix, factor, max_mode)
+    return factor
 
 
 # -- JSON --------------------------------------------------------------------

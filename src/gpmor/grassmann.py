@@ -32,6 +32,14 @@ HORIZONTAL_TOL = 1e-10
 # 3e-16 / (sigma_min / sigma_max) (measured on random pairs near the cut
 # locus), so every overlap this admits keeps |Z^T Y| a decade below
 # HORIZONTAL_TOL; at 1e-6 one pair in 28000 already crossed it.
+# A ratio cannot see an overlap that is all rounding: when every principal
+# angle is pi/2 all singular values are ~1e-17 and pass it. Each entry of the
+# p x p overlap of two orthonormal n x p frames is an inner product of unit
+# vectors, computed to within gamma_n ~ n u (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2002, eq. 3.5; u = eps / 2), so the overlap is
+# known to p n u in the 2-norm. C1 therefore also asks that sigma_min carry
+# that rounding to the same relative OVERLAP_SINGULAR_TOL: sigma_min >=
+# p n u / OVERLAP_SINGULAR_TOL, 1.1e-7 for n = 1000, p = 10.
 OVERLAP_SINGULAR_TOL = 1e-5
 # Strict C2 margin: theta_1 >= pi/2 - C2_MARGIN is reported unstable so the
 # verdict cannot flap on the exact boundary.
@@ -77,10 +85,13 @@ def _frozen_float(a):
     return a
 
 
-def overlap_invertible(sv):
-    """C1 predicate on the singular values (descending) of an overlap Y^T Y':
-    the smallest is at least OVERLAP_SINGULAR_TOL times the largest."""
-    return bool(sv[0] > 0.0 and sv[-1] >= OVERLAP_SINGULAR_TOL * sv[0])
+def overlap_invertible(sv, n):
+    """C1 predicate on the singular values (descending) of the p x p overlap
+    Y^T Y' of two orthonormal n x p frames: the smallest is at least
+    OVERLAP_SINGULAR_TOL times the largest and clears the overlap's rounding
+    floor p n u / OVERLAP_SINGULAR_TOL."""
+    floor = sv.size * n * np.finfo(float).eps / 2.0 / OVERLAP_SINGULAR_TOL
+    return bool(sv[-1] >= max(OVERLAP_SINGULAR_TOL * sv[0], floor))
 
 
 def below_cut_locus(angle):
@@ -214,7 +225,7 @@ def log_lift(base, target):
     of Y' (Y^T Y')^{-1} - Y, arctan on its singular values), else None."""
     overlap = base.frame.T @ target.frame
     sv = np.linalg.svd(overlap, compute_uv=False)
-    if not overlap_invertible(sv):
+    if not overlap_invertible(sv, base.n):
         return sv, None
     mat = np.linalg.solve(overlap.T, target.frame.T).T - base.frame
     u, s, vt = _signed_thin_svd(mat)

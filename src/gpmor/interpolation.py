@@ -102,9 +102,11 @@ def interpolate(ts, target, reference_index=None):
     a TangentVector, so a target past the cut locus gets the C2 verdict
     however far outside the hull it lies, not the horizontality check's
     error on the weights' rounding. A target that passes C2 with weights so
-    large that their rounding would break the frame is a ParameterError.
+    large that their rounding would break the frame is a ParameterError; so
+    is a non-finite target, or one whose weights overflow, before any step.
     """
     target = float(target)
+    weights = lagrange_weights(ts.params, target)
     ref = reference_index
     if ref is None:
         ref = int(np.argmin([abs(lam - target) for lam in ts.params]))
@@ -112,7 +114,6 @@ def interpolate(ts, target, reference_index=None):
     c1, lifts = tangent_step(ts, ref)
     if lifts is None:
         return InterpolationResult(target, ref, c1, extrapolated=extrapolated)
-    weights = lagrange_weights(ts.params, target)
     combined = np.zeros_like(lifts[0])
     for w, z in zip(weights, lifts):
         combined += w * z

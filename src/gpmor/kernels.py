@@ -33,7 +33,8 @@ def lagrange_matrix(node_params, targets):
             for j, lj in enumerate(node_params):
                 if i != j:
                     w[:, i] *= (targets - lj) / (li - lj)
-    bad = targets[~np.isfinite(w).all(axis=1)]
+    # a lone node's weight is the constant 1, finite even at a non-finite target
+    bad = targets[~(np.isfinite(w).all(axis=1) & np.isfinite(targets))]
     if bad.size:
         raise ParameterError(f"Lagrange weights at target {bad[0]} are not finite")
     return w

@@ -86,6 +86,12 @@ def _numerical_rank(sv, shape):
     return int(np.sum(sv > max(shape) * np.finfo(float).eps * sv[0]))
 
 
+def kept_modes(sv, shape, max_mode):
+    """Number of left singular vectors factor_pod keeps at max_mode for a
+    matrix of `shape` with spectrum sv: min(max_mode, numerical rank), >= 0."""
+    return min(max(int(max_mode), 0), _numerical_rank(sv, shape))
+
+
 def factor_pod(s, max_mode):
     """POD factor of s keeping min(max_mode, rank) left singular vectors.
 
@@ -95,7 +101,8 @@ def factor_pod(s, max_mode):
     vectors v_j, and each kept vector is u_j = S v_j / sigma_j, one
     matrix-vector product, re-orthonormalised against u_1..u_{j-1} by two
     passes of classical Gram-Schmidt. Either way column j is bitwise the same
-    for every max_mode >= j. Signs follow fix_svd_signs. Vectors beyond the
+    for every max_mode >= j, and the vectors are F-ordered for a tall s and
+    C-ordered otherwise. Signs follow fix_svd_signs. Vectors beyond the
     numerical rank are not formed: their sigma_j is noise.
     """
     data = s.data
@@ -103,7 +110,7 @@ def factor_pod(s, max_mode):
     tall = n > n_t
     u, sv, vt = np.linalg.svd(np.linalg.qr(data, mode="r") if tall else data,
                               full_matrices=False)
-    keep = min(max(int(max_mode), 0), _numerical_rank(sv, data.shape))
+    keep = kept_modes(sv, data.shape, max_mode)
     if tall:
         u = np.empty((n, keep), order="F")
         for j in range(keep):

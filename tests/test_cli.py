@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -37,11 +38,12 @@ def synth_family(out, kind="rotation", n=8, nt=12, modes=2, rate=0.1,
     return sorted(str(p) for p in out.glob("snapshot_*.gpm"))
 
 
-def _exit_code_in_fresh_process(expr):
+def _exit_code_in_fresh_process(expr, banned=("scipy", "_hashlib")):
     """Exit code of a fresh interpreter that imports gpmor.cli, evaluates expr
-    (0 on success) and exits 1 if that loaded scipy."""
+    (0 on success) and exits 1 if that loaded a banned module: scipy, or
+    _hashlib (OpenSSL, about 3.5 MB of RSS)."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = f"import sys, gpmor.cli; sys.exit(({expr}) or ('scipy' in sys.modules))"
+    code = f"import sys, gpmor.cli; sys.exit(({expr}) or any(m in sys.modules for m in {banned!r}))"
     return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
 
 
@@ -73,7 +75,12 @@ def test_subcommand_does_not_load_scipy(tmp_path, call):
     for name, path in (("a", files[0]), ("b", files[1])):
         fileio.write_frame_bin(fam / f"{name}.gpf", compute_pod(read_snapshot(path), 3).basis)
     argv = ["--out", tmp_path / "out", "--quiet", *_scipy_free_argv(call, fam, files)]
-    assert _exit_code_in_fresh_process(f"gpmor.cli.main({list(map(str, argv))!r})") == 0
+    # twice: the first call fills the factor cache, the second is served from
+    # it. synth draws with numpy.random, whose SeedSequence imports secrets
+    # and so hashlib; every other subcommand keeps OpenSSL out.
+    main = f"gpmor.cli.main({list(map(str, argv))!r})"
+    banned = ("scipy",) if call.startswith("synth-") else ("scipy", "_hashlib")
+    assert _exit_code_in_fresh_process(f"{main} or {main}", banned) == 0
 
 
 # -- synth --------------------------------------------------------------------
@@ -257,6 +264,25 @@ def test_sweep_c1_failure_exit_10_like_interpolate(tmp_path):
     assert read_json(interp / "interpolation_report.json")["c1"] == report["c1"]
 
 
+def _quarter_turn_family(out, params, modes):
+    """Rotation family turning every mode by pi/2 per unit parameter."""
+    with pytest.warns(RuntimeWarning, match="injectivity boundary"):
+        return synth_family(out, n=12, nt=20, modes=modes, rate=np.pi / 2, noise=0,
+                            params=params)
+
+
+def test_all_orthogonal_overlap_fails_c1(tmp_path):
+    # every principal angle between nodes 0 and 1 is pi/2: the overlap's
+    # singular values are rounding (~1e-17), equal, so their ratio alone passes
+    files = _quarter_turn_family(tmp_path / "fam", "0,1,2", modes=2)
+    out = tmp_path / "interp"
+    assert run("--out", out, "--quiet", "interpolate", *files, "--mode", 2,
+               "--target", 0.5, "--reference-index", 0) == 10
+    c1 = read_json(out / "interpolation_report.json")["c1"]
+    assert c1["failing_indices"] == [1] and c1["min_singular_values"][1] < 1e-15
+    assert not (out / "interpolated.gpf").exists()
+
+
 # -- check-c3 -----------------------------------------------------------------
 
 
@@ -373,6 +399,135 @@ def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
             assert calls.count(("qr", (n, nt))) == len(files)
             assert calls.count(("svd", (nt, nt))) == len(files)
             assert ("svd", (n, nt)) not in calls
+
+
+# -- factor cache -------------------------------------------------------------
+
+
+def _cache_family(tmp_path):
+    fam = tmp_path / "fam"
+    assert run("--out", fam, "--quiet", "--seed", 7, "synth", "--kind", "nested", "--n", 40,
+               "--nt", 12, "--modes", 5, "--rate", 0.05, "--params", "0,1,2,3",
+               "--format", "both") == 0
+    return fam
+
+
+def _cached_calls(fam, out):
+    """Exit codes and output bytes of pod, interpolate and check-c3 on fam's
+    binary snapshots."""
+    files = sorted(str(p) for p in fam.glob("snapshot_*.gpm"))
+    codes = [run("--out", out / argv[0], "--quiet", *argv) for argv in (
+        ["pod", *files, "--mode", 3],
+        ["interpolate", *files, "--mode", 3, "--target", 1.5],
+        ["check-c3", *files, "--modes", "1,2,3", "--target", 1.5],
+    )]
+    return codes, {str(p.relative_to(out)): p.read_bytes()
+                   for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("suffix", ["gpm", "csv"])
+def test_factor_cache_factors_each_file_once(tmp_path, monkeypatch, suffix):
+    # a cold call factors and parses each file once; a warm call at the same
+    # or a lower mode does neither; a higher mode factors each file once more
+    # and rewrites its cache entry
+    factored, parsed = [], []
+
+    def counting(log, key, orig):
+        def wrapper(a, *args):
+            log.append(key(a))
+            return orig(a, *args)
+        return wrapper
+
+    monkeypatch.setattr(fileio, "factor_pod",
+                        counting(factored, lambda s: s.param, fileio.factor_pod))
+    for name in ("read_snapshot_bin", "read_snapshot_csv"):
+        monkeypatch.setattr(fileio, name, counting(parsed, str, getattr(fileio, name)))
+    fam = _cache_family(tmp_path)
+    files = sorted(str(p) for p in fam.glob(f"snapshot_*.{suffix}"))
+    cache = fam / ".gpmor_cache"
+    for i, (argv, cold) in enumerate((
+        (["check-c3", *files, "--modes", "1,2,3", "--target", 1.5], True),
+        (["interpolate", *files, "--mode", 3, "--target", 1.5], False),
+        (["pod", *files, "--mode", 2], False),
+        (["sweep-c2", *files, "--mode", 1, "--lo", 0, "--hi", 3, "--samples", 5,
+          "--reference-index", 1], False),
+        (["pod", *files, "--mode", 4], True),
+        (["check-c3", *files, "--modes", "4,2", "--target", 1.5], False),
+    )):
+        before = {p.name: p.read_bytes() for p in cache.glob("*")}
+        factored.clear()
+        parsed.clear()
+        assert run("--out", tmp_path / f"out{i}", "--quiet", *argv) == 0
+        after = {p.name: p.read_bytes() for p in cache.glob("*")}
+        assert sorted(after) == [f"{Path(f).name}.pod" for f in files]
+        assert sorted(factored) == ([0.0, 1.0, 2.0, 3.0] if cold else [])
+        assert sorted(parsed) == (files if cold else [])
+        assert all(after[k] != before.get(k) for k in after) if cold else after == before
+
+
+def _rewrite_in_place(fam):
+    # the same size, another spectrum: a stale factor would show in the reports
+    path = fam / "snapshot_001.gpm"
+    size = path.stat().st_size
+    write_snapshot_bin(path, SnapshotMatrix(data=2.0 * read_snapshot(path).data, param=1.0))
+    assert path.stat().st_size == size
+
+
+def _corrupt_caches(change):
+    def corrupt(fam):
+        for p in (fam / ".gpmor_cache").glob("*.gpm.pod"):
+            p.write_bytes(change(p.read_bytes()))
+    return corrupt
+
+
+@pytest.mark.parametrize("damage", [
+    _rewrite_in_place,
+    _corrupt_caches(lambda b: b[: len(b) // 2]),
+    _corrupt_caches(lambda b: b[:-1]),
+    _corrupt_caches(lambda b: bytes(len(b))),
+    _corrupt_caches(lambda b: b"GPM1" + b[4:]),
+    _corrupt_caches(lambda b: b[:-1] + bytes([b[-1] ^ 1])),
+    _corrupt_caches(lambda b: b + b"\0"),
+], ids=["snapshot-rewritten", "truncated", "short", "garbage", "wrong-magic", "payload-bit",
+        "trailing-byte"])
+def test_stale_or_damaged_cache_gives_the_cold_result(tmp_path, damage):
+    fam = _cache_family(tmp_path)
+    first = _cached_calls(fam, tmp_path / "first")
+    damage(fam)
+    got = _cached_calls(fam, tmp_path / "got")
+    shutil.rmtree(fam / ".gpmor_cache")
+    assert got == _cached_calls(fam, tmp_path / "cold")
+    assert (got == first) == (damage is not _rewrite_in_place)
+
+
+def test_failed_cache_write_is_skipped(tmp_path, monkeypatch):
+    # tests run as root, so a read-only directory is simulated by the write failing
+    fam = _cache_family(tmp_path)
+    cold = _cached_calls(fam, tmp_path / "cold")
+    shutil.rmtree(fam / ".gpmor_cache")
+
+    def refuse(*args):
+        raise PermissionError("read-only file system")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for i in range(2):
+        assert _cached_calls(fam, tmp_path / f"refused{i}") == cold
+    assert list((fam / ".gpmor_cache").iterdir()) == []
+
+
+@pytest.mark.parametrize("damage", ["non-finite", "short-payload"])
+def test_invalid_snapshot_exits_2_and_is_not_cached(tmp_path, damage):
+    files = synth_family(tmp_path / "fam", n=40, nt=12, modes=3, params="0,1,2")
+    bad = Path(files[1])
+    raw = bad.read_bytes()
+    if damage == "non-finite":
+        bad.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    else:
+        bad.write_bytes(raw[:-8])
+    for i in range(2):
+        assert run("--out", tmp_path / f"out{i}", "--quiet", "interpolate", *files,
+                   "--mode", 3, "--target", 1.5) == 2
+        assert not (bad.parent / ".gpmor_cache" / f"{bad.name}.pod").exists()
 
 
 def test_one_overlap_factorisation_per_node_and_mode(tmp_path, monkeypatch):
@@ -546,6 +701,23 @@ def test_non_finite_weights_exit_2(tmp_path, capsys, call, value, message):
     capsys.readouterr()
     assert run("--out", out, "--quiet", *_target_argv(call, files, value)) == 2
     assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", ["interpolate", "check-c3"])
+@pytest.mark.parametrize("nodes", ["one-node", "c1-failing"])
+def test_non_finite_target_exit_2(tmp_path, capsys, nodes, call, value):
+    # a lone node's Lagrange weight is 1 whatever the target, and a C1 failure
+    # ends before any weight: neither may let a non-finite target through
+    if nodes == "one-node":
+        files = synth_family(tmp_path / "fam", n=12, nt=20, modes=3, params="0")
+    else:
+        files = _quarter_turn_family(tmp_path / "fam", "0,1,2", modes=3)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("--out", out, "--quiet", *_target_argv(call, files, value, ref=0)) == 2
+    assert f"target {float(value)} are not finite" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

@@ -12,6 +12,7 @@ from gpmor.fileio import (
     read_frame_csv,
     read_distance_table,
     read_json,
+    read_pod_factor,
     read_snapshot,
     read_snapshot_bin,
     read_snapshot_csv,
@@ -22,6 +23,7 @@ from gpmor.fileio import (
     write_snapshot_bin,
     write_snapshot_csv,
 )
+from gpmor.snapshots import factor_pod
 
 
 def test_fmt_round_trip():
@@ -211,3 +213,22 @@ def test_distance_table_rejects_malformed(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DataError):
         read_distance_table(path)
+
+
+@pytest.mark.parametrize("write", [write_snapshot_bin, write_snapshot_csv])
+@pytest.mark.parametrize("shape, rank", [((40, 12), 12), ((12, 40), 12), ((40, 12), 3)])
+def test_read_pod_factor_is_factor_pod_bit_for_bit(tmp_path, write, shape, rank):
+    # cold, then served at the same and at lower modes, refactored at a
+    # higher one: values, dtype and memory order all match a fresh factor_pod
+    rng = np.random.default_rng(1)
+    data = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    path = tmp_path / "s.snap"
+    write(path, SnapshotMatrix(data=data, param=0.3))
+    for mode in (5, 5, 2, 0, 8, 3, 100, 11):
+        got, want = read_pod_factor(path, mode), factor_pod(read_snapshot(path), mode)
+        assert got.shape == want.shape and got.param == want.param
+        for a, b in ((got.vectors, want.vectors), (got.singular_values, want.singular_values)):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            assert a.flags.c_contiguous == b.flags.c_contiguous
+            assert a.flags.f_contiguous == b.flags.f_contiguous
+    assert [p.name for p in (tmp_path / ".gpmor_cache").iterdir()] == ["s.snap.pod"]
