@@ -13,13 +13,14 @@ source of truth.
 POD factor cache ("GPC1"), kept as `.gpmor_cache/<file name>.pod` beside a
 snapshot file: magic, u32-LE key length, the key, i64-LE n, n_t, the
 max_mode it was built with (clamped to [0, min(n, n_t)]) and the number of
-vectors kept, f64-LE lambda, u32-LE CRC-32 of the payload, then the payload:
-min(n, n_t) f64-LE singular values and the n x kept f64-LE vectors
-column-major. The key is the snapshot file's u64-LE byte count, its CRC-32
-and Adler-32 (u32-LE each), then the numpy version and BLAS build as text,
-since another build may factor the same bytes differently in the last bit.
-The key does not name the CPU; a cache moved to a machine whose BLAS picks
-other kernels should be deleted.
+vectors kept, f64-LE lambda, u32-LE CRC-32 of those five fields and the
+payload, then the payload: min(n, n_t) f64-LE singular values and the
+n x kept f64-LE vectors column-major. The key is the snapshot file's u64-LE
+byte count, its CRC-32 and Adler-32 (u32-LE each), then as text
+snapshots.POD_FACTOR_VERSION, the numpy version and the BLAS build, since
+other factoring code or another build may give the same bytes another last
+bit. The key does not name the CPU; a cache moved to a machine whose BLAS
+picks other kernels should be deleted.
 """
 
 import contextlib
@@ -33,15 +34,16 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .grassmann import GrassmannPoint
-from .snapshots import PodFactor, SnapshotMatrix, factor_pod, kept_modes
+from .snapshots import POD_FACTOR_VERSION, PodFactor, SnapshotMatrix, factor_pod, kept_modes
 from .stability import DistanceTable
 
 SNAPSHOT_MAGIC = b"GPM1"
 FRAME_MAGIC = b"GPF1"
 POD_CACHE_MAGIC = b"GPC1"
 POD_CACHE_DIR = ".gpmor_cache"
-_POD_CACHE_HEADER = struct.Struct("<qqqqdI")
-_KEY_CHUNK = 1 << 20
+_POD_CACHE_FIELDS = struct.Struct("<qqqqd")
+# small enough that both checksums of a chunk read it from the CPU cache
+_KEY_CHUNK = 1 << 18
 _BLAS = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
 _BUILD = " ".join([f"numpy {np.__version__};",
                    *(str(_BLAS.get(k)) for k in ("name", "version", "openblas configuration"))])
@@ -205,17 +207,25 @@ def read_frame(path):
 # -- POD factor cache ----------------------------------------------------------
 
 
+def _file_state(st):
+    """The stat fields a write to or a replacement of a file changes."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 def _pod_cache_prefix(path):
-    """The bytes a valid cache entry for snapshot file `path` starts with: the
-    magic and the key, the file streamed in _KEY_CHUNK pieces."""
+    """The bytes a valid cache entry for snapshot file `path` starts with (the
+    magic and the key, the file streamed in _KEY_CHUNK pieces), and the
+    file's _file_state when the stream began."""
     size, crc, adler = 0, 0, 1
     with open(path, "rb") as fh:
+        state = _file_state(os.fstat(fh.fileno()))
         while chunk := fh.read(_KEY_CHUNK):
             size += len(chunk)
             crc = zlib.crc32(chunk, crc)
             adler = zlib.adler32(chunk, adler)
-    key = struct.pack("<QII", size, crc, adler) + _BUILD.encode()
-    return POD_CACHE_MAGIC + struct.pack("<I", len(key)) + key
+    key = (struct.pack("<QII", size, crc, adler)
+           + f"gpmor factor {POD_FACTOR_VERSION}; {_BUILD}".encode())
+    return POD_CACHE_MAGIC + struct.pack("<I", len(key)) + key, state
 
 
 def _load_pod_cache(cache, prefix, max_mode):
@@ -226,10 +236,11 @@ def _load_pod_cache(cache, prefix, max_mode):
         with open(cache, "rb") as fh:
             if fh.read(len(prefix)) != prefix:
                 return None
-            head = fh.read(_POD_CACHE_HEADER.size)
-            if len(head) < _POD_CACHE_HEADER.size:
+            head = fh.read(_POD_CACHE_FIELDS.size + 4)
+            if len(head) < _POD_CACHE_FIELDS.size + 4:
                 return None
-            n, n_t, built, kept, lam, crc = _POD_CACHE_HEADER.unpack(head)
+            fields, (crc,) = head[:-4], struct.unpack("<I", head[-4:])
+            n, n_t, built, kept, lam = _POD_CACHE_FIELDS.unpack(fields)
             q = min(n, n_t)
             payload = os.fstat(fh.fileno()).st_size - fh.tell()
             if n < 1 or n_t < 1 or not 0 <= kept <= q or payload != 8 * (q + n * kept):
@@ -238,7 +249,8 @@ def _load_pod_cache(cache, prefix, max_mode):
             vectors = np.fromfile(fh, dtype="<f8", count=n * kept)
     except OSError:
         return None
-    if zlib.crc32(vectors, zlib.crc32(sv)) != crc or kept != kept_modes(sv, (n, n_t), built):
+    if (zlib.crc32(vectors, zlib.crc32(sv, zlib.crc32(fields))) != crc
+            or kept != kept_modes(sv, (n, n_t), built)):
         return None
     keep = kept_modes(sv, (n, n_t), max_mode)
     if keep > kept:
@@ -256,13 +268,13 @@ def _store_pod_cache(cache, prefix, factor, max_mode):
     vectors = np.asarray(factor.vectors, dtype="<f8").tobytes(order="F")
     built = min(max(int(max_mode), 0), min(n, n_t))
     kept = factor.vectors.shape[1]
-    crc = zlib.crc32(vectors, zlib.crc32(sv))
-    head = _POD_CACHE_HEADER.pack(n, n_t, built, kept, factor.param, crc)
+    fields = _POD_CACHE_FIELDS.pack(n, n_t, built, kept, factor.param)
+    crc = struct.pack("<I", zlib.crc32(vectors, zlib.crc32(sv, zlib.crc32(fields))))
     cache.parent.mkdir(exist_ok=True)
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            for part in (prefix, head, sv, vectors):
+            for part in (prefix, fields, crc, sv, vectors):
                 fh.write(part)
         os.replace(tmp, cache)
     except OSError:
@@ -278,17 +290,18 @@ def read_pod_factor(path, max_mode):
     matches the file's bytes and it keeps the vectors max_mode needs (column
     j does not depend on max_mode); a hit streams the snapshot for its key
     and parses nothing. Otherwise the snapshot is read and factored, and the
-    cache rewritten unless the file changed meanwhile; a cache that cannot be
-    written is skipped silently.
+    cache rewritten under the key already streamed, unless the file's stat
+    fields show a write or a replacement since the stream began; a cache that
+    cannot be written is skipped silently.
     """
     path = Path(path)
     cache = path.parent / POD_CACHE_DIR / f"{path.name}.pod"
-    prefix = _pod_cache_prefix(path)
+    prefix, state = _pod_cache_prefix(path)
     factor = _load_pod_cache(cache, prefix, max_mode)
     if factor is None:
         factor = factor_pod(read_snapshot(path), max_mode)
         with contextlib.suppress(OSError):
-            if _pod_cache_prefix(path) == prefix:
+            if _file_state(os.stat(path)) == state:
                 _store_pod_cache(cache, prefix, factor, max_mode)
     return factor
 

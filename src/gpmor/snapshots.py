@@ -92,6 +92,13 @@ def kept_modes(sv, shape, max_mode):
     return min(max(int(max_mode), 0), _numerical_rank(sv, shape))
 
 
+# Version of the bits factor_pod returns. fileio's factor cache keys on it, so
+# any change that can move a bit of a factor (its QR or SVD, the Gram-Schmidt
+# passes, fix_svd_signs, _numerical_rank or kept_modes) must bump it, or old
+# cache entries keep being served.
+POD_FACTOR_VERSION = 1
+
+
 def factor_pod(s, max_mode):
     """POD factor of s keeping min(max_mode, rank) left singular vectors.
 

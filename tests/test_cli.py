@@ -480,6 +480,13 @@ def _corrupt_caches(change):
     return corrupt
 
 
+def _flip_lambda(b):
+    # the lowest byte of lambda, the fifth 8-byte field after the magic, the
+    # key length and the key: the entry would serve a node at another parameter
+    at = 8 + int.from_bytes(b[4:8], "little") + 32
+    return b[:at] + bytes([b[at] ^ 1]) + b[at + 1:]
+
+
 @pytest.mark.parametrize("damage", [
     _rewrite_in_place,
     _corrupt_caches(lambda b: b[: len(b) // 2]),
@@ -488,8 +495,9 @@ def _corrupt_caches(change):
     _corrupt_caches(lambda b: b"GPM1" + b[4:]),
     _corrupt_caches(lambda b: b[:-1] + bytes([b[-1] ^ 1])),
     _corrupt_caches(lambda b: b + b"\0"),
+    _corrupt_caches(_flip_lambda),
 ], ids=["snapshot-rewritten", "truncated", "short", "garbage", "wrong-magic", "payload-bit",
-        "trailing-byte"])
+        "trailing-byte", "lambda-bit"])
 def test_stale_or_damaged_cache_gives_the_cold_result(tmp_path, damage):
     fam = _cache_family(tmp_path)
     first = _cached_calls(fam, tmp_path / "first")
@@ -498,6 +506,23 @@ def test_stale_or_damaged_cache_gives_the_cold_result(tmp_path, damage):
     shutil.rmtree(fam / ".gpmor_cache")
     assert got == _cached_calls(fam, tmp_path / "cold")
     assert (got == first) == (damage is not _rewrite_in_place)
+
+
+def test_entry_of_another_factor_version_misses(tmp_path, monkeypatch):
+    # a change to the bits factor_pod returns bumps POD_FACTOR_VERSION, which
+    # the key names, so entries written by the older code are not served
+    fam = _cache_family(tmp_path)
+    files = sorted(str(p) for p in fam.glob("snapshot_*.gpm"))
+    monkeypatch.setattr(fileio, "POD_FACTOR_VERSION", fileio.POD_FACTOR_VERSION + 1)
+    assert run("--out", tmp_path / "other", "--quiet", "pod", *files, "--mode", 3) == 0
+    monkeypatch.undo()
+    factored = []
+    factor_pod = fileio.factor_pod
+    monkeypatch.setattr(fileio, "factor_pod", lambda s, m: factored.append(s.param) or factor_pod(s, m))
+    for i in range(2):
+        factored.clear()
+        assert run("--out", tmp_path / f"out{i}", "--quiet", "pod", *files, "--mode", 3) == 0
+        assert sorted(factored) == ([0.0, 1.0, 2.0, 3.0] if i == 0 else [])
 
 
 def test_failed_cache_write_is_skipped(tmp_path, monkeypatch):
