@@ -95,8 +95,13 @@ def overlap_invertible(sv, n):
 
 
 def below_cut_locus(angle):
-    """C2 predicate: `angle` stays below pi/2 by more than C2_MARGIN."""
-    return bool(angle < np.pi / 2.0 - C2_MARGIN)
+    """C2 predicate: `angle` stays below pi/2 by more than C2_MARGIN.
+
+    A scalar gives a bool; an array gives a boolean array of the same shape,
+    one verdict per element. A nan angle fails.
+    """
+    verdict = np.less(angle, np.pi / 2.0 - C2_MARGIN)
+    return verdict if verdict.ndim else bool(verdict)
 
 
 def _signed_thin_svd(mat):

@@ -9,6 +9,7 @@ interpolate's reference defaults to the node nearest the target.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -148,15 +149,20 @@ class C2Sweep:
     thetas: np.ndarray
     c1: C1Record
 
+    @cached_property
+    def _passed(self):
+        # the whole grid's C2 verdicts, evaluated once for every reader
+        return below_cut_locus(self.thetas)
+
     @property
     def c2_ok(self):
-        """Per-sample C2 verdicts; False wherever theta is nan."""
-        return [below_cut_locus(th) for th in self.thetas]
+        """Per-sample C2 verdicts as Python bools; False wherever theta is nan."""
+        return self._passed.tolist()
 
     def unstable_intervals(self):
         """[first, last] grid value of each maximal run of C2-failing samples; none if C1 failed."""
         # padded with passing samples, the flips alternate: run start, one past its end
-        bad = np.r_[False, np.logical_not(self.c2_ok) & self.c1.ok, False]
+        bad = np.r_[False, ~self._passed & self.c1.ok, False]
         runs = np.flatnonzero(bad[1:] != bad[:-1]).reshape(-1, 2)
         return [[self.grid[a].item(), self.grid[b - 1].item()] for a, b in runs]
 

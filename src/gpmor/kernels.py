@@ -5,16 +5,44 @@ the Lagrange-combined lift Z(lam) = sum_i w_i(lam) Z_i. Stacking the lifts as
 S = [Z_1 ... Z_N] (n x Np) gives Z(lam) = S (w(lam) kron I_p), and with the
 reduced QR factorisation S = QR the orthonormal Q drops out of the singular
 values: sigma(Z(lam)) = sigma(R (w(lam) kron I_p)). One QR of S costs
-O(n (Np)^2); every grid point is then a k x p problem with k = min(n, Np),
-whatever n is.
+O(n (Np)^2); every grid point is then a k x p matrix C = R (w(lam) kron I_p)
+with k = min(n, Np), whatever n is.
+
+theta_1 is read from the p x p Gram matrix of each C: theta_1 =
+sqrt(lambda_max(C^T C)), from a batched symmetric eigensolver in place of a
+batched SVD. Forming C costs O(k N p) per sample, C^T C O(k p^2) and its
+eigenvalues O(p^3), so the theta_1 step is O(M (k p^2 + p^3)) for M grid
+samples. The samples go through in blocks of at most _BLOCK_BYTES of
+combined C, so the sweep's temporaries stay bounded whatever M is.
+
+Accuracy: the combination C carries the Lagrange weights' rounding,
+Lambda u ||R|| with Lambda = sum_i |w_i|, as the SVD route did. Its Gram
+matrix adds an error of order k p u sigma_max^2 (from |C|^T |C|), and the
+eigensolver one of order p u ||C^T C||: both are relative to sigma_max^2,
+so the largest singular value loses nothing beyond O(u) sigma_max through
+the normal equations (only the small ones would). The Gram matrix is formed
+from the combined C on purpose. Precomputing the Gram blocks R_i^T R_j once
+and summing sum_ij w_i w_j R_i^T R_j per sample would be cheaper, but its
+rounding is u Lambda^2 ||R||^2 where the exact sum is sigma_max^2. Where the
+weights cancel (lifts smooth in lam, far outside the nodes) and Lambda is
+past about 1e6, that swamps theta_1.
+Squaring also halves the exponent range: each sample's weights are first
+divided by an exact power of two, so that C^T C neither overflows at a far
+extrapolation nor underflows for tiny lifts, where the SVD needed no care.
 """
 
 import numpy as np
 
 from .errors import ParameterError
 
-# Bytes of combined k x p blocks held at once; bounds the sweep's temporaries.
-_BLOCK_BYTES = 16 << 20
+# Bytes of combined k x p matrices held at once. A block's C, its p x p Gram
+# matrices (no larger when p <= k, as for every training set's lifts) and its
+# eigenvalues are the grid loop's only temporaries, so they peak at about
+# 2 * _BLOCK_BYTES whatever the grid size; beside them the kernel holds the
+# M x N weights and the M results. At N = 9, n = 2000, p = 8 the kernel's time
+# is flat from 128 KB to 16 MB blocks and rises below that, as per-block call
+# overhead starts to count; 1 MB sits well inside the flat part.
+_BLOCK_BYTES = 1 << 20
 
 
 def lagrange_matrix(node_params, targets):
@@ -46,7 +74,8 @@ def active_backend():
 
 
 def theta_curve(lifts, node_params, grid):
-    """Largest singular value of the interpolated lift at each grid parameter.
+    """Largest singular value of the interpolated lift at each grid parameter,
+    from the Gram matrix of its QR-compressed form (see the module docstring).
 
     lifts: (N, n, p) stacked horizontal lifts at the training nodes.
     node_params: (N,) pairwise distinct training parameters.
@@ -60,9 +89,20 @@ def theta_curve(lifts, node_params, grid):
     # row i of blocks is R_i, the k x p slice of R that multiplies w_i, flattened
     blocks = r.reshape(k, n_nodes, p).transpose(1, 0, 2).reshape(n_nodes, k * p)
     weights = lagrange_matrix(node_params, grid)
+    # C's entries are at most N max|w_i| max|R|. Dividing each sample's weights
+    # by a power of two near that bound is exact and keeps C^T C clear of
+    # overflow (far extrapolation) and underflow (tiny lifts); theta_1 is
+    # scaled back by the same power.
+    _, scale = np.frexp(np.abs(weights).max(axis=1))
+    scale += np.frexp(np.abs(r).max())[1]
+    weights = np.ldexp(weights, -scale[:, np.newaxis])
     rows = max(1, _BLOCK_BYTES // (k * p * 8))
     out = np.empty(weights.shape[0])
     for start in range(0, weights.shape[0], rows):
-        combined = (weights[start : start + rows] @ blocks).reshape(-1, k, p)
-        out[start : start + rows] = np.linalg.svd(combined, compute_uv=False)[:, 0]
+        block = slice(start, start + rows)
+        combined = (weights[block] @ blocks).reshape(-1, k, p)
+        gram = np.matmul(combined.transpose(0, 2, 1), combined)
+        # rounding can leave a zero lift's eigenvalue a hair below zero
+        top = np.linalg.eigvalsh(gram)[:, -1]
+        out[block] = np.ldexp(np.sqrt(np.maximum(top, 0.0)), scale[block])
     return out

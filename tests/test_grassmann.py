@@ -20,7 +20,7 @@ from gpmor import (
 )
 from oracles import line_angle, random_grassmann_point, random_tangent
 
-from gpmor.grassmann import deterministic_qr
+from gpmor.grassmann import C2_MARGIN, below_cut_locus, deterministic_qr
 
 
 def e(n, *cols):
@@ -317,6 +317,15 @@ def test_injectivity_large_angle():
     base = GrassmannPoint(np.eye(4)[:, :1])
     v = TangentVector(base=base, lift=np.array([[0.0], [1.6], [0.0], [0.0]]))
     assert not in_injectivity_domain(v).cut_locus_ok
+
+
+def test_cut_locus_predicate_is_elementwise():
+    angles = np.array([[0.0, np.pi / 2 - 2 * C2_MARGIN], [np.pi / 2 - C2_MARGIN, np.nan]])
+    verdicts = below_cut_locus(angles)
+    assert verdicts.shape == angles.shape
+    assert verdicts.tolist() == [[True, True], [False, False]]
+    assert verdicts.tolist() == [[below_cut_locus(float(a)) for a in row] for row in angles]
+    assert type(below_cut_locus(0.0)) is bool
 
 
 def test_radius_implies_cut_locus():

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpmor import kernels
 from gpmor.interpolation import lagrange_weights
@@ -94,3 +96,70 @@ def test_peak_allocation_independent_of_grid_times_n():
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
+
+
+def test_grid_loop_peak_does_not_grow_with_the_block():
+    # the whole grid's combined 20 x 4 matrices would be 50001 * 640 B = 32 MB;
+    # beside the 2 MB of weights, the loop holds one block of them at a time
+    rng = np.random.default_rng(8)
+    lifts, params, _ = make_case(rng, n_nodes=5, n=50, p=4)
+    grid = np.linspace(-1.0, 11.0, 50001)
+    tracemalloc.start()
+    try:
+        kernels.theta_curve(lifts, params, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("lift_scale, targets", [
+    (1.0, [-1e19, -1e25, 1e30]),  # weights up to 1e242: C^T C would overflow
+    (1e-170, [0.3, 4.0, 12.0]),  # tiny lifts: C^T C would underflow to 0
+    (1e150, [0.3, 4.0, 12.0]),
+])
+def test_extreme_magnitudes_keep_relative_accuracy(lift_scale, targets):
+    rng = np.random.default_rng(9)
+    lifts, params, _ = make_case(rng, n_nodes=9, n=50, p=3)
+    lifts *= lift_scale
+    got = kernels.theta_curve(lifts, params, np.array(targets))
+    want = reference_thetas(lifts, params, targets)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Lifts of N nodes with n above or below Np, random or affine in the
+    parameter (so that far out the weights cancel), a grid that may reach far
+    enough out for a Lebesgue constant past 1e6, and maybe a zero lift whose
+    node is on the grid."""
+    n_nodes = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 10))
+    wide = draw(st.booleans())
+    n = draw(st.integers(1, n_nodes * p)) if wide else draw(st.integers(n_nodes * p + 1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = np.sort(rng.choice(np.arange(0.0, 10.0, 0.25), size=n_nodes, replace=False))
+    if draw(st.booleans()):
+        lifts = rng.standard_normal((n_nodes, n, p))
+    else:
+        a, b = rng.standard_normal((2, n, p))
+        lifts = a + params[:, None, None] * b
+    lifts *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    reach = draw(st.sampled_from([0.0, 5.0, 60.0]))
+    grid = np.linspace(-reach, 10.0 + reach, draw(st.integers(1, 25)))
+    zero = draw(st.none() | st.integers(0, n_nodes - 1))
+    if zero is not None:
+        lifts[zero] = 0.0
+        grid = np.append(grid, params[zero])
+    return lifts, params, grid, zero
+
+
+@given(kernel_cases())
+@example((np.random.default_rng(5).standard_normal((8, 50, 3)), np.arange(8.0),
+          np.linspace(-60.0, 70.0, 9), None))  # Lebesgue constant past 1e6
+@settings(max_examples=150)
+def test_theta_curve_matches_direct_evaluation(case):
+    lifts, params, grid, zero = case
+    assert_matches_reference(lifts, params, grid)
+    if zero is not None:
+        assert kernels.theta_curve(lifts, params, params[zero : zero + 1])[0] == 0.0
