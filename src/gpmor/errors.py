@@ -23,11 +23,6 @@ class LogMapDomainError(GpmError):
     The overlap matrix between base and target frames is singular at tolerance.
     """
 
-    def __init__(self, message, min_singular_value=None, max_singular_value=None):
-        super().__init__(message)
-        self.min_singular_value = min_singular_value
-        self.max_singular_value = max_singular_value
-
 
 class TangentDomainError(GpmError):
     """A claimed tangent vector is not horizontal at its base point."""

@@ -57,11 +57,13 @@ def fmt(x):
 # -- binary ------------------------------------------------------------------
 
 
-def write_snapshot_bin(path, snap):
+def _write_bin(path, magic, header, fields, data):
+    """The container _read_bin reads: the magic, `fields` packed by `header`,
+    then `data` as column-major f64."""
     with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<QQd", snap.n, snap.n_t, snap.param))
-        fh.write(np.asarray(snap.data, dtype="<f8").tobytes(order="F"))
+        fh.write(magic)
+        fh.write(struct.pack(header, *fields))
+        fh.write(np.asarray(data, dtype="<f8").tobytes(order="F"))
 
 
 def _read_bin(path, magic, header):
@@ -86,16 +88,17 @@ def _read_bin(path, magic, header):
     return fields, data.reshape((rows, cols), order="F")
 
 
+def write_snapshot_bin(path, snap):
+    _write_bin(path, SNAPSHOT_MAGIC, "<QQd", (snap.n, snap.n_t, snap.param), snap.data)
+
+
 def read_snapshot_bin(path):
     (_, _, lam), data = _read_bin(path, SNAPSHOT_MAGIC, "<QQd")
     return SnapshotMatrix(data=data, param=lam)
 
 
 def write_frame_bin(path, point):
-    with open(path, "wb") as fh:
-        fh.write(FRAME_MAGIC)
-        fh.write(struct.pack("<QQ", point.n, point.p))
-        fh.write(np.asarray(point.frame, dtype="<f8").tobytes(order="F"))
+    _write_bin(path, FRAME_MAGIC, "<QQ", (point.n, point.p), point.frame)
 
 
 def read_frame_bin(path):

@@ -154,7 +154,7 @@ class TangentVector:
     horizontal_tol: float = HORIZONTAL_TOL
 
     def __post_init__(self):
-        lift = np.array(self.lift, dtype=float)
+        lift = _frozen_float(self.lift)
         if lift.shape != self.base.frame.shape:
             raise ParameterError(
                 f"lift shape {lift.shape} does not match base frame shape {self.base.frame.shape}"
@@ -166,7 +166,6 @@ class TangentVector:
             raise TangentDomainError(
                 f"lift is not horizontal at base (max |Z^T Y| = {horiz:.3e})"
             )
-        lift.setflags(write=False)
         object.__setattr__(self, "lift", lift)
 
     @property
@@ -178,18 +177,6 @@ class TangentVector:
     def norm(self):
         """Riemannian norm, sqrt of the sum of squared singular values."""
         return float(np.linalg.norm(self.lift, "fro"))
-
-
-@dataclass(frozen=True)
-class PrincipalAngles:
-    """Jordan principal angles between two subspaces, non-increasing in [0, pi/2]."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        angles = np.array(self.angles, dtype=float)
-        angles.setflags(write=False)
-        object.__setattr__(self, "angles", angles)
 
 
 def _require_same_ambient(a, b):
@@ -251,9 +238,7 @@ def log_map(base, target):
     if lift is None:
         raise LogMapDomainError(
             "target lies outside the log-map domain: overlap matrix is singular "
-            f"(min/max singular values {sv[-1]:.3e}/{sv[0]:.3e})",
-            min_singular_value=float(sv[-1]),
-            max_singular_value=float(sv[0]),
+            f"(min/max singular values {sv[-1]:.3e}/{sv[0]:.3e})"
         )
     return TangentVector(base=base, lift=lift)
 
@@ -261,8 +246,9 @@ def log_map(base, target):
 def principal_angles(a, b):
     """Jordan principal angles between the subspaces spanned by a and b.
 
-    The subspace dimensions may differ; min(p, p') angles are returned in
-    non-increasing order. Cosines are clamped to [0, 1] before arccos.
+    The subspace dimensions may differ. Returns the min(p, p') angles as a
+    read-only float64 array, non-increasing, each in [0, pi/2]. Cosines are
+    clamped to [0, 1] before arccos.
 
     Angles below pi/4 are recovered from the sine form (singular values of
     the residual after projecting one frame onto the other): arccos alone
@@ -278,7 +264,7 @@ def principal_angles(a, b):
     # ascending angles: sines ascending align with cosines descending
     small = sines * sines <= 0.5
     ascending = np.where(small, np.arcsin(sines), np.arccos(cosines))
-    return PrincipalAngles(ascending[::-1])
+    return _frozen_float(ascending[::-1])
 
 
 def riemannian_distance(a, b):
@@ -289,7 +275,7 @@ def riemannian_distance(a, b):
             f"riemannian_distance needs equal subspace dimensions ({a.p} != {b.p}); "
             "use geometric_distance for unequal dimensions"
         )
-    return float(np.linalg.norm(principal_angles(a, b).angles))
+    return float(np.linalg.norm(principal_angles(a, b)))
 
 
 # Angles below this are treated as exact inclusion when comparing subspaces of
@@ -304,7 +290,7 @@ def geometric_distance(a, b):
     smaller subspace is contained in the larger one (angles below
     INCLUSION_ANGLE_TOL count as zero).
     """
-    angles = principal_angles(a, b).angles.copy()
+    angles = principal_angles(a, b).copy()
     angles[angles < INCLUSION_ANGLE_TOL] = 0.0
     return float(np.linalg.norm(angles))
 

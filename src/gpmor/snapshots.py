@@ -59,9 +59,7 @@ class PodResult:
     uniqueness_flag: bool
 
     def __post_init__(self):
-        sv = np.array(self.singular_values, dtype=float)
-        sv.setflags(write=False)
-        object.__setattr__(self, "singular_values", sv)
+        object.__setattr__(self, "singular_values", _frozen_float(self.singular_values))
 
 
 def singular_spectrum(s):

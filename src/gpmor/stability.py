@@ -11,13 +11,13 @@ C3: the non-inclusion defect across POD mode counts stays bounded
 """
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError
-from .grassmann import TangentVector, below_cut_locus, geometric_distance, log_lift
+from .grassmann import TangentVector, _frozen_float, below_cut_locus, geometric_distance, log_lift
 
 DEFAULT_C3_THRESHOLD = 100.0
 
@@ -44,11 +44,7 @@ class C1Record:
     min_singular_values: tuple
 
     def to_dict(self):
-        return {
-            "ok": self.ok,
-            "failing_indices": list(self.failing_indices),
-            "min_singular_values": list(self.min_singular_values),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,7 @@ class C2Record:
     theta_max: float
 
     def to_dict(self):
-        return {"ok": self.ok, "theta_max": self.theta_max}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,7 @@ class DistanceTable:
     def __post_init__(self):
         try:
             modes = tuple(map(operator.index, self.modes))
-            values = np.array(self.values, dtype=float)
+            values = _frozen_float(self.values)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"C3 table: {exc}") from None
         m = len(modes)
@@ -84,7 +80,6 @@ class DistanceTable:
             raise ParameterError("C3 table entries must be finite and non-negative")
         if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
             raise ParameterError("C3 table must be symmetric with a zero diagonal")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "modes", modes)
 

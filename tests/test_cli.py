@@ -487,6 +487,11 @@ def _flip_lambda(b):
     return b[:at] + bytes([b[at] ^ 1]) + b[at + 1:]
 
 
+def _cut_in_header(b):
+    # end the entry inside its five header fields, after the magic and the key
+    return b[:8 + int.from_bytes(b[4:8], "little") + 20]
+
+
 @pytest.mark.parametrize("damage", [
     _rewrite_in_place,
     _corrupt_caches(lambda b: b[: len(b) // 2]),
@@ -496,8 +501,9 @@ def _flip_lambda(b):
     _corrupt_caches(lambda b: b[:-1] + bytes([b[-1] ^ 1])),
     _corrupt_caches(lambda b: b + b"\0"),
     _corrupt_caches(_flip_lambda),
+    _corrupt_caches(_cut_in_header),
 ], ids=["snapshot-rewritten", "truncated", "short", "garbage", "wrong-magic", "payload-bit",
-        "trailing-byte", "lambda-bit"])
+        "trailing-byte", "lambda-bit", "cut-in-header"])
 def test_stale_or_damaged_cache_gives_the_cold_result(tmp_path, damage):
     fam = _cache_family(tmp_path)
     first = _cached_calls(fam, tmp_path / "first")
@@ -651,6 +657,29 @@ def test_check_c3_c2_failure_writes_report(tmp_path):
     assert report["c1"]["ok"] is True
     assert report["c2"]["ok"] is False and report["c2"]["theta_max"] >= np.pi / 2 - 1e-12
     assert "c3" not in report
+
+
+def test_check_c3_c1_failure_at_a_later_mode_exit_10(tmp_path, capsys):
+    # every node leads with e_0, e_1 (C1 holds at mode 2); the third
+    # directions e_2, e_3, e_4 are pairwise orthogonal, so mode 3 fails C1
+    n, nt = 8, 6
+    profiles = np.linalg.qr(np.random.default_rng(5).standard_normal((nt, 3)))[0]
+    files = []
+    for lam, extra in ((0.0, 2), (1.0, 3), (2.0, 4)):
+        frame = np.eye(n)[:, [0, 1, extra]]
+        path = tmp_path / f"snap_{extra}.gpm"
+        write_snapshot_bin(path, SnapshotMatrix(data=frame @ np.diag([10.0, 5.0, 2.5]) @ profiles.T,
+                                                param=lam))
+        files.append(path)
+    out = tmp_path / "c3"
+    assert run("--out", out, "check-c3", *files, "--modes", "2,3", "--target", 0.5,
+               "--reference-index", 0) == 10
+    assert "C1 failure at mode p=3" in capsys.readouterr().out
+    report = read_json(out / "c3_report.json")
+    assert report["meta"]["mode"] == 3
+    assert report["c1"]["ok"] is False and report["c1"]["failing_indices"] == [1, 2]
+    assert "c3" not in report
+    assert not (out / "c3_table.csv").exists()
 
 
 def test_far_outside_hull_exit_11(tmp_path):
@@ -894,6 +923,7 @@ def test_config_file_defaults(tmp_path):
     {"modes": "1,2", "target": 0.5, "threshold": None},
     {"modes": "1,2", "target": 0.5, "report": "xml"},
     {"modes": "1,2", "target": 0.5, "quiet": "yes"},
+    [1, 2],
 ])
 def test_config_bad_value_exit_2(tmp_path, config):
     src = synth_family(tmp_path / "src", kind="nested", n=10, nt=20, modes=2)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,29 @@ def test_tangent_rejects_non_horizontal():
     base = e(3, 0)
     with pytest.raises(TangentDomainError):
         TangentVector(base=base, lift=np.array([[1.0], [0.0], [0.0]]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GrassmannPoint(np.ones(3)), "frame must be a 2-D matrix, got ndim=1"),
+    (lambda: GrassmannPoint(np.eye(3)[:2]), "invalid frame shape 2x3 (need 1 <= p <= n)"),
+    (lambda: GrassmannPoint(np.zeros((3, 0))), "invalid frame shape 3x0 (need 1 <= p <= n)"),
+    (lambda: GrassmannPoint(np.array([[np.nan], [0.0]])), "frame contains non-finite entries"),
+    (lambda: TangentVector(base=e(3, 0), lift=np.zeros((3, 2))),
+     "lift shape (3, 2) does not match base frame shape (3, 1)"),
+    (lambda: TangentVector(base=e(3, 0), lift=np.array([[0.0], [np.inf], [0.0]])),
+     "lift contains non-finite entries"),
+    (lambda: principal_angles(e(3, 0), e(4, 0)), "ambient dimensions differ: 3 != 4"),
+    (lambda: geodesic(e(4, 0), TangentVector(base=e(4, 1), lift=np.zeros((4, 1))), 1.0),
+     "tangent vector is not based at the given point"),
+    (lambda: log_map(e(4, 0), e(4, 0, 1)), "mode mismatch: p=1 vs p'=2"),
+    (lambda: diameter(0, 3), "need 1 <= p <= n, got p=0, n=3"),
+    (lambda: diameter(4, 3), "need 1 <= p <= n, got p=4, n=3"),
+], ids=["point-1d", "point-wide", "point-no-columns", "point-non-finite", "lift-shape",
+        "lift-non-finite", "ambient-mismatch", "base-mismatch", "mode-mismatch",
+        "diameter-p-zero", "diameter-p-above-n"])
+def test_invalid_arguments_raise_parameter_error(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
 
 
 # -- exp map -----------------------------------------------------------------
@@ -182,17 +207,24 @@ def test_geodesic_unit_speed_multimode():
 def test_angles_identity():
     rng = np.random.default_rng(9)
     a = random_grassmann_point(rng, 6, 2)
-    assert np.allclose(principal_angles(a, a).angles, 0.0, atol=1e-12)
+    assert np.allclose(principal_angles(a, a), 0.0, atol=1e-12)
 
 
 def test_angles_orthogonal_lines():
-    assert principal_angles(e(3, 0), e(3, 1)).angles[0] == pytest.approx(np.pi / 2, abs=1e-14)
+    assert principal_angles(e(3, 0), e(3, 1))[0] == pytest.approx(np.pi / 2, abs=1e-14)
 
 
 def test_angles_inclusion():
-    angles = principal_angles(e(3, 0), e(3, 0, 1)).angles
+    angles = principal_angles(e(3, 0), e(3, 0, 1))
     assert angles.shape == (1,)
     assert angles[0] == pytest.approx(0.0, abs=1e-14)
+
+
+def test_angles_are_read_only():
+    angles = principal_angles(e(4, 0, 1), e(4, 1, 2))
+    assert angles.dtype == np.float64 and not angles.flags.writeable
+    with pytest.raises(ValueError):
+        angles[0] = 0.0
 
 
 def test_angles_non_increasing_in_range():
@@ -200,7 +232,7 @@ def test_angles_non_increasing_in_range():
     for _ in range(50):
         a = random_grassmann_point(rng, 9, 3)
         b = random_grassmann_point(rng, 9, 3)
-        ang = principal_angles(a, b).angles
+        ang = principal_angles(a, b)
         assert np.all(np.diff(ang) <= 1e-15)
         assert np.all(ang >= 0.0) and np.all(ang <= np.pi / 2 + 1e-15)
 

@@ -79,6 +79,11 @@ def test_training_set_rejects_duplicate_params():
         TrainingSet(points=((0.0, pt), (0.0, pt)))
 
 
+def test_training_set_rejects_empty():
+    with pytest.raises(ParameterError, match="training set is empty"):
+        TrainingSet(points=())
+
+
 def test_training_set_rejects_mixed_modes():
     rng = np.random.default_rng(2)
     with pytest.raises(ParameterError):
@@ -327,7 +332,7 @@ def test_far_extrapolation_within_c2_gives_frame_matching_sweep():
         assert res.ok and res.reference_index == 7
         assert res.c2.theta_max == pytest.approx(0.01 * (snap.param - 7.0), rel=1e-6)
         # the held-out snapshot's own subspace, which the family turns exactly
-        assert principal_angles(res.frame, compute_pod(snap, 3).basis).angles[0] < 1e-7
+        assert principal_angles(res.frame, compute_pod(snap, 3).basis)[0] < 1e-7
     res = interpolate(TrainingSet(points=pts), 20.0)
     assert res.c2.theta_max == pytest.approx(sweep.thetas[0], rel=1e-9)
 

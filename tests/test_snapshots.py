@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -148,6 +149,18 @@ def test_p_out_of_range():
 def test_non_finite_rejected():
     with pytest.raises(DataError):
         SnapshotMatrix(data=np.array([[1.0, np.nan]]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SnapshotMatrix(data=np.ones(3)), "snapshot data must be 2-D, got ndim=1"),
+    (lambda: SnapshotMatrix(data=np.ones((0, 3))),
+     "snapshot data must be non-empty, got shape (0, 3)"),
+    (lambda: reduced_model(SnapshotMatrix(data=np.ones((4, 3))), GrassmannPoint(np.eye(5)[:, :1])),
+     "basis has 5 rows but snapshot matrix has 4"),
+], ids=["snapshot-1d", "snapshot-empty", "basis-rows"])
+def test_bad_shapes_raise_parameter_error(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
 
 
 def test_degenerate_rank_error():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,29 @@ def test_spec_rejects_negative_or_non_finite_noise_and_rate(field, value):
         FamilySpec(**dict(kwargs, **{field: value}))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("mode_count", 0, "mode_count must be positive"),
+    ("n_t", 1, "n_t must be at least mode_count"),
+    ("params", (), "family needs at least one parameter value"),
+])
+def test_spec_rejects_bad_counts_and_empty_params(field, value, message):
+    kwargs = dict(n=8, n_t=10, mode_count=2, kind="rotation", rate=0.1, seed=0, params=(0.0,))
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        FamilySpec(**dict(kwargs, **{field: value}))
+
+
+@pytest.mark.parametrize("gen, kind, rate, message", [
+    (gen_rotation_family, "nested", 0.1, "expected a rotation/crossing spec, got kind='nested'"),
+    (gen_crossing_family, "rotation", 0.1, "expected kind='crossing', got 'rotation'"),
+    (gen_crossing_family, "crossing", 0.0, "crossing family needs a positive rate"),
+    (gen_nested_family, "rotation", 0.1, "expected kind='nested', got 'rotation'"),
+], ids=["rotation-kind", "crossing-kind", "crossing-rate", "nested-kind"])
+def test_generator_rejects_other_kind_or_zero_rate(gen, kind, rate, message):
+    spec = FamilySpec(n=8, n_t=10, mode_count=2, kind=kind, rate=rate, seed=0, params=(0.0,))
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        gen(spec)
+
+
 def test_determinism_bitwise():
     spec = FamilySpec(n=8, n_t=12, mode_count=2, kind="rotation", rate=0.1, seed=5,
                       params=(0.0, 1.0))
@@ -78,7 +102,7 @@ def test_rotation_p2_known_angles():
     fam = gen_rotation_family(spec)
     a = compute_pod(fam.snapshots[0], 2).basis
     b = compute_pod(fam.snapshots[1], 2).basis
-    assert np.allclose(principal_angles(a, b).angles, [0.1, 0.1], atol=1e-6)
+    assert np.allclose(principal_angles(a, b), [0.1, 0.1], atol=1e-6)
 
 
 def test_rotation_warns_on_crossing_rate():
