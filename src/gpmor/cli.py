@@ -26,7 +26,7 @@ from .stability import (
     check_c3,
     grassmann_dimension,
 )
-from .synth import DEFAULT_NOISE, FamilySpec, generate
+from .synth import DEFAULT_NOISE, FamilySpec, stream
 
 
 def _say(args, message):
@@ -69,6 +69,18 @@ def _parse_list(text, kind, option):
 # -- subcommand handlers -----------------------------------------------------
 
 
+def _write_snapshot(args, i, snap):
+    """Write snapshot i in the --format formats; the names of the files."""
+    names = []
+    if args.format in ("bin", "both"):
+        names.append(f"snapshot_{i:03d}.gpm")
+        fileio.write_snapshot_bin(args.out / names[-1], snap)
+    if args.format in ("csv", "both"):
+        names.append(f"snapshot_{i:03d}.csv")
+        fileio.write_snapshot_csv(args.out / names[-1], snap)
+    return names
+
+
 def cmd_synth(args):
     spec = FamilySpec(
         n=args.n,
@@ -80,18 +92,11 @@ def cmd_synth(args):
         params=tuple(_parse_list(args.params, float, "--params")),
         noise=args.noise,
     )
-    family = generate(spec)
+    manifest, snapshots = stream(spec)
     files = []
-    for i, snap in enumerate(family.snapshots):
-        if args.format in ("bin", "both"):
-            path = args.out / f"snapshot_{i:03d}.gpm"
-            fileio.write_snapshot_bin(path, snap)
-            files.append(path.name)
-        if args.format in ("csv", "both"):
-            path = args.out / f"snapshot_{i:03d}.csv"
-            fileio.write_snapshot_csv(path, snap)
-            files.append(path.name)
-    manifest = dict(family.manifest)
+    for i in range(len(spec.params)):
+        # each snapshot is written and dropped before the next is built
+        files += _write_snapshot(args, i, next(snapshots))
     manifest["files"] = files
     fileio.write_json(args.out / "manifest.json", manifest)
     _say(args, f"wrote {len(files)} snapshot file(s) and manifest.json to {args.out}")

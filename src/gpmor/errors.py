@@ -34,7 +34,3 @@ class CutTimeUndefinedError(GpmError):
 
 class DivisionDomainError(GpmError):
     """A relative error norm hit a (near-)zero reference denominator."""
-
-    def __init__(self, message, column=None):
-        super().__init__(message)
-        self.column = column

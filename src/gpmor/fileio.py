@@ -34,7 +34,16 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .grassmann import GrassmannPoint
-from .snapshots import POD_FACTOR_VERSION, PodFactor, SnapshotMatrix, factor_pod, kept_modes
+from .snapshots import (
+    POD_FACTOR_VERSION,
+    PodFactor,
+    SnapshotMatrix,
+    factor_pod,
+    factor_rows,
+    kept_modes,
+    per_block,
+    row_blocks,
+)
 from .stability import DistanceTable
 
 SNAPSHOT_MAGIC = b"GPM1"
@@ -59,30 +68,43 @@ def fmt(x):
 
 def _write_bin(path, magic, header, fields, data):
     """The container _read_bin reads: the magic, `fields` packed by `header`,
-    then `data` as column-major f64."""
+    then `data` as column-major f64, written in column blocks of at most
+    snapshots.STREAM_BYTES, so a C-ordered matrix is never copied whole."""
+    data = np.asarray(data, dtype="<f8")
+    cols = per_block(data.shape[0])
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack(header, *fields))
-        fh.write(np.asarray(data, dtype="<f8").tobytes(order="F"))
+        for start in range(0, data.shape[1], cols):
+            # the transpose of an F-ordered block is C-contiguous, in file order
+            fh.write(np.asfortranarray(data[:, start:start + cols]).T)
+
+
+def _bin_header(fh, path, magic, header):
+    """Header fields after the magic of the binary container open as fh,
+    whose payload must hold the product of the first two fields in f64
+    values; fh is left at the payload."""
+    size = 4 + struct.calcsize(header)
+    head = fh.read(size)
+    if head[:4] != magic:
+        raise DataError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+    if len(head) < size:
+        raise DataError(f"{path}: short header: {len(head)} bytes, expected {size}")
+    fields = struct.unpack_from(header, head, 4)
+    payload = os.fstat(fh.fileno()).st_size - len(head)
+    expected = fields[0] * fields[1] * 8
+    if payload != expected:
+        raise DataError(f"{path}: payload holds {payload} bytes, expected {expected}")
+    return fields
 
 
 def _read_bin(path, magic, header):
     """Header fields after the magic and the column-major f64 payload, shaped
     by the first two fields. The payload is read once into a fresh, aligned
     array and frozen, so the types that take it keep it without a copy."""
-    size = 4 + struct.calcsize(header)
     with open(path, "rb") as fh:
-        head = fh.read(size)
-        if head[:4] != magic:
-            raise DataError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
-        if len(head) < size:
-            raise DataError(f"{path}: short header: {len(head)} bytes, expected {size}")
-        fields = struct.unpack_from(header, head, 4)
+        fields = _bin_header(fh, path, magic, header)
         rows, cols = fields[:2]
-        payload = os.fstat(fh.fileno()).st_size - len(head)
-        expected = rows * cols * 8
-        if payload != expected:
-            raise DataError(f"{path}: payload holds {payload} bytes, expected {expected}")
         data = np.fromfile(fh, dtype="<f8", count=rows * cols)
     data.setflags(write=False)
     return fields, data.reshape((rows, cols), order="F")
@@ -252,23 +274,29 @@ def _load_pod_cache(cache, prefix, max_mode):
             vectors = np.fromfile(fh, dtype="<f8", count=n * kept)
     except OSError:
         return None
+    # frozen here, so PodFactor keeps them instead of copying them
+    sv.setflags(write=False)
+    vectors.setflags(write=False)
     if (zlib.crc32(vectors, zlib.crc32(sv, zlib.crc32(fields))) != crc
             or kept != kept_modes(sv, (n, n_t), built)):
         return None
     keep = kept_modes(sv, (n, n_t), max_mode)
     if keep > kept:
         return None
-    vectors = vectors.reshape((n, kept), order="F")[:, :keep]
     order = np.asfortranarray if n > n_t else np.ascontiguousarray
-    return PodFactor(vectors=order(vectors), singular_values=sv, shape=(n, n_t), param=lam)
+    vectors = order(vectors.reshape((n, kept), order="F")[:, :keep])
+    vectors.setflags(write=False)
+    return PodFactor(vectors=vectors, singular_values=sv, shape=(n, n_t), param=lam)
 
 
 def _store_pod_cache(cache, prefix, factor, max_mode):
     """Write `factor`, built at max_mode, as cache file `cache` through a
     temporary file and os.replace, so a reader sees the old file or the new."""
     n, n_t = factor.shape
-    sv = np.asarray(factor.singular_values, dtype="<f8").tobytes()
-    vectors = np.asarray(factor.vectors, dtype="<f8").tobytes(order="F")
+    sv = np.asarray(factor.singular_values, dtype="<f8")
+    # the transpose of the F-ordered vectors is C-contiguous, in file order:
+    # a tall factor's vectors are written and checksummed without a copy
+    vectors = np.asfortranarray(factor.vectors, dtype="<f8").T
     built = min(max(int(max_mode), 0), min(n, n_t))
     kept = factor.vectors.shape[1]
     fields = _POD_CACHE_FIELDS.pack(n, n_t, built, kept, factor.param)
@@ -286,23 +314,50 @@ def _store_pod_cache(cache, prefix, factor, max_mode):
         raise
 
 
+def _factor_snapshot(path, max_mode):
+    """factor_pod(read_snapshot(path), max_mode), bit for bit. A tall binary
+    snapshot is not read whole: factor_rows takes it in row blocks, each
+    filled by positioned reads of its column segments and checked for
+    non-finite entries, in two passes over the file."""
+    with open(path, "rb", buffering=0) as fh:
+        if fh.read(4) == SNAPSHOT_MAGIC:
+            fh.seek(0)
+            n, n_t, lam = _bin_header(fh, path, SNAPSHOT_MAGIC, "<QQd")
+            if n > n_t > 0:
+                payload = fh.tell()
+
+                def fill(view, start):
+                    for j in range(n_t):
+                        fh.seek(payload + 8 * (j * n + start))
+                        if fh.readinto(view[:, j]) != view[:, j].nbytes:
+                            raise DataError(f"{path}: payload shrank while it was read")
+                    if not np.isfinite(view).all():
+                        raise DataError("snapshot data contains non-finite entries")
+
+                return factor_rows(lambda: row_blocks(n, n_t, fill), (n, n_t), lam, max_mode)
+    return factor_pod(read_snapshot(path), max_mode)
+
+
 def read_pod_factor(path, max_mode):
     """factor_pod(read_snapshot(path), max_mode), bit for bit.
 
     The factor comes from the cache file beside the snapshot when its key
     matches the file's bytes and it keeps the vectors max_mode needs (column
     j does not depend on max_mode); a hit streams the snapshot for its key
-    and parses nothing. Otherwise the snapshot is read and factored, and the
-    cache rewritten under the key already streamed, unless the file's stat
-    fields show a write or a replacement since the stream began; a cache that
-    cannot be written is skipped silently.
+    and parses nothing. Otherwise the snapshot is factored (a tall binary one
+    in row blocks, see _factor_snapshot), and the cache rewritten under the
+    key already streamed, unless the file's stat fields show a write or a
+    replacement since the stream began; a cache that cannot be written is
+    skipped silently. The key is a checksum of the file in file order, which
+    a row block of a column-major file is not, so a miss reads the file once
+    for the key and again for the factor.
     """
     path = Path(path)
     cache = path.parent / POD_CACHE_DIR / f"{path.name}.pod"
     prefix, state = _pod_cache_prefix(path)
     factor = _load_pod_cache(cache, prefix, max_mode)
     if factor is None:
-        factor = factor_pod(read_snapshot(path), max_mode)
+        factor = _factor_snapshot(path, max_mode)
         with contextlib.suppress(OSError):
             if _file_state(os.stat(path)) == state:
                 _store_pod_cache(cache, prefix, factor, max_mode)

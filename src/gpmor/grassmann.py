@@ -68,12 +68,14 @@ def deterministic_qr(mat):
 
 
 def _frozen_float(a):
-    """`a` as a read-only float64 array. An aligned, read-only float64 array
-    over which no writeable array lies (a binary read's payload) is kept as
-    is; anything else is copied once and the copy frozen, so a caller's
-    writeable array is never frozen or shared. An unaligned view is copied
-    too: BLAS calls on one run several times slower."""
-    keep = isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.aligned
+    """`a` as a read-only float64 array. An aligned, contiguous, read-only
+    float64 array over which no writeable array lies (a binary read's
+    payload, a factor's leading vectors) is kept as is; anything else is
+    copied once and the copy frozen, so a caller's writeable array is never
+    frozen or shared. An unaligned or strided view is copied too: BLAS calls
+    on one run slower, and may round otherwise than on its copy."""
+    keep = (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.aligned
+            and (a.flags.c_contiguous or a.flags.f_contiguous))
     base = a
     while keep and isinstance(base, np.ndarray):
         keep = not base.flags.writeable

@@ -21,6 +21,7 @@ from .grassmann import (
     HORIZONTAL_TOL,
     GrassmannPoint,
     TangentVector,
+    _frozen_float,
     below_cut_locus,
     geodesic,
 )
@@ -148,6 +149,11 @@ class C2Sweep:
     grid: np.ndarray
     thetas: np.ndarray
     c1: C1Record
+
+    def __post_init__(self):
+        # frozen, so the cached verdicts below cannot go stale
+        for name in ("grid", "thetas"):
+            object.__setattr__(self, name, _frozen_float(getattr(self, name)))
 
     @cached_property
     def _passed(self):

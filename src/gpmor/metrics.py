@@ -24,9 +24,7 @@ def l2_error_series(approx, reference):
     ref_norms = np.linalg.norm(reference.data, axis=0)
     bad = np.nonzero(ref_norms <= ZERO_NORM_TOL)[0]
     if bad.size:
-        raise DivisionDomainError(
-            f"reference column {int(bad[0])} has (near-)zero norm", column=int(bad[0])
-        )
+        raise DivisionDomainError(f"reference column {int(bad[0])} has (near-)zero norm")
     diff_norms = np.linalg.norm(approx.data - reference.data, axis=0)
     return (diff_norms / ref_norms).tolist()
 

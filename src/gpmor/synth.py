@@ -18,7 +18,9 @@ covered:
               so interpolants at different modes genuinely fail to nest.
 
 Randomness comes from a seeded PCG64 generator; identical specs reproduce
-bitwise-identical snapshots.
+bitwise-identical snapshots. `stream` builds a family's snapshots one at a
+time, so a caller that writes each before taking the next holds one;
+`generate` and the gen_* functions collect the same stream into a tuple.
 """
 
 import math
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grassmann import deterministic_qr
-from .snapshots import SnapshotMatrix
+from .snapshots import SnapshotMatrix, per_block
 
 KINDS = ("rotation", "crossing", "nested", "nonnested")
 
@@ -93,26 +95,41 @@ def _ladder(p):
 
 
 def _synthesize(spec, width, trajectory, noise, extra):
-    """The work every kind shares. Seeds the RNG, draws a random ambient frame
+    """The work every kind shares: the manifest, and the snapshots as a lazy
+    iterator in parameter order. Seeds the RNG, draws a random ambient frame
     (n x width) and the time profiles, asks `trajectory(ambient, rng)` for the
     kind's map lam -> n x p directions (it draws what else it needs from rng),
-    then builds each snapshot as (directions * ladder) @ profiles^T plus
-    noise, with one noise draw per parameter in order. The manifest holds the
-    shared keys and the kind's `extra` ones. The frame is Haar on
-    the Stiefel manifold, distributed as the first `width` columns of a random
-    n x n rotation, at O(n * width) memory."""
+    then builds each snapshot, when it is asked for, as
+    (directions * ladder) @ profiles^T plus noise. The noise is drawn and
+    added in row blocks of at most snapshots.STREAM_BYTES; the blocks of the
+    C-ordered snapshot take the PCG64 stream in the order one n x n_t draw
+    per parameter would. The manifest holds the shared keys and the kind's
+    `extra` ones. The frame is Haar on the Stiefel manifold, distributed as
+    the first `width` columns of a random n x n rotation, at O(n * width)
+    memory."""
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     ambient = deterministic_qr(rng.standard_normal((spec.n, width)))
     profiles = deterministic_qr(rng.standard_normal((spec.n_t, spec.mode_count)))
     directions = trajectory(ambient, rng)
     ladder = _ladder(spec.mode_count)
-    snaps = []
-    for lam in spec.params:
-        data = (directions(lam) * ladder) @ profiles.T
-        data += noise * rng.standard_normal((spec.n, spec.n_t))
+    rows = per_block(spec.n_t)
+
+    def snapshot(lam):
+        # scaled in place: each trajectory returns a fresh array
+        scaled = directions(lam)
+        scaled *= ladder
+        data = scaled @ profiles.T
+        del scaled
+        draw = np.empty((min(rows, spec.n), spec.n_t))
+        for start in range(0, spec.n, rows):
+            block = data[start:start + rows]
+            z = rng.standard_normal(out=draw[: len(block)])
+            z *= noise
+            block += z
         # frozen here, so SnapshotMatrix keeps it instead of copying it
         data.setflags(write=False)
-        snaps.append(SnapshotMatrix(data=data, param=lam))
+        return SnapshotMatrix(data=data, param=lam)
+
     manifest = {
         "schema": "gpm/1",
         "spec": spec.to_dict(),
@@ -120,6 +137,13 @@ def _synthesize(spec, width, trajectory, noise, extra):
         "singular_value_ladder": ladder.tolist(),
         **extra,
     }
+    # map keeps no snapshot it has handed out
+    return manifest, map(snapshot, spec.params)
+
+
+def _collect(spec, recipe):
+    """The SynthFamily of spec from its kind's recipe, snapshots in a tuple."""
+    manifest, snaps = _synthesize(spec, *recipe(spec))
     return SynthFamily(spec=spec, snapshots=tuple(snaps), manifest=manifest)
 
 
@@ -139,13 +163,7 @@ def _turning(angles):
     return trajectory
 
 
-def gen_rotation_family(spec):
-    """Disjoint-plane rotation family: lift linear in the parameter.
-
-    The p-dimensional dominant subspace at parameter lam is the span of p
-    orthonormal directions each rotated by rate * lam in its own 2-plane, with
-    singular values 10, 5, 2.5, ... and full-matrix noise at spec.noise.
-    """
+def _rotation(spec):
     if spec.kind not in ("rotation", "crossing"):
         raise ParameterError(f"expected a rotation/crossing spec, got kind={spec.kind!r}")
     spread = max(spec.params) - min(spec.params)
@@ -155,11 +173,33 @@ def gen_rotation_family(spec):
             "the family will cross the injectivity boundary (use kind='crossing' "
             "if that is intended)",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=4,
         )
     trajectory = _turning(lambda lam: np.full(spec.mode_count, spec.rate * lam))
-    return _synthesize(spec, 2 * spec.mode_count, trajectory, spec.noise,
-                       {"theta1_per_unit_param": spec.rate})
+    return 2 * spec.mode_count, trajectory, spec.noise, {"theta1_per_unit_param": spec.rate}
+
+
+def gen_rotation_family(spec):
+    """Disjoint-plane rotation family: lift linear in the parameter.
+
+    The p-dimensional dominant subspace at parameter lam is the span of p
+    orthonormal directions each rotated by rate * lam in its own 2-plane, with
+    singular values 10, 5, 2.5, ... and full-matrix noise at spec.noise.
+    """
+    return _collect(spec, _rotation)
+
+
+def _crossing(spec):
+    if spec.kind != "crossing":
+        raise ParameterError(f"expected kind='crossing', got {spec.kind!r}")
+    if spec.rate <= 0.0:
+        raise ParameterError("crossing family needs a positive rate")
+    width, trajectory, noise, extra = _rotation(spec)
+    offset = np.pi / (2.0 * spec.rate)
+    extra = dict(extra, crossing_offset=offset, crossing_points={
+        repr(lam): [lam - offset, lam + offset] for lam in spec.params
+    })
+    return width, trajectory, noise, extra
 
 
 def gen_crossing_family(spec):
@@ -170,17 +210,21 @@ def gen_crossing_family(spec):
     Those analytic crossing points (one pair per candidate reference node) are
     recorded in the manifest.
     """
-    if spec.kind != "crossing":
-        raise ParameterError(f"expected kind='crossing', got {spec.kind!r}")
-    if spec.rate <= 0.0:
-        raise ParameterError("crossing family needs a positive rate")
-    family = gen_rotation_family(spec)
-    offset = np.pi / (2.0 * spec.rate)
-    family.manifest["crossing_offset"] = offset
-    family.manifest["crossing_points"] = {
-        repr(lam): [lam - offset, lam + offset] for lam in spec.params
+    return _collect(spec, _crossing)
+
+
+def _nested(spec):
+    if spec.kind != "nested":
+        raise ParameterError(f"expected kind='nested', got {spec.kind!r}")
+    # the other directions turn by 0: cos 0 = 1 and sin 0 = 0 are exact, so
+    # each stays its ambient column bit for bit
+    rest = np.zeros(spec.mode_count - 1)
+    trajectory = _turning(lambda lam: np.r_[spec.rate * lam, rest])
+    noise = min(spec.noise, NESTED_NOISE)
+    return 2 * spec.mode_count, trajectory, noise, {
+        "noise": noise,
+        "nesting": "exact by construction; cross-mode geometric distances vanish",
     }
-    return family
 
 
 def gen_nested_family(spec):
@@ -191,17 +235,7 @@ def gen_nested_family(spec):
     table is (numerically) zero. The noise floor is pinned below the inclusion
     angle tolerance so the nesting survives POD.
     """
-    if spec.kind != "nested":
-        raise ParameterError(f"expected kind='nested', got {spec.kind!r}")
-    # the other directions turn by 0: cos 0 = 1 and sin 0 = 0 are exact, so
-    # each stays its ambient column bit for bit
-    rest = np.zeros(spec.mode_count - 1)
-    trajectory = _turning(lambda lam: np.r_[spec.rate * lam, rest])
-    noise = min(spec.noise, NESTED_NOISE)
-    return _synthesize(spec, 2 * spec.mode_count, trajectory, noise, {
-        "noise": noise,
-        "nesting": "exact by construction; cross-mode geometric distances vanish",
-    })
+    return _collect(spec, _nested)
 
 
 def _skew(rng, size):
@@ -229,16 +263,7 @@ def expm_skew(a, b):
     return v @ (np.cos(w)[:, None] * c) + av @ (np.sinc(w / np.pi)[:, None] * c)
 
 
-def gen_nonnested_family(spec):
-    """C3-unstable family: curved, mode-coupled subspace trajectories.
-
-    The design frame is Q(lam) = expm(rate*lam*K1 + rate*lam^2*K2) applied to a
-    fixed orthonormal block (by `expm_skew`). K2 acts only on the directions
-    past the first two, so low-mode interpolants stay nearly exact while
-    higher-mode interpolants pick up large, mode-dependent errors: the
-    cross-mode distance table spreads over orders of magnitude and the C3
-    ratio blows up.
-    """
+def _nonnested(spec):
     if spec.kind != "nonnested":
         raise ParameterError(f"expected kind='nonnested', got {spec.kind!r}")
 
@@ -251,18 +276,42 @@ def gen_nonnested_family(spec):
         return lambda lam: expm_skew(lam * k1 + lam * lam * k2, u0)
 
     # K1 and K2 act on the whole space, so this kind draws the full n x n frame
-    return _synthesize(spec, spec.n, trajectory, spec.noise,
-                       {"nesting": "broken by construction; expect a large C3 ratio"})
+    return spec.n, trajectory, spec.noise, {
+        "nesting": "broken by construction; expect a large C3 ratio"}
 
 
-_GENERATORS = {
-    "rotation": gen_rotation_family,
-    "crossing": gen_crossing_family,
-    "nested": gen_nested_family,
-    "nonnested": gen_nonnested_family,
+def gen_nonnested_family(spec):
+    """C3-unstable family: curved, mode-coupled subspace trajectories.
+
+    The design frame is Q(lam) = expm(rate*lam*K1 + rate*lam^2*K2) applied to a
+    fixed orthonormal block (by `expm_skew`). K2 acts only on the directions
+    past the first two, so low-mode interpolants stay nearly exact while
+    higher-mode interpolants pick up large, mode-dependent errors: the
+    cross-mode distance table spreads over orders of magnitude and the C3
+    ratio blows up.
+    """
+    return _collect(spec, _nonnested)
+
+
+# A kind's recipe checks the spec and returns the arguments _synthesize takes
+# after it: the frame width, the trajectory, the noise level and the manifest
+# keys of the kind.
+_RECIPES = {
+    "rotation": _rotation,
+    "crossing": _crossing,
+    "nested": _nested,
+    "nonnested": _nonnested,
 }
+
+
+def stream(spec):
+    """(manifest, snapshots) of spec's family: the snapshots are built one at
+    a time, in parameter order, as the iterator is advanced. The iterator
+    keeps none it has handed out, so a caller that drops each before taking
+    the next holds one snapshot at a time."""
+    return _synthesize(spec, *_RECIPES[spec.kind](spec))
 
 
 def generate(spec):
     """Dispatch to the generator matching spec.kind."""
-    return _GENERATORS[spec.kind](spec)
+    return _collect(spec, _RECIPES[spec.kind])

@@ -8,10 +8,12 @@ POD oracle takes one thin SVD of the whole snapshot matrix instead of the QR
 triangle and back-projection the library uses.
 The synth-family oracles are the exception: they pin a generator's random
 draw by replaying the same operations, so they match bit for bit on any
-platform where the library does.
+platform where the library does; `synth_files` writes their snapshots the old
+whole-array way, as the reference for the streamed `synth`.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -208,6 +210,26 @@ def turning_snapshots(n, n_t, p, rate, seed, params, noise, moving):
         directions = np.column_stack(cols)
         out.append((directions * ladder) @ profiles.T + noise * rng.standard_normal((n, n_t)))
     return out
+
+
+def synth_files(kind, n, n_t, p, rate, seed, params, noise):
+    """{file name: bytes} of the snapshot files `synth --format both` writes,
+    built whole: each snapshot from the oracles above, with one n x n_t noise
+    draw per parameter, then its binary payload as one tobytes(order="F")
+    and its CSV as one repr per value."""
+    if kind == "nonnested":
+        snaps = nonnested_snapshots(n, n_t, p, rate, seed, params, noise)
+    else:
+        nested = kind == "nested"
+        snaps = turning_snapshots(n, n_t, p, rate, seed, params,
+                                  min(noise, 1e-10) if nested else noise, 1 if nested else p)
+    files = {}
+    for i, (lam, data) in enumerate(zip(params, snaps)):
+        files[f"snapshot_{i:03d}.gpm"] = (b"GPM1" + struct.pack("<QQd", n, n_t, lam)
+                                          + np.asarray(data, dtype="<f8").tobytes(order="F"))
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+        files[f"snapshot_{i:03d}.csv"] = f"# gpm-snapshot lambda={float(lam)!r}\n{rows}".encode()
+    return files
 
 
 def thin_svd_pod(data, p):

@@ -18,9 +18,11 @@ from gpmor import (
     fileio,
     interpolate,
     riemannian_distance,
+    snapshots,
 )
 from gpmor.fileio import fmt, read_frame, read_json, read_snapshot, write_snapshot_bin
-from gpmor.synth import KINDS
+from gpmor.synth import DEFAULT_NOISE, KINDS
+from oracles import synth_files
 
 
 def run(*argv):
@@ -45,6 +47,20 @@ def _exit_code_in_fresh_process(expr, banned=("scipy", "_hashlib")):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     code = f"import sys, gpmor.cli; sys.exit(({expr}) or any(m in sys.modules for m in {banned!r}))"
     return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+
+
+def _peak_mb_in_fresh_process(argv):
+    """(exit code, peak RSS in MiB) of gpmor.cli.main(argv) in a fresh
+    interpreter. The child reads its own VmHWM from /proc/self/status: the
+    ru_maxrss a parent gets for a child started by vfork and exec carries the
+    parent's own high-water mark."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = ("import sys, gpmor.cli; code = gpmor.cli.main(sys.argv[1:]); "
+            "print(code, *[l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')])")
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env, timeout=300,
+                          capture_output=True, text=True, check=True)
+    exit_code, kb = map(int, done.stdout.split()[-2:])
+    return exit_code, kb / 1024
 
 
 def test_cli_import_does_not_load_scipy():
@@ -102,6 +118,21 @@ def test_synth_deterministic_rerun(tmp_path):
     assert (tmp_path / "a" / "manifest.json").read_bytes() == (
         tmp_path / "b" / "manifest.json"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_streamed_synth_files_match_whole_array_oracle(tmp_path, monkeypatch, kind):
+    # a budget of 13 noise rows and of 2 written columns: each snapshot's
+    # noise is drawn, and its payload written, in five blocks, the last short
+    n, n_t, p, params = 60, 9, 3, (0.0, 0.5, 1.5)
+    monkeypatch.setattr(snapshots, "STREAM_BYTES", 2 * n * 8)
+    assert snapshots.per_block(n_t) == 13 and snapshots.per_block(n) == 2
+    out = tmp_path / "fam"
+    assert run("--out", out, "--quiet", "--seed", 5, "synth", "--kind", kind, "--n", n,
+               "--nt", n_t, "--modes", p, "--rate", 0.4, "--params=0,0.5,1.5",
+               "--format", "both") == 0
+    got = {f.name: f.read_bytes() for f in out.glob("snapshot_*")}
+    assert got == synth_files(kind, n, n_t, p, 0.4, 5, params, DEFAULT_NOISE)
 
 
 def test_synth_rate_zero_degenerate(tmp_path):
@@ -364,15 +395,23 @@ def test_check_c3_table_round_trip_same_report(tmp_path):
 
 
 def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
-    # a wide snapshot is factored by one SVD of itself, a tall one by one QR
-    # of itself and one SVD of its nt x nt triangle
+    # a wide snapshot is read whole and factored by one SVD of itself; a tall
+    # binary one is streamed in two passes of row blocks, here one block
+    # each, and factored by one QR of that block and one SVD of its nt x nt
+    # triangle
     reads = []
     calls = []
+    passes = []
     read_snapshot_orig = fileio.read_snapshot
+    row_blocks_orig = fileio.row_blocks
 
     def counting_read(path):
         reads.append(str(path))
         return read_snapshot_orig(path)
+
+    def counting_pass(n, n_t, fill):
+        passes.append((n, n_t))
+        return row_blocks_orig(n, n_t, fill)
 
     def counting(name, orig):
         def wrapper(a, *args, **kwargs):
@@ -381,6 +420,7 @@ def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fileio, "read_snapshot", counting_read)
+    monkeypatch.setattr(fileio, "row_blocks", counting_pass)
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
     for n, nt in ((16, 40), (40, 12)):
@@ -388,14 +428,18 @@ def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
                              rate=0.05, params="0,1,2,3", seed=7)
         reads.clear()
         calls.clear()
+        passes.clear()
         code = run("--out", tmp_path / f"c3{n}", "--quiet", "check-c3", *files,
                    "--modes", "1,2,3,4,5", "--target", 1.5)
         assert code == 0
-        assert sorted(reads) == sorted(files)
         if n <= nt:
+            assert sorted(reads) == sorted(files)
+            assert passes == []
             assert calls.count(("svd", (n, nt))) == len(files)
             assert ("qr", (n, nt)) not in calls
         else:
+            assert reads == []
+            assert passes == [(n, nt)] * (2 * len(files))
             assert calls.count(("qr", (n, nt))) == len(files)
             assert calls.count(("svd", (nt, nt))) == len(files)
             assert ("svd", (n, nt)) not in calls
@@ -427,23 +471,29 @@ def _cached_calls(fam, out):
 
 @pytest.mark.parametrize("suffix", ["gpm", "csv"])
 def test_factor_cache_factors_each_file_once(tmp_path, monkeypatch, suffix):
-    # a cold call factors and parses each file once; a warm call at the same
-    # or a lower mode does neither; a higher mode factors each file once more
-    # and rewrites its cache entry
-    factored, parsed = [], []
+    # a cold call factors and parses each file once (a tall binary snapshot
+    # is parsed as two streamed passes of row blocks); a warm call at the
+    # same or a lower mode does neither; a higher mode factors each file once
+    # more and rewrites its cache entry
+    factored, parsed, passes = [], [], []
 
     def counting(log, key, orig):
-        def wrapper(a, *args):
-            log.append(key(a))
-            return orig(a, *args)
+        def wrapper(*args):
+            log.append(key(*args))
+            return orig(*args)
         return wrapper
 
     monkeypatch.setattr(fileio, "factor_pod",
-                        counting(factored, lambda s: s.param, fileio.factor_pod))
+                        counting(factored, lambda s, m: s.param, fileio.factor_pod))
+    monkeypatch.setattr(fileio, "factor_rows",
+                        counting(factored, lambda b, shape, param, m: param, fileio.factor_rows))
     for name in ("read_snapshot_bin", "read_snapshot_csv"):
         monkeypatch.setattr(fileio, name, counting(parsed, str, getattr(fileio, name)))
+    monkeypatch.setattr(fileio, "row_blocks",
+                        counting(passes, lambda n, n_t, fill: (n, n_t), fileio.row_blocks))
     fam = _cache_family(tmp_path)
     files = sorted(str(p) for p in fam.glob(f"snapshot_*.{suffix}"))
+    streamed = suffix == "gpm"  # the family's 40 x 12 snapshots are tall
     cache = fam / ".gpmor_cache"
     for i, (argv, cold) in enumerate((
         (["check-c3", *files, "--modes", "1,2,3", "--target", 1.5], True),
@@ -457,11 +507,13 @@ def test_factor_cache_factors_each_file_once(tmp_path, monkeypatch, suffix):
         before = {p.name: p.read_bytes() for p in cache.glob("*")}
         factored.clear()
         parsed.clear()
+        passes.clear()
         assert run("--out", tmp_path / f"out{i}", "--quiet", *argv) == 0
         after = {p.name: p.read_bytes() for p in cache.glob("*")}
         assert sorted(after) == [f"{Path(f).name}.pod" for f in files]
         assert sorted(factored) == ([0.0, 1.0, 2.0, 3.0] if cold else [])
-        assert sorted(parsed) == (files if cold else [])
+        assert sorted(parsed) == (files if cold and not streamed else [])
+        assert passes == ([(40, 12)] * (2 * len(files)) if cold and streamed else [])
         assert all(after[k] != before.get(k) for k in after) if cold else after == before
 
 
@@ -523,8 +575,10 @@ def test_entry_of_another_factor_version_misses(tmp_path, monkeypatch):
     assert run("--out", tmp_path / "other", "--quiet", "pod", *files, "--mode", 3) == 0
     monkeypatch.undo()
     factored = []
-    factor_pod = fileio.factor_pod
-    monkeypatch.setattr(fileio, "factor_pod", lambda s, m: factored.append(s.param) or factor_pod(s, m))
+    factor_rows = fileio.factor_rows
+    # the family's binary snapshots are tall, so a miss streams them to factor_rows
+    monkeypatch.setattr(fileio, "factor_rows",
+                        lambda b, shape, param, m: factored.append(param) or factor_rows(b, shape, param, m))
     for i in range(2):
         factored.clear()
         assert run("--out", tmp_path / f"out{i}", "--quiet", "pod", *files, "--mode", 3) == 0
@@ -642,7 +696,37 @@ def test_check_c3_peak_memory_below_six_snapshots(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 6 * n * n_t * 8
+    # one snapshot's row block (here the whole snapshot) at a time, then the
+    # interpolation's temporaries
+    assert peak < 3 * n * n_t * 8
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_paper_scale_snapshots_stream_in_bounded_memory(tmp_path):
+    # two 200000 x 100 snapshots of 160 MB each: synth never holds both, pod
+    # peaks below half a snapshot cold and warm, and a cold check-c3 peaks
+    # within two block budgets of its warm run
+    n, n_t = 200000, 100
+    mib = n * n_t * 8 / 2**20
+    budget = snapshots.STREAM_BYTES / 2**20
+    fam = tmp_path / "fam"
+    try:
+        code, peak = _peak_mb_in_fresh_process(
+            ["--out", fam, "--quiet", "synth", "--kind", "rotation", "--n", n, "--nt", n_t,
+             "--modes", 10, "--params=0,1"])
+        assert code == 0 and peak < 2 * mib
+        files = sorted(fam.glob("snapshot_*.gpm"))
+        for _ in ("cold", "warm"):
+            code, peak = _peak_mb_in_fresh_process(
+                ["--out", tmp_path / "pod", "--quiet", "pod", files[0], "--mode", 10])
+            assert code == 0 and peak < mib / 2
+        shutil.rmtree(fam / ".gpmor_cache")
+        (_, cold), (_, warm) = (_peak_mb_in_fresh_process(
+            ["--out", tmp_path / "c3", "--quiet", "check-c3", *files, "--modes", "1,2",
+             "--target", 0.5]) for _ in ("cold", "warm"))
+        assert cold <= warm + 2 * budget
+    finally:
+        shutil.rmtree(fam, ignore_errors=True)
 
 
 def test_check_c3_c2_failure_writes_report(tmp_path):
@@ -916,20 +1000,28 @@ def test_config_file_defaults(tmp_path):
     assert manifest["spec"]["rate"] == 0.2  # config overrode the untouched default
 
 
-@pytest.mark.parametrize("config", [
-    {"modes": "1,2", "target": "abc"},
-    {"modes": [1, "x"], "target": 0.5},
-    {"modes": "1,2", "target": 0.5, "reference_index": 0.5},
-    {"modes": "1,2", "target": 0.5, "threshold": None},
-    {"modes": "1,2", "target": 0.5, "report": "xml"},
-    {"modes": "1,2", "target": 0.5, "quiet": "yes"},
-    [1, 2],
-])
-def test_config_bad_value_exit_2(tmp_path, config):
+@pytest.mark.parametrize("config, message", [
+    ({"modes": "1,2", "target": "abc"},
+     "config 'target': could not convert string to float: 'abc'"),
+    ({"modes": [1, "x"], "target": 0.5},
+     "--modes: invalid literal for int() with base 10: 'x'"),
+    ({"modes": "1,2", "target": 0.5, "reference_index": 0.5},
+     "config 'reference_index': invalid literal for int() with base 10: '0.5'"),
+    ({"modes": "1,2", "target": 0.5, "threshold": None},
+     "config 'threshold': could not convert string to float: 'None'"),
+    ({"modes": "1,2", "target": 0.5, "report": "xml"},
+     "config 'report': 'xml' is not one of ['json', 'csv', 'both']"),
+    ({"modes": "1,2", "target": 0.5, "quiet": "yes"},
+     "config 'quiet': expected true or false, got 'yes'"),
+    ([1, 2], "{path}: config must be a JSON object"),
+], ids=[f"config{i}" for i in range(7)])
+def test_config_bad_value_exit_2(tmp_path, capsys, config, message):
     src = synth_family(tmp_path / "src", kind="nested", n=10, nt=20, modes=2)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
+    capsys.readouterr()
     assert run("--config", path, "--out", tmp_path / "c3", "check-c3", *src) == 2
+    assert capsys.readouterr().err == "error: " + message.replace("{path}", str(path)) + "\n"
 
 
 def test_config_list_matches_command_line(tmp_path):

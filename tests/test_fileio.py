@@ -4,7 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpmor import DataError, DistanceTable, GrassmannPoint, SnapshotMatrix
+from gpmor import (
+    DataError,
+    DistanceTable,
+    GrassmannPoint,
+    SnapshotMatrix,
+    geometric_distance,
+    snapshots,
+)
 from gpmor.fileio import (
     fmt,
     read_frame,
@@ -232,3 +239,74 @@ def test_read_pod_factor_is_factor_pod_bit_for_bit(tmp_path, write, shape, rank)
             assert a.flags.c_contiguous == b.flags.c_contiguous
             assert a.flags.f_contiguous == b.flags.f_contiguous
     assert [p.name for p in (tmp_path / ".gpmor_cache").iterdir()] == ["s.snap.pod"]
+
+
+def _graded(n, n_t, seed):
+    # singular values 10 * 0.7^k: every gap is 30% of its sigma
+    rng = np.random.default_rng(seed)
+    q = min(n, n_t)
+    u = np.linalg.qr(rng.standard_normal((n, q)))[0]
+    v = np.linalg.qr(rng.standard_normal((n_t, q)))[0]
+    return (u * (10.0 * 0.7 ** np.arange(q))) @ v.T
+
+
+@pytest.mark.parametrize("n", [3000, 3037])
+def test_multi_block_factor_matches_one_shot(tmp_path, monkeypatch, n):
+    # 100-row blocks (the last one short when n = 3037) against one QR of
+    # the whole matrix; the file is streamed, the in-memory matrix copied
+    # block by block, and the two agree bit for bit
+    n_t, p = 40, 12
+    path = tmp_path / "s.gpm"
+    write_snapshot_bin(path, SnapshotMatrix(data=_graded(n, n_t, 5), param=0.5))
+    one_shot = factor_pod(read_snapshot(path), p)
+    monkeypatch.setattr(snapshots, "STREAM_BYTES", 100 * n_t * 8)
+    got = read_pod_factor(path, p)
+    again = factor_pod(read_snapshot(path), p)
+    for a, b in ((got.vectors, again.vectors), (got.singular_values, again.singular_values)):
+        assert np.array_equal(a, b) and a.flags.f_contiguous == b.flags.f_contiguous
+    sigma_1 = one_shot.singular_values[0]
+    assert np.max(np.abs(got.singular_values - one_shot.singular_values)) <= 1e-14 * sigma_1
+    assert geometric_distance(GrassmannPoint(got.vectors), GrassmannPoint(one_shot.vectors)) <= 1e-13
+    assert got.shape == (n, n_t) and got.param == 0.5 and got.vectors.flags.f_contiguous
+
+
+def test_non_finite_entry_in_a_later_block_is_a_data_error(tmp_path, monkeypatch):
+    # row 437 of column 3 lies in the ninth of ten 50-row blocks
+    path = tmp_path / "s.gpm"
+    write_snapshot_bin(path, SnapshotMatrix(data=_graded(500, 10, 6)))
+    raw = bytearray(path.read_bytes())
+    at = 28 + 8 * (3 * 500 + 437)
+    raw[at:at + 8] = np.array([np.inf], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    monkeypatch.setattr(snapshots, "STREAM_BYTES", 50 * 10 * 8)
+    with pytest.raises(DataError, match="^snapshot data contains non-finite entries$"):
+        read_pod_factor(path, 3)
+    assert not (tmp_path / ".gpmor_cache" / "s.gpm.pod").exists()
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+def test_pod_factor_arrays_are_frozen_where_they_are_made(tmp_path, monkeypatch, shape):
+    # read-only from factor_pod, a cache miss and a cache hit, and kept by
+    # PodFactor without a copy
+    kept = []
+    frozen_float = snapshots._frozen_float
+
+    def recording(a):
+        out = frozen_float(a)
+        kept.append(out is a)
+        return out
+
+    path = tmp_path / "s.gpm"
+    write_snapshot_bin(path, SnapshotMatrix(data=_graded(*shape, 7)))
+    snap = read_snapshot(path)
+    monkeypatch.setattr(snapshots, "_frozen_float", recording)
+    factors = [factor_pod(snap, 5), read_pod_factor(path, 5)]
+    assert (tmp_path / ".gpmor_cache" / "s.gpm.pod").exists()
+    factors.append(read_pod_factor(path, 5))
+    for factor in factors:
+        for a in (factor.vectors, factor.singular_values):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+    # a wide miss reads the snapshot, whose frozen payload is kept too
+    assert len(kept) >= 6 and all(kept)

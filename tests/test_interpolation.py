@@ -391,6 +391,23 @@ def test_sweep_c2_flags_use_the_margin():
     assert sweep.unstable_intervals() == [[1.0, 1.0]]
 
 
+def test_sweep_arrays_are_frozen_so_verdicts_cannot_go_stale():
+    spec = FamilySpec(n=12, n_t=30, mode_count=2, kind="rotation", rate=0.1, seed=4,
+                      params=(0.0, 1.0, 2.0, 3.0))
+    pts = tuple((s.param, compute_pod(s, 2).basis) for s in gen_rotation_family(spec).snapshots)
+    sweep = c2_sweep(TrainingSet(points=pts), 0.0, 3.0, 7, 1)
+    assert all(sweep.c2_ok)
+    for a in (sweep.grid, sweep.thetas):
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] = 3.0
+    assert all(sweep.c2_ok) and sweep.unstable_intervals() == []
+    # a caller's writeable arrays are copied, not frozen
+    grid, thetas = np.linspace(0.0, 1.0, 3), np.zeros(3)
+    record = C2Sweep(grid, thetas, C1_PASSED)
+    assert grid.flags.writeable and thetas.flags.writeable
+    assert not np.shares_memory(record.grid, grid) and not np.shares_memory(record.thetas, thetas)
+
+
 def test_sweep_validates_arguments():
     rng = np.random.default_rng(12)
     ts = make_training_set(rng, 8, 2, [0.0, 1.0])
