@@ -69,18 +69,6 @@ def _parse_list(text, kind, option):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _write_snapshot(args, i, snap):
-    """Write snapshot i in the --format formats; the names of the files."""
-    names = []
-    if args.format in ("bin", "both"):
-        names.append(f"snapshot_{i:03d}.gpm")
-        fileio.write_snapshot_bin(args.out / names[-1], snap)
-    if args.format in ("csv", "both"):
-        names.append(f"snapshot_{i:03d}.csv")
-        fileio.write_snapshot_csv(args.out / names[-1], snap)
-    return names
-
-
 def cmd_synth(args):
     spec = FamilySpec(
         n=args.n,
@@ -94,9 +82,14 @@ def cmd_synth(args):
     )
     manifest, snapshots = stream(spec)
     files = []
-    for i in range(len(spec.params)):
-        # each snapshot is written and dropped before the next is built
-        files += _write_snapshot(args, i, next(snapshots))
+    for i, (lam, blocks) in enumerate(snapshots):
+        # the binary name, then the CSV one; None for a format not asked for
+        names = [f"snapshot_{i:03d}.{ext}" if args.format in (form, "both") else None
+                 for form, ext in (("bin", "gpm"), ("csv", "csv"))]
+        # each row block goes to every file before the next is built
+        fileio.write_snapshot_blocks(*(name and args.out / name for name in names),
+                                     (spec.n, spec.n_t), lam, blocks)
+        files += filter(None, names)
     manifest["files"] = files
     fileio.write_json(args.out / "manifest.json", manifest)
     _say(args, f"wrote {len(files)} snapshot file(s) and manifest.json to {args.out}")
@@ -166,13 +159,16 @@ def cmd_sweep_c2(args):
     unstable = sweep.unstable_intervals()
     if not sweep.c1.ok:
         _say(args, f"sweep invalid: C1 failed at node(s) {list(sweep.c1.failing_indices)}")
+    elif sweep.invalid_samples:
+        _say(args, f"{sweep.invalid_samples} sample(s) invalid: their weights are past the bound "
+                   "interpolate refuses")
     summary = {
         "schema": "gpm/1",
         "mode": ts.mode,
         "reference_index": args.reference_index,
         "grid": {"lo": args.lo, "hi": args.hi, "samples": args.samples},
         "unstable_intervals": unstable,
-        "invalid_samples": 0 if sweep.c1.ok else len(sweep.grid),
+        "invalid_samples": sweep.invalid_samples,
         "c1": sweep.c1.to_dict(),
     }
     _report(args, "sweep_c2.json", fileio.write_json, summary)

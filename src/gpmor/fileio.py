@@ -66,18 +66,54 @@ def fmt(x):
 # -- binary ------------------------------------------------------------------
 
 
-def _write_bin(path, magic, header, fields, data):
-    """The container _read_bin reads: the magic, `fields` packed by `header`,
-    then `data` as column-major f64, written in column blocks of at most
-    snapshots.STREAM_BYTES, so a C-ordered matrix is never copied whole."""
-    data = np.asarray(data, dtype="<f8")
-    cols = per_block(data.shape[0])
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack(header, *fields))
-        for start in range(0, data.shape[1], cols):
-            # the transpose of an F-ordered block is C-contiguous, in file order
-            fh.write(np.asfortranarray(data[:, start:start + cols]).T)
+@contextlib.contextmanager
+def _replacing(path, mode="wb"):
+    """A file open at a temporary name beside `path`, moved onto `path` by
+    os.replace when the block ends and removed when it raises, so a reader
+    finds the old file or the whole new one, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
+def _write_bin(fh, magic, header, fields):
+    """Start the container _read_bin reads in fh: the magic and `fields`
+    packed by `header`. Returns put(block), which writes the next row block,
+    in order, of the fields[0]-row matrix that follows as column-major f64,
+    so a caller need not hold the whole matrix. A block of every row goes
+    out in column blocks of at most snapshots.STREAM_BYTES, straight from an
+    F-ordered array; a block of some rows goes out from one F-ordered copy
+    as one positioned write per column segment, the mirror of
+    _factor_snapshot's reads."""
+    rows = fields[0]
+    fh.write(magic + struct.pack(header, *fields))
+    fh.flush()
+    payload, start = fh.tell(), 0
+
+    def put(block):
+        nonlocal start
+        block = np.asarray(block, dtype="<f8")
+        if len(block) == rows:
+            cols = per_block(rows)
+            for c in range(0, block.shape[1], cols):
+                # the transpose of an F-ordered block is C-contiguous, in file order
+                fh.write(np.asfortranarray(block[:, c:c + cols]).T)
+        else:
+            fd = fh.fileno()
+            # rows of the transposed F-ordered copy are the column segments
+            for j, segment in enumerate(np.asfortranarray(block).T):
+                if os.pwrite(fd, segment, payload + 8 * (j * rows + start)) < segment.nbytes:
+                    raise OSError(f"{fh.name}: short write")
+        start += len(block)
+
+    return put
 
 
 def _bin_header(fh, path, magic, header):
@@ -110,8 +146,29 @@ def _read_bin(path, magic, header):
     return fields, data.reshape((rows, cols), order="F")
 
 
+def write_snapshot_blocks(bin_path, csv_path, shape, lam, blocks):
+    """Write the snapshot of `shape` at lam, given as its row blocks in
+    order, from one pass over them: as a binary file at bin_path, a CSV file
+    at csv_path, or both (a None path is not written). Each file is written
+    under a temporary name and replaces its path only once it is whole."""
+    with contextlib.ExitStack() as files:
+        puts = []
+        if bin_path is not None:
+            fh = files.enter_context(_replacing(bin_path))
+            puts.append(_write_bin(fh, SNAPSHOT_MAGIC, "<QQd", (*shape, lam)))
+        if csv_path is not None:
+            fh = files.enter_context(_replacing(csv_path, "w"))
+            fh.write(f"# gpm-snapshot lambda={fmt(lam)}\n")
+            puts.append(lambda block, fh=fh: _csv_rows(fh, map(np.ndarray.tolist, block)))
+        for block in blocks:
+            for put in puts:
+                put(block)
+            # dropped before the next block is built
+            del block
+
+
 def write_snapshot_bin(path, snap):
-    _write_bin(path, SNAPSHOT_MAGIC, "<QQd", (snap.n, snap.n_t, snap.param), snap.data)
+    write_snapshot_blocks(path, None, snap.data.shape, snap.param, (snap.data,))
 
 
 def read_snapshot_bin(path):
@@ -120,7 +177,8 @@ def read_snapshot_bin(path):
 
 
 def write_frame_bin(path, point):
-    _write_bin(path, FRAME_MAGIC, "<QQ", (point.n, point.p), point.frame)
+    with open(path, "wb") as fh:
+        _write_bin(fh, FRAME_MAGIC, "<QQ", (point.n, point.p))(point.frame)
 
 
 def read_frame_bin(path):
@@ -131,13 +189,18 @@ def read_frame_bin(path):
 # -- CSV ---------------------------------------------------------------------
 
 
+def _csv_rows(fh, rows):
+    """One comma-separated line per row of Python ints and floats; a float's
+    repr is its fmt form."""
+    for row in rows:
+        fh.write(",".join(map(repr, row)) + "\n")
+
+
 def write_csv(path, header, rows):
-    """A `# gpm-...` header line, then one comma-separated line per row of
-    Python ints and floats; a float's repr is its fmt form."""
+    """A `# gpm-...` header line, then the rows as _csv_rows writes them."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+        _csv_rows(fh, rows)
 
 
 def _read_matrix_csv(path):
@@ -177,8 +240,7 @@ def _header_field(path, header, key, default, parse):
 
 
 def write_snapshot_csv(path, snap):
-    header = f"# gpm-snapshot lambda={fmt(snap.param)}"
-    write_csv(path, header, map(np.ndarray.tolist, snap.data))
+    write_snapshot_blocks(None, path, snap.data.shape, snap.param, (snap.data,))
 
 
 def read_snapshot_csv(path):
@@ -290,8 +352,8 @@ def _load_pod_cache(cache, prefix, max_mode):
 
 
 def _store_pod_cache(cache, prefix, factor, max_mode):
-    """Write `factor`, built at max_mode, as cache file `cache` through a
-    temporary file and os.replace, so a reader sees the old file or the new."""
+    """Write `factor`, built at max_mode, as cache file `cache` through
+    _replacing, so a reader sees the old file or the new."""
     n, n_t = factor.shape
     sv = np.asarray(factor.singular_values, dtype="<f8")
     # the transpose of the F-ordered vectors is C-contiguous, in file order:
@@ -302,16 +364,9 @@ def _store_pod_cache(cache, prefix, factor, max_mode):
     fields = _POD_CACHE_FIELDS.pack(n, n_t, built, kept, factor.param)
     crc = struct.pack("<I", zlib.crc32(vectors, zlib.crc32(sv, zlib.crc32(fields))))
     cache.parent.mkdir(exist_ok=True)
-    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for part in (prefix, fields, crc, sv, vectors):
-                fh.write(part)
-        os.replace(tmp, cache)
-    except OSError:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise
+    with _replacing(cache) as fh:
+        for part in (prefix, fields, crc, sv, vectors):
+            fh.write(part)
 
 
 def _factor_snapshot(path, max_mode):

@@ -9,7 +9,7 @@ interpolate's reference defaults to the node nearest the target.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -26,6 +26,17 @@ from .grassmann import (
     geodesic,
 )
 from .stability import C1Record, C2Record, check_c2, tangent_step
+
+
+def weight_bound(weights):
+    """(Lambda, past) along the last axis of `weights`: the Lebesgue function
+    Lambda = sum_i |w_i|, summed in node order, and whether
+    Lambda * eps > FRAME_REJECT_TOL / 2. Far-extrapolation or many-node
+    weights amplify the lifts' rounding: an interpolated frame leaves
+    orthonormality by about Lambda * eps (measured 0.6 to 1.13 times that),
+    so past the bound the weights cannot give a frame within its tolerance."""
+    spread = reduce(np.add, np.abs(weights).T)
+    return spread, spread * np.finfo(float).eps > FRAME_REJECT_TOL / 2
 
 
 def lagrange_weights(params, target):
@@ -122,12 +133,10 @@ def interpolate(ts, target, reference_index=None):
     c2 = check_c2(combined)
     if not c2.ok:
         return InterpolationResult(target, ref, c1, c2, extrapolated=extrapolated)
-    # far extrapolation weights amplify the lifts' rounding: the geodesic's
-    # frame leaves orthonormality by about sum |w_i| * eps (measured 0.6 to
-    # 1.13 times that), so past half the frame tolerance it is an input error
-    # named by its weights, not a frame that GrassmannPoint rejects
-    spread = sum(map(abs, weights))
-    if spread * np.finfo(float).eps > FRAME_REJECT_TOL / 2:
+    # past the weight bound it is an input error named by its weights, not a
+    # frame that GrassmannPoint rejects
+    spread, past = weight_bound(weights)
+    if past:
         raise ParameterError(
             f"target {target} needs Lagrange weights with sum |w_i| = {spread:.3e}; their "
             f"rounding would leave the frame beyond its tolerance {FRAME_REJECT_TOL:g}"
@@ -144,7 +153,9 @@ def interpolate(ts, target, reference_index=None):
 @dataclass(frozen=True)
 class C2Sweep:
     """theta_1 on a uniform grid from one reference, with the C1 record there.
-    The lifts do not depend on lambda: on a C1 failure every theta is nan."""
+    theta is nan at an invalid sample: at every sample on a C1 failure (the
+    lifts do not depend on lambda), and where a sample passes C2 with
+    weights past weight_bound."""
 
     grid: np.ndarray
     thetas: np.ndarray
@@ -165,10 +176,16 @@ class C2Sweep:
         """Per-sample C2 verdicts as Python bools; False wherever theta is nan."""
         return self._passed.tolist()
 
+    @property
+    def invalid_samples(self):
+        """Number of samples whose theta is nan."""
+        return int(np.isnan(self.thetas).sum())
+
     def unstable_intervals(self):
-        """[first, last] grid value of each maximal run of C2-failing samples; none if C1 failed."""
+        """[first, last] grid value of each maximal run of C2-failing samples
+        with a finite theta; none if C1 failed."""
         # padded with passing samples, the flips alternate: run start, one past its end
-        bad = np.r_[False, ~self._passed & self.c1.ok, False]
+        bad = np.r_[False, ~self._passed & np.isfinite(self.thetas), False]
         runs = np.flatnonzero(bad[1:] != bad[:-1]).reshape(-1, 2)
         return [[self.grid[a].item(), self.grid[b - 1].item()] for a, b in runs]
 
@@ -177,7 +194,9 @@ def c2_sweep(ts, lo, hi, samples, reference_index):
     """Stability curve theta_1(lambda) from the reference node
     `reference_index` on a uniform grid including both endpoints.
 
-    A C1 failure does not abort the sweep: it is the record's verdict.
+    A C1 failure does not abort the sweep: it is the record's verdict. A
+    sample that passes C2 with weights past weight_bound, where interpolate
+    raises, gets theta nan.
     """
     lo = float(lo)
     hi = float(hi)
@@ -190,4 +209,8 @@ def c2_sweep(ts, lo, hi, samples, reference_index):
     c1, lifts = tangent_step(ts, reference_index)
     if lifts is None:
         return C2Sweep(grid, np.full(samples, np.nan), c1)
-    return C2Sweep(grid, kernels.theta_curve(lifts, np.asarray(ts.params), grid), c1)
+    thetas = kernels.theta_curve(lifts, np.asarray(ts.params), grid)
+    # interpolate's order: a sample past the cut locus keeps its C2 verdict
+    past = weight_bound(kernels.lagrange_matrix(ts.params, grid))[1]
+    thetas[past & below_cut_locus(thetas)] = np.nan
+    return C2Sweep(grid, thetas, c1)

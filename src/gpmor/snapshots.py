@@ -106,13 +106,15 @@ def kept_modes(sv, shape, max_mode):
 POD_FACTOR_VERSION = 2
 
 # Bytes of snapshot rows (or columns) held at once where a snapshot is
-# streamed: a row block of a tall snapshot being factored, a block of synth's
-# noise draw, a column block of a binary write. Factoring holds about three
-# blocks (the block, [R; block] and LAPACK's copy of it) beside the triangle
-# and the kept vectors. On a 200000 x 100 snapshot (2 vCPUs, OpenBLAS) a
-# factor took 0.83-0.90 s from 6 to 12 MB blocks, 1.15 s at 4 MB, 1.45 s at
-# 2 MB and 1.03 s at 16 MB, against 1.16 s for one QR of the whole matrix.
-# At 8 MB a snapshot of up to 5242 rows at 200 columns is one block.
+# streamed from its file: a row block of a tall snapshot being factored, and
+# a column block of a binary write of a whole matrix. synth builds its
+# snapshots in smaller row blocks, of synth.BLOCK_BYTES. Factoring holds
+# about three blocks (the block, [R; block] and LAPACK's copy of it) beside
+# the triangle and the kept vectors. On a 200000 x 100 snapshot (2 vCPUs,
+# OpenBLAS) a factor took 0.83-0.90 s from 6 to 12 MB blocks, 1.15 s at
+# 4 MB, 1.45 s at 2 MB and 1.03 s at 16 MB, against 1.16 s for one QR of the
+# whole matrix. At 8 MB a snapshot of up to 5242 rows at 200 columns is one
+# block.
 STREAM_BYTES = 8 << 20
 
 

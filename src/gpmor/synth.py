@@ -18,9 +18,10 @@ covered:
               so interpolants at different modes genuinely fail to nest.
 
 Randomness comes from a seeded PCG64 generator; identical specs reproduce
-bitwise-identical snapshots. `stream` builds a family's snapshots one at a
-time, so a caller that writes each before taking the next holds one;
-`generate` and the gen_* functions collect the same stream into a tuple.
+bitwise-identical snapshots. `stream` builds each snapshot as a stream of
+row blocks, so a caller that writes each block before taking the next never
+holds a whole snapshot; `generate` and the gen_* functions stack the same
+blocks into a tuple of snapshots.
 """
 
 import math
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grassmann import deterministic_qr
-from .snapshots import SnapshotMatrix, per_block
+from .snapshots import SnapshotMatrix
 
 KINDS = ("rotation", "crossing", "nested", "nonnested")
 
@@ -42,6 +43,18 @@ DEFAULT_NOISE = 1e-6
 # otherwise the analytic nesting would drown in POD noise.
 NESTED_NOISE = 1e-10
 RNG_NAME = "pcg64"
+# Bytes of a row block of a snapshot synth builds (its noise draw is as
+# large). At snapshots.STREAM_BYTES (8 MB) a 4000 x 200 snapshot would be a
+# single block; at 1 MB it takes 7.
+BLOCK_BYTES = 1 << 20
+# Every row block but the last is a multiple of this many rows. A GEMM
+# micro-kernel takes rows in fixed panels (12 in OpenBLAS's Haswell dgemm),
+# and a panel cut short at a block's end goes through another kernel, with
+# other rounding; blocks that start on a panel boundary give each row the
+# bits of one product of the whole snapshot. A threaded GEMM that splits the
+# product unevenly can still move last bits, as it does for a whole product
+# between thread counts.
+_ROW_ALIGN = 48
 
 
 @dataclass(frozen=True)
@@ -94,41 +107,52 @@ def _ladder(p):
     return LADDER_TOP * LADDER_RATIO ** np.arange(p)
 
 
+def _row_ranges(n, n_t):
+    """(start, stop) of each row block synth builds of an n x n_t snapshot,
+    in order: blocks of a multiple of _ROW_ALIGN rows within BLOCK_BYTES (at
+    least _ROW_ALIGN rows), the last one shorter. A lone last row joins the
+    block before it: as a 1 x p by p x n_t product it would be a
+    matrix-vector product, with other rounding."""
+    rows = max(_ROW_ALIGN, BLOCK_BYTES // (8 * n_t) // _ROW_ALIGN * _ROW_ALIGN)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _synthesize(spec, width, trajectory, noise, extra):
-    """The work every kind shares: the manifest, and the snapshots as a lazy
-    iterator in parameter order. Seeds the RNG, draws a random ambient frame
-    (n x width) and the time profiles, asks `trajectory(ambient, rng)` for the
-    kind's map lam -> n x p directions (it draws what else it needs from rng),
-    then builds each snapshot, when it is asked for, as
-    (directions * ladder) @ profiles^T plus noise. The noise is drawn and
-    added in row blocks of at most snapshots.STREAM_BYTES; the blocks of the
-    C-ordered snapshot take the PCG64 stream in the order one n x n_t draw
-    per parameter would. The manifest holds the shared keys and the kind's
-    `extra` ones. The frame is Haar on the Stiefel manifold, distributed as
-    the first `width` columns of a random n x n rotation, at O(n * width)
-    memory."""
+    """The work every kind shares: the manifest, and a lazy iterator that
+    gives, for each parameter in order, the pair (lam, row blocks of its
+    snapshot). Seeds the RNG, draws a random ambient frame (n x width) and the
+    time profiles, and asks `trajectory(ambient, rng)` for the kind's map
+    lam -> n x p directions (it draws what else it needs from rng). Each row
+    block, when it is asked for, is (directions * ladder)[rows] @ profiles^T
+    plus its noise, drawn as it is added: taken in order, every block of a
+    snapshot before the next snapshot's, the blocks take the PCG64 stream in
+    the order of one C-ordered n x n_t draw per parameter. The manifest
+    holds the shared keys and the kind's `extra` ones. The frame is Haar on
+    the Stiefel manifold, distributed as the first `width` columns of a random
+    n x n rotation, at O(n * width) memory."""
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     ambient = deterministic_qr(rng.standard_normal((spec.n, width)))
     profiles = deterministic_qr(rng.standard_normal((spec.n_t, spec.mode_count)))
     directions = trajectory(ambient, rng)
     ladder = _ladder(spec.mode_count)
-    rows = per_block(spec.n_t)
+    ranges = _row_ranges(spec.n, spec.n_t)
+
+    def noisy(block):
+        z = rng.standard_normal(block.shape)
+        z *= noise
+        block += z
+        return block
 
     def snapshot(lam):
         # scaled in place: each trajectory returns a fresh array
         scaled = directions(lam)
         scaled *= ladder
-        data = scaled @ profiles.T
-        del scaled
-        draw = np.empty((min(rows, spec.n), spec.n_t))
-        for start in range(0, spec.n, rows):
-            block = data[start:start + rows]
-            z = rng.standard_normal(out=draw[: len(block)])
-            z *= noise
-            block += z
-        # frozen here, so SnapshotMatrix keeps it instead of copying it
-        data.setflags(write=False)
-        return SnapshotMatrix(data=data, param=lam)
+        for start, stop in ranges:
+            # nothing here keeps a block once it is yielded, or its noise
+            yield noisy(scaled[start:stop] @ profiles.T)
 
     manifest = {
         "schema": "gpm/1",
@@ -137,14 +161,19 @@ def _synthesize(spec, width, trajectory, noise, extra):
         "singular_value_ladder": ladder.tolist(),
         **extra,
     }
-    # map keeps no snapshot it has handed out
-    return manifest, map(snapshot, spec.params)
+    return manifest, ((lam, snapshot(lam)) for lam in spec.params)
 
 
 def _collect(spec, recipe):
     """The SynthFamily of spec from its kind's recipe, snapshots in a tuple."""
     manifest, snaps = _synthesize(spec, *recipe(spec))
-    return SynthFamily(spec=spec, snapshots=tuple(snaps), manifest=manifest)
+    collected = []
+    for lam, blocks in snaps:
+        data = np.vstack(tuple(blocks))
+        # frozen here, so SnapshotMatrix keeps it instead of copying it
+        data.setflags(write=False)
+        collected.append(SnapshotMatrix(data=data, param=lam))
+    return SynthFamily(spec=spec, snapshots=tuple(collected), manifest=manifest)
 
 
 def _turning(angles):
@@ -305,10 +334,13 @@ _RECIPES = {
 
 
 def stream(spec):
-    """(manifest, snapshots) of spec's family: the snapshots are built one at
-    a time, in parameter order, as the iterator is advanced. The iterator
-    keeps none it has handed out, so a caller that drops each before taking
-    the next holds one snapshot at a time."""
+    """(manifest, snapshots) of spec's family, where snapshots yields for each
+    parameter, in order, the pair (lam, blocks): blocks yields the n x n_t
+    snapshot's row blocks in order, each built when it is taken. A caller
+    takes every block of a snapshot before the next snapshot. Nothing keeps
+    a block that has been handed out, so a caller that writes each block
+    before it takes the next holds one block of BLOCK_BYTES, never a whole
+    snapshot."""
     return _synthesize(spec, *_RECIPES[spec.kind](spec))
 
 

@@ -215,16 +215,23 @@ def turning_snapshots(n, n_t, p, rate, seed, params, noise, moving):
 def synth_files(kind, n, n_t, p, rate, seed, params, noise):
     """{file name: bytes} of the snapshot files `synth --format both` writes,
     built whole: each snapshot from the oracles above, with one n x n_t noise
-    draw per parameter, then its binary payload as one tobytes(order="F")
-    and its CSV as one repr per value."""
+    draw per parameter, then written by snapshot_files."""
     if kind == "nonnested":
         snaps = nonnested_snapshots(n, n_t, p, rate, seed, params, noise)
     else:
         nested = kind == "nested"
         snaps = turning_snapshots(n, n_t, p, rate, seed, params,
                                   min(noise, 1e-10) if nested else noise, 1 if nested else p)
+    return snapshot_files(params, snaps)
+
+
+def snapshot_files(params, snaps):
+    """{file name: bytes} of the binary and CSV files of the snapshot data
+    `snaps` at `params`: each binary payload as one tobytes(order="F"), each
+    CSV as one repr per value."""
     files = {}
     for i, (lam, data) in enumerate(zip(params, snaps)):
+        n, n_t = data.shape
         files[f"snapshot_{i:03d}.gpm"] = (b"GPM1" + struct.pack("<QQd", n, n_t, lam)
                                           + np.asarray(data, dtype="<f8").tobytes(order="F"))
         rows = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -10,19 +11,22 @@ import numpy as np
 import pytest
 
 from gpmor import (
+    FamilySpec,
     SnapshotMatrix,
     TrainingSet,
     c3_distance_table,
     cli,
     compute_pod,
     fileio,
+    generate,
     interpolate,
     riemannian_distance,
     snapshots,
+    synth,
 )
 from gpmor.fileio import fmt, read_frame, read_json, read_snapshot, write_snapshot_bin
 from gpmor.synth import DEFAULT_NOISE, KINDS
-from oracles import synth_files
+from oracles import barycentric_eval_weights, snapshot_files, synth_files
 
 
 def run(*argv):
@@ -120,19 +124,84 @@ def test_synth_deterministic_rerun(tmp_path):
     ).read_bytes()
 
 
+def _generated_files(spec):
+    """{file name: bytes} of the snapshot files of generate(spec)."""
+    snaps = generate(spec).snapshots
+    return snapshot_files([s.param for s in snaps], [s.data for s in snaps])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_streamed_synth_files_match_whole_array_oracle(tmp_path, monkeypatch, kind):
-    # a budget of 13 noise rows and of 2 written columns: each snapshot's
-    # noise is drawn, and its payload written, in five blocks, the last short
-    n, n_t, p, params = 60, 9, 3, (0.0, 0.5, 1.5)
-    monkeypatch.setattr(snapshots, "STREAM_BYTES", 2 * n * 8)
-    assert snapshots.per_block(n_t) == 13 and snapshots.per_block(n) == 2
+    # rows: a budget of 48 rows, so each snapshot is built, and its payload
+    # written by positioned column segments, in four row blocks, the last
+    # short; columns: one row block, written in column blocks of 2
+    n, n_t, p, params = 150, 9, 3, (0.0, 0.5, 1.5)
+    expected = synth_files(kind, n, n_t, p, 0.4, 5, params, DEFAULT_NOISE)
+    spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind=kind, rate=0.4, seed=5, params=params)
+    for budget, blocks in (("rows", [(0, 48), (48, 96), (96, 144), (144, 150)]),
+                           ("columns", [(0, 150)])):
+        with monkeypatch.context() as patch:
+            if budget == "rows":
+                patch.setattr(synth, "BLOCK_BYTES", 48 * n_t * 8)
+            else:
+                patch.setattr(snapshots, "STREAM_BYTES", 2 * n * 8)
+                assert snapshots.per_block(n) == 2
+            assert synth._row_ranges(n, n_t) == blocks
+            out = tmp_path / budget
+            assert run("--out", out, "--quiet", "--seed", 5, "synth", "--kind", kind, "--n", n,
+                       "--nt", n_t, "--modes", p, "--rate", 0.4, "--params=0,0.5,1.5",
+                       "--format", "both") == 0
+            got = {f.name: f.read_bytes() for f in out.glob("snapshot_*")}
+            assert got == expected
+            assert _generated_files(spec) == expected
+
+
+def test_tall_synth_writes_partial_row_blocks(tmp_path, monkeypatch):
+    # at the default budget a 3000 x 100 snapshot takes row blocks of 1296,
+    # 1296 and 408 rows: each goes to the binary file as 100 positioned
+    # column segments and to the CSV file as its rows
+    n, n_t, p, params = 3000, 100, 3, (0.0, 1.0)
+    assert synth._row_ranges(n, n_t) == [(0, 1296), (1296, 2592), (2592, 3000)]
+    writes = []
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: writes.append(offset)
+                        or pwrite(fd, data, offset))
     out = tmp_path / "fam"
-    assert run("--out", out, "--quiet", "--seed", 5, "synth", "--kind", kind, "--n", n,
-               "--nt", n_t, "--modes", p, "--rate", 0.4, "--params=0,0.5,1.5",
-               "--format", "both") == 0
+    assert run("--out", out, "--quiet", "--seed", 8, "synth", "--kind", "rotation", "--n", n,
+               "--nt", n_t, "--modes", p, "--rate", 0.3, "--params=0,1", "--format", "both") == 0
+    assert len(writes) == len(params) * 3 * n_t
     got = {f.name: f.read_bytes() for f in out.glob("snapshot_*")}
-    assert got == synth_files(kind, n, n_t, p, 0.4, 5, params, DEFAULT_NOISE)
+    expected = synth_files("rotation", n, n_t, p, 0.3, 8, params, DEFAULT_NOISE)
+    assert got == expected
+    spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind="rotation", rate=0.3, seed=8, params=params)
+    assert _generated_files(spec) == expected
+
+
+@pytest.mark.parametrize("form, owner, name", [("bin", os, "pwrite"), ("csv", fileio, "_csv_rows"),
+                                               ("both", os, "pwrite")], ids=["bin", "csv", "both"])
+def test_interrupted_synth_leaves_no_snapshot_file(tmp_path, monkeypatch, form, owner, name):
+    # row blocks of 48, 48 and 4 rows: the write fails in the first
+    # snapshot's second block, whose binary file is already full-length.
+    # Each file is still under its temporary name, which is removed, so no
+    # file with a hole or a short CSV can pass for a snapshot
+    n_t = 12
+    monkeypatch.setattr(synth, "BLOCK_BYTES", 48 * n_t * 8)
+    fail_at = n_t + 1 if name == "pwrite" else 2
+    calls = []
+    write = getattr(owner, name)
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write(*args)
+
+    monkeypatch.setattr(owner, name, failing)
+    out = tmp_path / "fam"
+    assert run("--out", out, "--quiet", "synth", "--kind", "rotation", "--n", 100, "--nt", n_t,
+               "--modes", 2, "--params=0,1", "--format", form) == 2
+    assert len(calls) == fail_at
+    assert list(out.iterdir()) == []
 
 
 def test_synth_rate_zero_degenerate(tmp_path):
@@ -701,11 +770,28 @@ def test_check_c3_peak_memory_below_six_snapshots(tmp_path):
     assert peak < 3 * n * n_t * 8
 
 
+def test_synth_traces_under_a_quarter_snapshot(tmp_path):
+    # two 40000 x 100 snapshots of 32 MB each: synth holds a row block of
+    # 1 MB and its noise draw or its column-major copy, beside the n x 2
+    # frame (3.8 MB traced; 40 MB when each snapshot was built whole)
+    n, n_t = 40000, 100
+    tracemalloc.start()
+    try:
+        code = run("--out", tmp_path / "fam", "--quiet", "synth", "--kind", "rotation", "--n", n,
+                   "--nt", n_t, "--modes", 1, "--params=0,1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < n * n_t * 8 / 4
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_paper_scale_snapshots_stream_in_bounded_memory(tmp_path):
-    # two 200000 x 100 snapshots of 160 MB each: synth never holds both, pod
-    # peaks below half a snapshot cold and warm, and a cold check-c3 peaks
-    # within two block budgets of its warm run
+    # two 200000 x 100 snapshots of 160 MB each: synth never holds one (the
+    # QR of its n x 20 frame sets its peak), pod peaks below half a snapshot
+    # cold and warm, and a cold check-c3 peaks within two block budgets of
+    # its warm run
     n, n_t = 200000, 100
     mib = n * n_t * 8 / 2**20
     budget = snapshots.STREAM_BYTES / 2**20
@@ -714,7 +800,7 @@ def test_paper_scale_snapshots_stream_in_bounded_memory(tmp_path):
         code, peak = _peak_mb_in_fresh_process(
             ["--out", fam, "--quiet", "synth", "--kind", "rotation", "--n", n, "--nt", n_t,
              "--modes", 10, "--params=0,1"])
-        assert code == 0 and peak < 2 * mib
+        assert code == 0 and peak < 1.5 * mib
         files = sorted(fam.glob("snapshot_*.gpm"))
         for _ in ("cold", "warm"):
             code, peak = _peak_mb_in_fresh_process(
@@ -815,6 +901,42 @@ def test_far_extrapolation_weights_bound(tmp_path, capsys, target, code):
     if code:
         err = capsys.readouterr().err
         assert "sum |w_i|" in err and f"target {float(target)}" in err
+
+
+def test_sixty_node_sweep_marks_samples_past_the_weight_bound_invalid(tmp_path, capsys):
+    # on 60 equispaced nodes sum |w_i| reaches 1.5e15 near the ends of the
+    # hull; 312 of 2001 samples are past the bound interpolate refuses, and
+    # their theta is nan rather than one from weights whose rounding is of
+    # order 1. Noiseless lifts keep every other sample on the analytic
+    # rate * |lambda - lambda_ref|
+    nodes = list(range(60))
+    files = synth_family(tmp_path / "fam", n=10, nt=6, modes=2, rate=0.02, noise=0,
+                         params=",".join(map(str, nodes)))
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert run("--out", out, "sweep-c2", *files, "--mode", 2, "--lo", 0, "--hi", 59,
+               "--samples", 2001, "--reference-index", 30) == 0
+    assert "312 sample(s) invalid" in capsys.readouterr().out
+    report = read_json(out / "sweep_c2.json")
+    assert report["invalid_samples"] == 312 and report["unstable_intervals"] == []
+    lam, theta, ok = read_sweep_csv(out / "sweep_c2.csv")
+    invalid = np.isnan(theta)
+    assert invalid.sum() == 312 and not ok[invalid].any() and ok[~invalid].all()
+    assert np.max(np.abs(theta[~invalid] - 0.02 * np.abs(lam[~invalid] - 30))) < 1e-7
+    eps = np.finfo(float).eps
+    for k in range(0, len(lam), 8):
+        spread = sum(map(abs, barycentric_eval_weights(nodes, lam[k])))
+        assert invalid[k] == (spread * eps > 5e-7)
+    # interpolate refuses the first invalid sample and agrees with the sweep
+    # at a valid one
+    for k in (np.flatnonzero(invalid)[0], 1000):
+        argv = ["--out", tmp_path / f"interp{k}", "--quiet", "interpolate", *files, "--mode", 2,
+                f"--target={float(lam[k])!r}", "--reference-index", 30]
+        assert run(*argv) == (2 if invalid[k] else 0)
+        if not invalid[k]:
+            report = read_json(tmp_path / f"interp{k}" / "interpolation_report.json")
+            assert report["c2"]["theta_max"] == pytest.approx(theta[k], rel=1e-9)
+    assert "sum |w_i|" in capsys.readouterr().err
 
 
 def _target_argv(call, files, value, ref=1):

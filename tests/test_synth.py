@@ -141,8 +141,8 @@ def test_rotation_family_memory_scales_with_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the two snapshots kept, the one being built and its noise block (here
-    # the whole snapshot), beside the n x 2p frame and the n x p directions
+    # the two snapshots kept, and the row blocks of the one being stacked
+    # with their stacked copy, beside the n x 2p frame and the n x p directions
     assert peak < 4 * n * n_t * 8
     a = compute_pod(fam.snapshots[0], p).basis
     b = compute_pod(fam.snapshots[1], p).basis
