@@ -172,8 +172,12 @@ class TangentVector:
 
     @property
     def theta_max(self):
-        """Largest singular value of the lift (the angle driving the C2 check)."""
-        return float(np.linalg.norm(self.lift, 2))
+        """Largest singular value of the lift (the angle driving the C2
+        check), read by the sweep kernel as one node of weight 1."""
+        # imported here: kernels imports snapshots, which imports this module
+        from . import kernels
+
+        return float(kernels.theta_curve(self.lift[np.newaxis], (0.0,), (0.0,))[0])
 
     @property
     def norm(self):
@@ -209,21 +213,27 @@ def geodesic(base, v, t):
     _require_half_dimension(base)
     u, theta, vt = _signed_thin_svd(v.lift)
     tt = t * theta
-    frame = base.frame @ (vt.T * np.cos(tt)) + u * np.sin(tt)
-    return GrassmannPoint(frame)
+    # the frame is formed in u's own storage: one n x p array fewer alive
+    u *= np.sin(tt)
+    u += base.frame @ (vt.T * np.cos(tt))
+    return GrassmannPoint(u)
 
 
 def log_lift(base, target):
     """Singular values (descending) of the overlap Y^T Y' and, when they pass
     overlap_invertible, the log map's lift from `base` to `target` (a thin SVD
-    of Y' (Y^T Y')^{-1} - Y, arctan on its singular values), else None."""
+    of Y' (Y^T Y')^{-1} - Y, arctan on its singular values, read-only), else
+    None."""
     overlap = base.frame.T @ target.frame
     sv = np.linalg.svd(overlap, compute_uv=False)
     if not overlap_invertible(sv, base.n):
         return sv, None
     mat = np.linalg.solve(overlap.T, target.frame.T).T - base.frame
     u, s, vt = _signed_thin_svd(mat)
-    return sv, (u * np.arctan(s)) @ vt
+    lift = (u * np.arctan(s)) @ vt
+    # frozen, so a TangentVector keeps it without a copy
+    lift.setflags(write=False)
+    return sv, lift
 
 
 def log_map(base, target):

@@ -2,10 +2,11 @@
 
 The pipeline: from the reference node the call names, stability.tangent_step
 maps every training point to its tangent space (C1 gate: all overlaps
-invertible); the lifts are combined with Lagrange weights, the largest
-singular value of the combined lift is checked against pi/2 (C2 gate), and
-the result is exponentiated back to the manifold. A TrainingSet is only data;
-interpolate's reference defaults to the node nearest the target.
+invertible); the largest singular value of their Lagrange combination is
+read from the sweep kernel and checked against pi/2 (C2 gate), and only then
+is the combined lift formed and exponentiated back to the manifold. A
+TrainingSet is only data; interpolate's reference defaults to the node
+nearest the target.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .grassmann import (
     below_cut_locus,
     geodesic,
 )
-from .stability import C1Record, C2Record, check_c2, tangent_step
+from .stability import C1Record, C2Record, tangent_step
 
 
 def weight_bound(weights):
@@ -37,6 +38,18 @@ def weight_bound(weights):
     so past the bound the weights cannot give a frame within its tolerance."""
     spread = reduce(np.add, np.abs(weights).T)
     return spread, spread * np.finfo(float).eps > FRAME_REJECT_TOL / 2
+
+
+def _thetas(lifts, params, grid):
+    """theta_1 of the interpolated lift at each grid parameter, from
+    kernels.theta_curve, and nan where a sample passes C2 with weights past
+    weight_bound. interpolate (at its one target) and c2_sweep both read
+    theta here, so they give one verdict at one lambda, bit for bit."""
+    thetas = kernels.theta_curve(lifts, np.asarray(params), grid)
+    # a sample past the cut locus keeps its C2 verdict whatever its weights
+    past = weight_bound(kernels.lagrange_matrix(params, grid))[1]
+    thetas[past & below_cut_locus(thetas)] = np.nan
+    return thetas
 
 
 def lagrange_weights(params, target):
@@ -111,12 +124,13 @@ def interpolate(ts, target, reference_index=None):
     index and no lift; on a C2 failure (largest combined-lift angle at or past
     pi/2 - C2_MARGIN) it carries the C2 record and no velocity or frame.
     Neither is raised as an exception: both are verdicts the caller is
-    expected to inspect. C2 is judged on the combined lift before it becomes
-    a TangentVector, so a target past the cut locus gets the C2 verdict
-    however far outside the hull it lies, not the horizontality check's
-    error on the weights' rounding. A target that passes C2 with weights so
-    large that their rounding would break the frame is a ParameterError; so
-    is a non-finite target, or one whose weights overflow, before any step.
+    expected to inspect. C2 is judged by c2_sweep's kernel, bit for bit as a
+    sweep from the same reference judges the same lambda, before the combined
+    lift exists, so a target past the cut locus gets the C2 verdict however
+    far outside the hull it lies, not the horizontality check's error on the
+    weights' rounding. A target that passes C2 with weights so large that
+    their rounding would break the frame is a ParameterError; so is a
+    non-finite target, or one whose weights overflow, before any step.
     """
     target = float(target)
     weights = lagrange_weights(ts.params, target)
@@ -127,20 +141,23 @@ def interpolate(ts, target, reference_index=None):
     c1, lifts = tangent_step(ts, ref)
     if lifts is None:
         return InterpolationResult(target, ref, c1, extrapolated=extrapolated)
-    combined = np.zeros_like(lifts[0])
-    for w, z in zip(weights, lifts):
-        combined += w * z
-    c2 = check_c2(combined)
-    if not c2.ok:
-        return InterpolationResult(target, ref, c1, c2, extrapolated=extrapolated)
+    theta = _thetas(lifts, ts.params, [target])[0]
+    spread = weight_bound(weights)[0]
     # past the weight bound it is an input error named by its weights, not a
     # frame that GrassmannPoint rejects
-    spread, past = weight_bound(weights)
-    if past:
+    if np.isnan(theta):
         raise ParameterError(
             f"target {target} needs Lagrange weights with sum |w_i| = {spread:.3e}; their "
             f"rounding would leave the frame beyond its tolerance {FRAME_REJECT_TOL:g}"
         )
+    c2 = C2Record(ok=below_cut_locus(theta), theta_max=float(theta))
+    if not c2.ok:
+        return InterpolationResult(target, ref, c1, c2, extrapolated=extrapolated)
+    combined = np.zeros_like(lifts[0])
+    for w, z in zip(weights, lifts):
+        combined += w * z
+    # frozen, so the TangentVector keeps it without a copy
+    combined.setflags(write=False)
     base = ts.points[ref][1]
     # each lift passed HORIZONTAL_TOL in tangent_step, so their combination leaves
     # the horizontal space by at most sum |w_i| times that
@@ -209,8 +226,4 @@ def c2_sweep(ts, lo, hi, samples, reference_index):
     c1, lifts = tangent_step(ts, reference_index)
     if lifts is None:
         return C2Sweep(grid, np.full(samples, np.nan), c1)
-    thetas = kernels.theta_curve(lifts, np.asarray(ts.params), grid)
-    # interpolate's order: a sample past the cut locus keeps its C2 verdict
-    past = weight_bound(kernels.lagrange_matrix(ts.params, grid))[1]
-    thetas[past & below_cut_locus(thetas)] = np.nan
-    return C2Sweep(grid, thetas, c1)
+    return C2Sweep(grid, _thetas(lifts, ts.params, grid), c1)

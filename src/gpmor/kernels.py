@@ -1,12 +1,19 @@
-"""Hot kernels for the C2 parameter sweep.
+"""The one theta_1 of gpmor: the C2 sweep kernel.
 
-The sweep needs, for every grid parameter lam, the largest singular value of
-the Lagrange-combined lift Z(lam) = sum_i w_i(lam) Z_i. Stacking the lifts as
-S = [Z_1 ... Z_N] (n x Np) gives Z(lam) = S (w(lam) kron I_p), and with the
-reduced QR factorisation S = QR the orthonormal Q drops out of the singular
-values: sigma(Z(lam)) = sigma(R (w(lam) kron I_p)). One QR of S costs
-O(n (Np)^2); every grid point is then a k x p matrix C = R (w(lam) kron I_p)
-with k = min(n, Np), whatever n is.
+C2 needs, at a parameter lam, the largest singular value of the
+Lagrange-combined lift Z(lam) = sum_i w_i(lam) Z_i. The sweep reads it at
+every grid parameter, interpolate at its one target, and check_c2 and
+TangentVector.theta_max for a single lift (one node, weight 1), all through
+theta_curve, so every C2 verdict on one lambda has the same bits. Stacking
+the lifts as S = [Z_1 ... Z_N] (n x Np) gives Z(lam) = S (w(lam) kron I_p),
+and with the reduced QR factorisation S = QR the orthonormal Q drops out of
+the singular values: sigma(Z(lam)) = sigma(R (w(lam) kron I_p)). One QR of
+S costs O(n (Np)^2); R is folded from row blocks of S of
+snapshots.STREAM_BYTES (snapshots.fold_triangle), so S is never held whole,
+and an S of one block gets exactly its own QR. Every grid point is then a
+k x p matrix C = R (w(lam) kron I_p) with k = min(n, Np), whatever n is.
+Each sample's C is its own 1 x N by N x kp product, so its bits do not
+depend on the grid's length.
 
 theta_1 is read from the p x p Gram matrix of each C: theta_1 =
 sqrt(lambda_max(C^T C)), from a batched symmetric eigensolver in place of a
@@ -33,6 +40,7 @@ extrapolation nor underflows for tiny lifts, where the SVD needed no care.
 
 import numpy as np
 
+from . import snapshots
 from .errors import ParameterError
 
 # Bytes of combined k x p matrices held at once. A block's C, its p x p Gram
@@ -57,10 +65,12 @@ def lagrange_matrix(node_params, targets):
     targets = np.asarray(targets, dtype=np.float64)
     w = np.ones((targets.shape[0], node_params.shape[0]))
     with np.errstate(all="ignore"):
-        for i, li in enumerate(node_params):
-            for j, lj in enumerate(node_params):
-                if i != j:
-                    w[:, i] *= (targets - lj) / (li - lj)
+        # one pass per j over every column: column i still takes its factors
+        # in the order j = 0, 1, ..., and its own j = i factor is exactly 1
+        for j, lj in enumerate(node_params):
+            factor = (targets[:, np.newaxis] - lj) / (node_params - lj)
+            factor[:, j] = 1.0
+            w *= factor
     # a lone node's weight is the constant 1, finite even at a non-finite target
     bad = targets[~(np.isfinite(w).all(axis=1) & np.isfinite(targets))]
     if bad.size:
@@ -83,8 +93,12 @@ def theta_curve(lifts, node_params, grid):
     """
     lifts = np.asarray(lifts, dtype=np.float64)
     n_nodes, n, p = lifts.shape
-    stacked = lifts.transpose(1, 0, 2).reshape(n, n_nodes * p)
-    r = np.linalg.qr(stacked, mode="r")
+
+    def stacked_rows(view, start):
+        for i, lift in enumerate(lifts):
+            view[:, i * p:(i + 1) * p] = lift[start:start + len(view)]
+
+    r = snapshots.fold_triangle(snapshots.row_blocks(n, n_nodes * p, stacked_rows))
     k = r.shape[0]
     # row i of blocks is R_i, the k x p slice of R that multiplies w_i, flattened
     blocks = r.reshape(k, n_nodes, p).transpose(1, 0, 2).reshape(n_nodes, k * p)
@@ -100,7 +114,10 @@ def theta_curve(lifts, node_params, grid):
     out = np.empty(weights.shape[0])
     for start in range(0, weights.shape[0], rows):
         block = slice(start, start + rows)
-        combined = (weights[block] @ blocks).reshape(-1, k, p)
+        # one 1 x N by N x kp product per sample: a block of one row would
+        # take numpy's matrix-vector path and a longer one GEMM, which round
+        # differently
+        combined = np.matmul(weights[block, np.newaxis], blocks).reshape(-1, k, p)
         gram = np.matmul(combined.transpose(0, 2, 1), combined)
         # rounding can leave a zero lift's eigenvalue a hair below zero
         top = np.linalg.eigvalsh(gram)[:, -1]

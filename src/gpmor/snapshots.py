@@ -143,26 +143,29 @@ def row_blocks(n, n_t, fill):
         yield view
 
 
+def fold_triangle(blocks):
+    """R of the QR of the matrix whose row blocks `blocks` yields in order,
+    folded block by block as R = qr([R; block]), so one block alone is
+    exactly qr(S, mode="r")."""
+    r = None
+    for block in blocks:
+        r = np.linalg.qr(block if r is None else np.vstack((r, block)), mode="r")
+    return r
+
+
 def factor_rows(blocks, shape, param, max_mode):
     """factor_pod of a tall matrix S of `shape` (n > n_t) given by its row
     blocks: each call blocks() makes one pass, yielding them in order.
 
-    The first pass folds each block into the triangle, R = qr([R; block]),
-    so one block alone is exactly qr(S); one SVD of R gives the full
-    spectrum sigma and the right vectors v_j. The second pass forms each
-    kept u_j = S v_j / sigma_j block by block, one matrix-vector product per
-    block, and two passes of classical Gram-Schmidt re-orthonormalise u_j
-    against u_1..u_{j-1}. Column j is bitwise the same for every
-    max_mode >= j. The arrays come back frozen.
+    The first pass folds the blocks into the triangle R (fold_triangle);
+    one SVD of R gives the full spectrum sigma and the right vectors v_j.
+    The second pass forms each kept u_j = S v_j / sigma_j block by block,
+    one matrix-vector product per block, and two passes of classical
+    Gram-Schmidt re-orthonormalise u_j against u_1..u_{j-1}. Column j is
+    bitwise the same for every max_mode >= j. The arrays come back frozen.
     """
     n, n_t = shape
-    r = None
-    for block in blocks():
-        r = np.linalg.qr(block if r is None else np.vstack((r, block)), mode="r")
-    # a pass's last block holds its buffer: dropped before the next pass or
-    # the Gram-Schmidt loop, so one buffer is alive at a time
-    del block
-    _, sv, vt = np.linalg.svd(r, full_matrices=False)
+    _, sv, vt = np.linalg.svd(fold_triangle(blocks()), full_matrices=False)
     keep = kept_modes(sv, shape, max_mode)
     u = np.empty((n, keep), order="F")
     start = 0
@@ -171,6 +174,8 @@ def factor_rows(blocks, shape, param, max_mode):
         for j in range(keep):
             u[start:stop, j] = block @ vt[j] / sv[j]
         start = stop
+    # the pass's last block holds its buffer: dropped before the
+    # Gram-Schmidt loop, so one buffer is alive at a time
     del block
     for j in range(keep):
         w = u[:, j].copy()

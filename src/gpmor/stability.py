@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import ParameterError
 from .grassmann import TangentVector, _frozen_float, below_cut_locus, geometric_distance, log_lift
 
@@ -127,8 +128,10 @@ def check_c1(ts, reference_index):
 
 
 def check_c2(lift):
-    """C2 verdict for an n x p horizontal lift: largest singular value below pi/2."""
-    theta1 = float(np.linalg.norm(lift, 2))
+    """C2 verdict for an n x p horizontal lift: largest singular value below
+    pi/2, read by the sweep kernel as one node of weight 1."""
+    lift = np.asarray(lift, dtype=float)
+    theta1 = float(kernels.theta_curve(lift[np.newaxis], (0.0,), (0.0,))[0])
     return C2Record(ok=below_cut_locus(theta1), theta_max=theta1)
 
 

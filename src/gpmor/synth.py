@@ -17,8 +17,11 @@ covered:
               (a matrix exponential with a quadratic-in-parameter generator),
               so interpolants at different modes genuinely fail to nest.
 
-Randomness comes from a seeded PCG64 generator; identical specs reproduce
-bitwise-identical snapshots. `stream` builds each snapshot as a stream of
+Randomness comes from a seeded PCG64 generator, so identical specs draw
+identical random numbers. The snapshots are bitwise identical only on one
+numpy/BLAS build at one BLAS thread count: a threaded GEMM can move last
+bits between thread counts (with OpenBLAS 0.3.31, a 5202 x 213 x 8 product
+differs between 1 and 2 threads). `stream` builds each snapshot as a stream of
 row blocks, so a caller that writes each block before taking the next never
 holds a whole snapshot; `generate` and the gen_* functions stack the same
 blocks into a tuple of snapshots.

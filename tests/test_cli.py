@@ -509,7 +509,10 @@ def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
         else:
             assert reads == []
             assert passes == [(n, nt)] * (2 * len(files))
-            assert calls.count(("qr", (n, nt))) == len(files)
+            # the C2 kernel takes one QR of each mode's n x Np lift stack,
+            # which at p = 3 has the snapshots' shape
+            stacks = [(n, len(files) * p) for p in range(1, 6)]
+            assert calls.count(("qr", (n, nt))) == len(files) + stacks.count((n, nt))
             assert calls.count(("svd", (nt, nt))) == len(files)
             assert ("svd", (n, nt)) not in calls
 
@@ -935,8 +938,34 @@ def test_sixty_node_sweep_marks_samples_past_the_weight_bound_invalid(tmp_path, 
         assert run(*argv) == (2 if invalid[k] else 0)
         if not invalid[k]:
             report = read_json(tmp_path / f"interp{k}" / "interpolation_report.json")
-            assert report["c2"]["theta_max"] == pytest.approx(theta[k], rel=1e-9)
+            assert report["c2"]["theta_max"] == theta[k]
     assert "sum |w_i|" in capsys.readouterr().err
+
+
+def test_interpolate_check_c3_and_sweep_agree_at_the_c2_boundary(tmp_path):
+    # theta_1 at this target lies within a few ulps of pi/2 - C2_MARGIN: when
+    # interpolate took a 2-norm of the combined lift and sweep-c2 its kernel,
+    # interpolate read 1.5707963267938962 and exited 0 while the sweep read
+    # 1.5707963267938976 and failed C2 there
+    files = synth_family(tmp_path / "fam", kind="crossing", n=40, nt=20, modes=4, rate=0.5,
+                         seed=2, params="-3.0,-2.25,-1.5,-0.75,0.0,0.75,1.5,2.25,3.0")
+    target = "3.1415724197550343"
+    common = [*files, f"--target={target}", "--reference-index", 4]
+    codes = [run("--out", tmp_path / "i", "--quiet", "interpolate", "--mode", 4, *common),
+             run("--out", tmp_path / "c", "--quiet", "check-c3", "--modes", "4,2", *common)]
+    assert run("--out", tmp_path / "s", "--quiet", "sweep-c2", *files, "--mode", 4, f"--lo={target}",
+               "--hi=4.1415724197550343", "--samples", 201, "--reference-index", 4) == 0
+    lam, theta, ok = read_sweep_csv(tmp_path / "s" / "sweep_c2.csv")
+    assert lam[0] == float(target)
+    # one theta and one verdict from all three (numpy 2.4 with OpenBLAS
+    # 0.3.31 lands this sample past the margin)
+    c2 = {"ok": bool(ok[0]), "theta_max": theta[0]}
+    assert read_json(tmp_path / "i" / "interpolation_report.json")["c2"] == c2
+    assert codes[0] == (0 if ok[0] else 11)
+    if not ok[0]:
+        assert codes[1] == 11 and read_json(tmp_path / "c" / "c3_report.json")["c2"] == c2
+        unstable = read_json(tmp_path / "s" / "sweep_c2.json")["unstable_intervals"]
+        assert unstable[0][0] == float(target)
 
 
 def _target_argv(call, files, value, ref=1):

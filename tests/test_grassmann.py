@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,24 @@ def test_geodesic_endpoints():
     v = random_tangent(rng, base, theta1=0.9)
     assert geometric_distance(geodesic(base, v, 0.0), base) == 0.0
     assert np.array_equal(geodesic(base, v, 1.0).frame, exp_map(base, v).frame)
+
+
+def test_geodesic_forms_its_frame_in_place():
+    # 20000 x 10: the left singular vectors, which become the frame, the
+    # product with the base frame, then the GrassmannPoint's copy and its
+    # finiteness mask (3.13 n x p arrays when frame and u * sin were apart)
+    rng = np.random.default_rng(14)
+    n, p = 20000, 10
+    base = random_grassmann_point(rng, n, p)
+    v = random_tangent(rng, base, theta1=1.2)
+    tracemalloc.start()
+    try:
+        end = geodesic(base, v, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert end.frame.shape == (n, p)
+    assert peak < 2.2 * n * p * 8
 
 
 def test_geodesic_unit_speed():

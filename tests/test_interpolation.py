@@ -15,6 +15,7 @@ from gpmor import (
     check_c1,
     compute_pod,
     gen_crossing_family,
+    gen_nonnested_family,
     gen_rotation_family,
     interpolate,
     lagrange_weights,
@@ -314,7 +315,7 @@ def test_far_outside_hull_gives_c2_verdict_matching_sweep():
         res = interpolate(TrainingSet(points=pts), target)
         assert res.reference_index == 7 and res.c1.ok
         assert not res.c2.ok and res.frame is None and res.velocity is None
-        assert res.c2.theta_max == pytest.approx(swept, rel=1e-9)
+        assert res.c2.theta_max == swept
 
 
 def test_far_extrapolation_within_c2_gives_frame_matching_sweep():
@@ -334,7 +335,44 @@ def test_far_extrapolation_within_c2_gives_frame_matching_sweep():
         # the held-out snapshot's own subspace, which the family turns exactly
         assert principal_angles(res.frame, compute_pod(snap, 3).basis)[0] < 1e-7
     res = interpolate(TrainingSet(points=pts), 20.0)
-    assert res.c2.theta_max == pytest.approx(sweep.thetas[0], rel=1e-9)
+    assert res.c2.theta_max == sweep.thetas[0]
+
+
+def _pod_training_set(gen, p, **spec):
+    family = gen(FamilySpec(mode_count=p, **spec))
+    return TrainingSet(points=tuple((s.param, compute_pod(s, p).basis) for s in family.snapshots))
+
+
+@pytest.mark.parametrize("ts, lo, hi, samples, ref, invalid", [
+    # nine nodes on [-3, 3], p = 4, swept past both ends of the hull: C2
+    # passes near the reference and fails beyond the cut locus on either side
+    *((_pod_training_set(gen, 4, n=40, n_t=20, kind=kind, rate=rate, seed=seed,
+                         params=tuple(np.linspace(-3.0, 3.0, 9).tolist())), -9.3, 9.1, 81, ref, False)
+      for gen, kind, rate in ((gen_crossing_family, "crossing", 0.5),
+                              (gen_rotation_family, "rotation", 0.2),
+                              (gen_nonnested_family, "nonnested", 0.8))
+      for seed, ref in ((1, 4), (2, 0), (3, 7))),
+    # the 60-node noiseless family of the CLI's sixty-node sweep: samples
+    # near both ends of the hull are past the weight bound
+    (_pod_training_set(gen_rotation_family, 2, n=10, n_t=6, kind="rotation", rate=0.02,
+                       seed=3, noise=0.0, params=tuple(float(x) for x in range(60))),
+     0.0, 59.0, 237, 30, True),
+])
+def test_interpolate_agrees_with_every_sweep_sample(ts, lo, hi, samples, ref, invalid):
+    # at each sample's exact lambda and reference, interpolate reads the same
+    # theta_1 bits and gives the same verdict; it refuses exactly the samples
+    # the sweep marks invalid
+    sweep = c2_sweep(ts, lo, hi, samples, ref)
+    for lam, theta, ok in zip(sweep.grid.tolist(), sweep.thetas.tolist(), sweep.c2_ok):
+        if np.isnan(theta):
+            with pytest.raises(ParameterError, match=r"sum \|w_i\|"):
+                interpolate(ts, lam, ref)
+        else:
+            res = interpolate(ts, lam, ref)
+            assert res.c2.theta_max == theta and res.c2.ok == ok and res.ok == ok
+    # both kinds of sample occur
+    assert (sweep.invalid_samples > 0) == invalid and sum(sweep.c2_ok) > 0
+    assert invalid or sum(sweep.c2_ok) < samples
 
 
 def test_far_extrapolation_weights_bound_is_a_parameter_error():

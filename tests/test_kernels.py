@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpmor import kernels
+from gpmor import kernels, snapshots
 from gpmor.interpolation import lagrange_weights
 
 
@@ -163,3 +163,41 @@ def test_theta_curve_matches_direct_evaluation(case):
     assert_matches_reference(lifts, params, grid)
     if zero is not None:
         assert kernels.theta_curve(lifts, params, params[zero : zero + 1])[0] == 0.0
+
+
+@given(kernel_cases())
+@settings(max_examples=60)
+def test_one_target_has_the_bits_it_has_inside_a_longer_grid(case):
+    # a lone sample and a block of many take the same per-sample product, so
+    # interpolate's one target and a sweep's sample at that lambda agree
+    lifts, params, grid, _ = case
+    whole = kernels.theta_curve(lifts, params, grid)
+    for lam, theta in zip(grid, whole):
+        assert kernels.theta_curve(lifts, params, np.array([lam]))[0] == theta
+
+
+def test_one_target_has_the_bits_it_has_in_either_block_of_a_long_grid():
+    # 24 x 3 combined matrices: 1820 samples fill the 1 MB block, so 2001
+    # samples take two blocks
+    rng = np.random.default_rng(10)
+    lifts, params, _ = make_case(rng, n_nodes=8, n=50, p=3)
+    grid = np.linspace(-1.0, 11.0, 2001)
+    whole = kernels.theta_curve(lifts, params, grid)
+    for j in (*range(0, 2001, 97), 1819, 1820, 2000):
+        assert kernels.theta_curve(lifts, params, grid[j:j + 1])[0] == whole[j]
+
+
+def test_stack_folded_from_row_blocks_matches_direct_evaluation(monkeypatch):
+    # a 900 x 12 lift stack in row blocks of 100 rows gives the theta_1 of
+    # its one-block QR to rounding
+    rng = np.random.default_rng(11)
+    lifts, params, grid = make_case(rng, n_nodes=4, n=900, p=3)
+    whole = kernels.theta_curve(lifts, params, grid)
+    monkeypatch.setattr(snapshots, "STREAM_BYTES", 100 * 12 * 8)
+    shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or qr(a, mode=mode))
+    folded = kernels.theta_curve(lifts, params, grid)
+    assert shapes == [(100, 12)] + [(112, 12)] * 8  # each block below the 12 x 12 triangle
+    np.testing.assert_allclose(folded, whole, rtol=1e-13)
+    assert_matches_reference(lifts, params, grid)

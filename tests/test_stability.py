@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from gpmor import (
     in_injectivity_domain,
     riemannian_distance,
 )
-from gpmor.stability import EXIT_C1, EXIT_C2, EXIT_C3, EXIT_OK, C1Record, C2Record
+from gpmor.grassmann import deterministic_qr
+from gpmor.stability import EXIT_C1, EXIT_C2, EXIT_C3, EXIT_OK, C1Record, C2Record, tangent_step
 from oracles import random_grassmann_point, random_tangent
 
 
@@ -239,3 +242,23 @@ def test_report_schema():
     d = rep.to_dict()
     assert d["schema"] == "gpm/1"
     assert d["c3"]["ok"] is True
+
+
+def test_tangent_step_holds_two_lifts_per_node():
+    # five nodes of 20000 x 10: each node's lift, frozen by log_lift and kept
+    # by its TangentVector, and its row of the stack (15 n x p arrays when
+    # every TangentVector copied its lift)
+    rng = np.random.default_rng(13)
+    n, p = 20000, 10
+    base = random_grassmann_point(rng, n, p)
+    ts = TrainingSet(points=tuple(
+        (float(i), GrassmannPoint(deterministic_qr(base.frame + 0.1 * i * rng.standard_normal((n, p)))))
+        for i in range(5)))
+    tracemalloc.start()
+    try:
+        c1, lifts = tangent_step(ts, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c1.ok and lifts.shape == (5, n, p)
+    assert peak < 10.05 * n * p * 8
