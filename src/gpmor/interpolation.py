@@ -54,9 +54,6 @@ def _thetas(lifts, params, grid):
 
 def lagrange_weights(params, target):
     """Lagrange cardinal weights at `target` for the given distinct nodes."""
-    params = [float(x) for x in params]
-    if len(set(params)) != len(params):
-        raise ParameterError("interpolation nodes must be pairwise distinct")
     return kernels.lagrange_matrix(params, [float(target)])[0].tolist()
 
 

@@ -59,10 +59,13 @@ def lagrange_matrix(node_params, targets):
     At an exact node t_m = l_i, every other weight has a zero factor and every
     factor of w[m, i] is exactly 1, so the row is exactly one-hot. A weight
     that is not finite (a non-finite target, or one so far out that the
-    product overflows) is a ParameterError naming the first such target.
+    product overflows) is a ParameterError naming the first such target, and
+    nodes that are not pairwise distinct are a ParameterError.
     """
     node_params = np.asarray(node_params, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
+    if np.unique(node_params).size != node_params.size:
+        raise ParameterError("interpolation nodes must be pairwise distinct")
     w = np.ones((targets.shape[0], node_params.shape[0]))
     with np.errstate(all="ignore"):
         # one pass per j over every column: column i still takes its factors

@@ -11,6 +11,7 @@ Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012), so a snapshot
 streamed from a file is never held whole.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,14 @@ from .grassmann import GrassmannPoint, _frozen_float, fix_svd_signs
 # Relative gap sigma_p - sigma_{p+1} below which the minimizing subspace is
 # flagged as non-unique.
 UNIQUENESS_GAP_TOL = 1e-10
+
+
+def _finite_param(value):
+    """A record's parameter lambda as a float; NaN or infinite is a DataError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DataError(f"snapshot parameter lambda={value} is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,7 @@ class SnapshotMatrix:
         if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise DataError("snapshot data contains non-finite entries")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "param", float(self.param))
+        object.__setattr__(self, "param", _finite_param(self.param))
 
     @property
     def n(self):
@@ -85,6 +94,7 @@ class PodFactor:
     def __post_init__(self):
         for name in ("vectors", "singular_values"):
             object.__setattr__(self, name, _frozen_float(getattr(self, name)))
+        object.__setattr__(self, "param", _finite_param(self.param))
 
 
 def _numerical_rank(sv, shape):

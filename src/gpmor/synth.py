@@ -1,21 +1,24 @@
 """Synthetic parametric snapshot families with known POD subspaces.
 
-These families replace an external FEM stage: each generator produces, for a
-list of parameter values, snapshot matrices whose dominant left subspaces
-follow an analytically known trajectory on G(p, n). Four behaviors are
-covered:
+These families replace an external FEM stage: for a list of parameter values
+they give snapshot matrices whose dominant left subspaces follow an
+analytically known trajectory on G(p, n), with singular values 10, 5, 2.5,
+... and noise at spec.noise. Four kinds are covered:
 
-* rotation  - every design direction turns at the same constant rate in its
-              own coordinate 2-plane; the log-map lift is linear in the
+* rotation  - every design direction turns by rate * lam in its own
+              coordinate 2-plane; the log-map lift is linear in the
               parameter, so Lagrange interpolation is exact.
-* crossing  - a rotation family whose rate pushes the interpolated lift's
-              largest angle past pi/2 inside the parameter hull (C2 loss);
-              the analytic crossing points ship in the manifest.
+* crossing  - a rotation family whose interpolated lift's largest angle from
+              a reference node lam0 is rate * |lam - lam0|, so C2 fails
+              exactly for |lam - lam0| > pi / (2 rate) (C2 loss inside the
+              parameter hull); those crossing points ship in the manifest.
 * nested    - only the first direction moves, inside a fixed 2-plane, so the
-              per-mode interpolants nest and the C3 distance table vanishes.
-* nonnested - all directions follow a curved, mode-coupled trajectory
-              (a matrix exponential with a quadratic-in-parameter generator),
-              so interpolants at different modes genuinely fail to nest.
+              per-mode interpolants nest and the C3 distance table vanishes;
+              the noise is pinned to at most NESTED_NOISE so nesting survives POD.
+* nonnested - the frame is Q(lam) = expm(rate*lam*K1 + rate*lam^2*K2) applied
+              to a fixed orthonormal block, with K2 acting only past the
+              first two directions, so low modes stay nearly exact while
+              higher-mode interpolants fail to nest and the C3 ratio blows up.
 
 Randomness comes from a seeded PCG64 generator, so identical specs draw
 identical random numbers. The snapshots are bitwise identical only on one
@@ -23,8 +26,8 @@ numpy/BLAS build at one BLAS thread count: a threaded GEMM can move last
 bits between thread counts (with OpenBLAS 0.3.31, a 5202 x 213 x 8 product
 differs between 1 and 2 threads). `stream` builds each snapshot as a stream of
 row blocks, so a caller that writes each block before taking the next never
-holds a whole snapshot; `generate` and the gen_* functions stack the same
-blocks into a tuple of snapshots.
+holds a whole snapshot; `generate` stacks the same blocks into a tuple of
+snapshots.
 """
 
 import math
@@ -89,6 +92,8 @@ class FamilySpec:
             if not (math.isfinite(value) and value >= 0.0):
                 raise ParameterError(f"{name} must be finite and non-negative, got {value}")
         params = tuple(float(x) for x in self.params)
+        if not all(map(math.isfinite, params)):
+            raise ParameterError(f"family parameters must be finite, got {list(params)}")
         if len(set(params)) != len(params):
             raise ParameterError("family parameters must be pairwise distinct")
         if not params:
@@ -123,19 +128,128 @@ def _row_ranges(n, n_t):
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _synthesize(spec, width, trajectory, noise, extra):
-    """The work every kind shares: the manifest, and a lazy iterator that
-    gives, for each parameter in order, the pair (lam, row blocks of its
-    snapshot). Seeds the RNG, draws a random ambient frame (n x width) and the
-    time profiles, and asks `trajectory(ambient, rng)` for the kind's map
+def _turning(angles):
+    """Trajectory in which direction i turns by angles(lam)[i] inside the plane
+    (b_2i, b_2i+1) of an n x 2p ambient frame."""
+
+    def trajectory(ambient, rng):
+        even, odd = ambient[:, 0::2], ambient[:, 1::2]
+
+        def directions(lam):
+            a = angles(lam)
+            return np.cos(a) * even + np.sin(a) * odd
+
+        return directions
+
+    return trajectory
+
+
+def _rotation(spec):
+    spread = max(spec.params) - min(spec.params)
+    if spec.kind == "rotation" and spec.rate * spread >= np.pi / 2.0:
+        warnings.warn(
+            f"rate * parameter spread = {spec.rate * spread:.4f} >= pi/2: "
+            "the family will cross the injectivity boundary (use kind='crossing' "
+            "if that is intended)",
+            RuntimeWarning,
+            # past stream, then generate or cli.cmd_synth: their caller
+            stacklevel=4,
+        )
+    trajectory = _turning(lambda lam: np.full(spec.mode_count, spec.rate * lam))
+    return 2 * spec.mode_count, trajectory, spec.noise, {"theta1_per_unit_param": spec.rate}
+
+
+def _crossing(spec):
+    if spec.rate <= 0.0:
+        raise ParameterError("crossing family needs a positive rate")
+    width, trajectory, noise, extra = _rotation(spec)
+    offset = np.pi / (2.0 * spec.rate)
+    extra = dict(extra, crossing_offset=offset, crossing_points={
+        repr(lam): [lam - offset, lam + offset] for lam in spec.params
+    })
+    return width, trajectory, noise, extra
+
+
+def _nested(spec):
+    # the other directions turn by 0: cos 0 = 1 and sin 0 = 0 are exact, so
+    # each stays its ambient column bit for bit
+    rest = np.zeros(spec.mode_count - 1)
+    trajectory = _turning(lambda lam: np.r_[spec.rate * lam, rest])
+    noise = min(spec.noise, NESTED_NOISE)
+    return 2 * spec.mode_count, trajectory, noise, {
+        "noise": noise,
+        "nesting": "exact by construction; cross-mode geometric distances vanish",
+    }
+
+
+def _skew(rng, size):
+    """A size x size skew-symmetric generator of unit 2-norm, or the zero one
+    when the draw has none (size 1, or 0)."""
+    a = rng.standard_normal((size, size))
+    k = a - a.T
+    norm = np.linalg.norm(k, 2)
+    return k / norm if norm > 0.0 else k
+
+
+def expm_skew(a, b):
+    """exp(a) @ b for a real skew-symmetric a, from one symmetric
+    eigendecomposition a^T a = V diag(w^2) V^T: the even and odd parts of the
+    exponential series are cos and sinc of sqrt(a^T a), so
+    exp(a) b = V cos(W) V^T b + a V sinc(W) V^T b (Moler & Van Loan, SIAM Rev.
+    2003). Each w_j is read as |a v_j| rather than from its eigenvalue, which
+    eigh gives only to u |a|^2 absolutely: the norm keeps cos^2 + sin^2 = 1
+    per column, so orthonormal columns of b stay orthonormal to rounding.
+    a = 0 gives b back bit for bit."""
+    v = np.linalg.eigh(a.T @ a)[1]
+    av = a @ v
+    w = np.linalg.norm(av, axis=0)
+    c = v.T @ b
+    return v @ (np.cos(w)[:, None] * c) + av @ (np.sinc(w / np.pi)[:, None] * c)
+
+
+def _nonnested(spec):
+    def trajectory(ambient, rng):
+        u0 = ambient[:, : spec.mode_count]
+        k1 = _skew(rng, spec.n) * spec.rate
+        # curvature generator confined to the span beyond the two leading directions
+        w = ambient[:, 2:]
+        k2 = w @ _skew(rng, spec.n - 2) @ w.T * spec.rate
+        return lambda lam: expm_skew(lam * k1 + lam * lam * k2, u0)
+
+    # K1 and K2 act on the whole space, so this kind draws the full n x n frame
+    return spec.n, trajectory, spec.noise, {
+        "nesting": "broken by construction; expect a large C3 ratio"}
+
+
+# A kind's recipe checks the spec and returns what stream builds the family
+# from: the frame width, the trajectory, the noise level and the manifest
+# keys of the kind.
+_RECIPES = {
+    "rotation": _rotation,
+    "crossing": _crossing,
+    "nested": _nested,
+    "nonnested": _nonnested,
+}
+
+
+def stream(spec):
+    """(manifest, snapshots) of spec's family, where snapshots yields for each
+    parameter, in order, the pair (lam, blocks): blocks yields the n x n_t
+    snapshot's row blocks in order, each built when it is taken. A caller
+    takes every block of a snapshot before the next snapshot. Nothing keeps
+    a block that has been handed out, so a caller that writes each block
+    before it takes the next holds one block of BLOCK_BYTES, never a whole
+    snapshot.
+
+    Seeds the RNG, draws a random ambient frame (n x width) and the time
+    profiles, and asks the kind's `trajectory(ambient, rng)` for its map
     lam -> n x p directions (it draws what else it needs from rng). Each row
-    block, when it is asked for, is (directions * ladder)[rows] @ profiles^T
-    plus its noise, drawn as it is added: taken in order, every block of a
-    snapshot before the next snapshot's, the blocks take the PCG64 stream in
-    the order of one C-ordered n x n_t draw per parameter. The manifest
-    holds the shared keys and the kind's `extra` ones. The frame is Haar on
-    the Stiefel manifold, distributed as the first `width` columns of a random
-    n x n rotation, at O(n * width) memory."""
+    block is (directions * ladder)[rows] @ profiles^T plus its noise, drawn
+    as it is added, so the blocks take the PCG64 stream in the order of one
+    C-ordered n x n_t draw per parameter. The frame is Haar on the Stiefel
+    manifold, distributed as the first `width` columns of a random n x n
+    rotation, at O(n * width) memory."""
+    width, trajectory, noise, extra = _RECIPES[spec.kind](spec)
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     ambient = deterministic_qr(rng.standard_normal((spec.n, width)))
     profiles = deterministic_qr(rng.standard_normal((spec.n_t, spec.mode_count)))
@@ -167,186 +281,14 @@ def _synthesize(spec, width, trajectory, noise, extra):
     return manifest, ((lam, snapshot(lam)) for lam in spec.params)
 
 
-def _collect(spec, recipe):
-    """The SynthFamily of spec from its kind's recipe, snapshots in a tuple."""
-    manifest, snaps = _synthesize(spec, *recipe(spec))
-    collected = []
+def generate(spec):
+    """The SynthFamily of spec: the row blocks `stream` gives of each
+    snapshot, stacked, with the snapshots in a tuple."""
+    manifest, snaps = stream(spec)
+    snapshots = []
     for lam, blocks in snaps:
         data = np.vstack(tuple(blocks))
         # frozen here, so SnapshotMatrix keeps it instead of copying it
         data.setflags(write=False)
-        collected.append(SnapshotMatrix(data=data, param=lam))
-    return SynthFamily(spec=spec, snapshots=tuple(collected), manifest=manifest)
-
-
-def _turning(angles):
-    """Trajectory in which direction i turns by angles(lam)[i] inside the plane
-    (b_2i, b_2i+1) of an n x 2p ambient frame."""
-
-    def trajectory(ambient, rng):
-        even, odd = ambient[:, 0::2], ambient[:, 1::2]
-
-        def directions(lam):
-            a = angles(lam)
-            return np.cos(a) * even + np.sin(a) * odd
-
-        return directions
-
-    return trajectory
-
-
-def _rotation(spec):
-    if spec.kind not in ("rotation", "crossing"):
-        raise ParameterError(f"expected a rotation/crossing spec, got kind={spec.kind!r}")
-    spread = max(spec.params) - min(spec.params)
-    if spec.kind == "rotation" and spec.rate * spread >= np.pi / 2.0:
-        warnings.warn(
-            f"rate * parameter spread = {spec.rate * spread:.4f} >= pi/2: "
-            "the family will cross the injectivity boundary (use kind='crossing' "
-            "if that is intended)",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-    trajectory = _turning(lambda lam: np.full(spec.mode_count, spec.rate * lam))
-    return 2 * spec.mode_count, trajectory, spec.noise, {"theta1_per_unit_param": spec.rate}
-
-
-def gen_rotation_family(spec):
-    """Disjoint-plane rotation family: lift linear in the parameter.
-
-    The p-dimensional dominant subspace at parameter lam is the span of p
-    orthonormal directions each rotated by rate * lam in its own 2-plane, with
-    singular values 10, 5, 2.5, ... and full-matrix noise at spec.noise.
-    """
-    return _collect(spec, _rotation)
-
-
-def _crossing(spec):
-    if spec.kind != "crossing":
-        raise ParameterError(f"expected kind='crossing', got {spec.kind!r}")
-    if spec.rate <= 0.0:
-        raise ParameterError("crossing family needs a positive rate")
-    width, trajectory, noise, extra = _rotation(spec)
-    offset = np.pi / (2.0 * spec.rate)
-    extra = dict(extra, crossing_offset=offset, crossing_points={
-        repr(lam): [lam - offset, lam + offset] for lam in spec.params
-    })
-    return width, trajectory, noise, extra
-
-
-def gen_crossing_family(spec):
-    """Rotation family with the injectivity crossing inside the parameter hull.
-
-    With reference node lam0, the interpolated lift's largest angle is
-    rate * |lam - lam0|, so C2 fails exactly for |lam - lam0| > pi / (2 rate).
-    Those analytic crossing points (one pair per candidate reference node) are
-    recorded in the manifest.
-    """
-    return _collect(spec, _crossing)
-
-
-def _nested(spec):
-    if spec.kind != "nested":
-        raise ParameterError(f"expected kind='nested', got {spec.kind!r}")
-    # the other directions turn by 0: cos 0 = 1 and sin 0 = 0 are exact, so
-    # each stays its ambient column bit for bit
-    rest = np.zeros(spec.mode_count - 1)
-    trajectory = _turning(lambda lam: np.r_[spec.rate * lam, rest])
-    noise = min(spec.noise, NESTED_NOISE)
-    return 2 * spec.mode_count, trajectory, noise, {
-        "noise": noise,
-        "nesting": "exact by construction; cross-mode geometric distances vanish",
-    }
-
-
-def gen_nested_family(spec):
-    """C3-stable control: only the first direction moves, in a fixed 2-plane.
-
-    Interpolants at different modes share the moving direction and differ only
-    by fixed orthonormal columns, so they nest and the cross-mode distance
-    table is (numerically) zero. The noise floor is pinned below the inclusion
-    angle tolerance so the nesting survives POD.
-    """
-    return _collect(spec, _nested)
-
-
-def _skew(rng, size):
-    """A size x size skew-symmetric generator of unit 2-norm, or the zero one
-    when the draw has none (size 1, or 0)."""
-    a = rng.standard_normal((size, size))
-    k = a - a.T
-    norm = np.linalg.norm(k, 2)
-    return k / norm if norm > 0.0 else k
-
-
-def expm_skew(a, b):
-    """exp(a) @ b for a real skew-symmetric a, from one symmetric
-    eigendecomposition a^T a = V diag(w^2) V^T: the even and odd parts of the
-    exponential series are cos and sinc of sqrt(a^T a), so
-    exp(a) b = V cos(W) V^T b + a V sinc(W) V^T b (Moler & Van Loan, SIAM Rev.
-    2003). Each w_j is read as |a v_j| rather than from its eigenvalue, which
-    eigh gives only to u |a|^2 absolutely: the norm keeps cos^2 + sin^2 = 1
-    per column, so orthonormal columns of b stay orthonormal to rounding.
-    a = 0 gives b back bit for bit."""
-    v = np.linalg.eigh(a.T @ a)[1]
-    av = a @ v
-    w = np.linalg.norm(av, axis=0)
-    c = v.T @ b
-    return v @ (np.cos(w)[:, None] * c) + av @ (np.sinc(w / np.pi)[:, None] * c)
-
-
-def _nonnested(spec):
-    if spec.kind != "nonnested":
-        raise ParameterError(f"expected kind='nonnested', got {spec.kind!r}")
-
-    def trajectory(ambient, rng):
-        u0 = ambient[:, : spec.mode_count]
-        k1 = _skew(rng, spec.n) * spec.rate
-        # curvature generator confined to the span beyond the two leading directions
-        w = ambient[:, 2:]
-        k2 = w @ _skew(rng, spec.n - 2) @ w.T * spec.rate
-        return lambda lam: expm_skew(lam * k1 + lam * lam * k2, u0)
-
-    # K1 and K2 act on the whole space, so this kind draws the full n x n frame
-    return spec.n, trajectory, spec.noise, {
-        "nesting": "broken by construction; expect a large C3 ratio"}
-
-
-def gen_nonnested_family(spec):
-    """C3-unstable family: curved, mode-coupled subspace trajectories.
-
-    The design frame is Q(lam) = expm(rate*lam*K1 + rate*lam^2*K2) applied to a
-    fixed orthonormal block (by `expm_skew`). K2 acts only on the directions
-    past the first two, so low-mode interpolants stay nearly exact while
-    higher-mode interpolants pick up large, mode-dependent errors: the
-    cross-mode distance table spreads over orders of magnitude and the C3
-    ratio blows up.
-    """
-    return _collect(spec, _nonnested)
-
-
-# A kind's recipe checks the spec and returns the arguments _synthesize takes
-# after it: the frame width, the trajectory, the noise level and the manifest
-# keys of the kind.
-_RECIPES = {
-    "rotation": _rotation,
-    "crossing": _crossing,
-    "nested": _nested,
-    "nonnested": _nonnested,
-}
-
-
-def stream(spec):
-    """(manifest, snapshots) of spec's family, where snapshots yields for each
-    parameter, in order, the pair (lam, blocks): blocks yields the n x n_t
-    snapshot's row blocks in order, each built when it is taken. A caller
-    takes every block of a snapshot before the next snapshot. Nothing keeps
-    a block that has been handed out, so a caller that writes each block
-    before it takes the next holds one block of BLOCK_BYTES, never a whole
-    snapshot."""
-    return _synthesize(spec, *_RECIPES[spec.kind](spec))
-
-
-def generate(spec):
-    """Dispatch to the generator matching spec.kind."""
-    return _collect(spec, _RECIPES[spec.kind])
+        snapshots.append(SnapshotMatrix(data=data, param=lam))
+    return SynthFamily(spec=spec, snapshots=tuple(snapshots), manifest=manifest)

@@ -20,9 +20,7 @@ from gpmor import (
     compute_pod,
     diameter,
     exp_map,
-    gen_crossing_family,
-    gen_nested_family,
-    gen_nonnested_family,
+    generate,
     grassmann_dimension,
     in_injectivity_domain,
     interpolate,
@@ -179,11 +177,7 @@ def test_criterion_07_node_reproduction():
             continue
         spec = FamilySpec(n=n, n_t=20, mode_count=modes, kind=kind, rate=0.2,
                           seed=int(rng.integers(0, 10000)), params=params)
-        fam = gen_nested_family(spec) if kind == "nested" else None
-        if fam is None:
-            from gpmor import gen_rotation_family
-
-            fam = gen_rotation_family(spec)
+        fam = generate(spec)
         pts = tuple((s.param, compute_pod(s, modes).basis) for s in fam.snapshots)
         ts = TrainingSet(points=pts)
         for lam, pt in ts.points:
@@ -200,7 +194,7 @@ def test_criterion_08_c2_interval_detection():
     rate = np.pi / 2  # crossing at |lambda| = 1 from the reference node at 0
     spec = FamilySpec(n=12, n_t=30, mode_count=2, kind="crossing", rate=rate, seed=11,
                       params=(-0.8, 0.0, 0.8))
-    fam = gen_crossing_family(spec)
+    fam = generate(spec)
     offset = fam.manifest["crossing_offset"]
     pts = tuple((s.param, compute_pod(s, 2).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts)
@@ -235,7 +229,7 @@ def test_criterion_09_c3_dichotomy():
             frames.append((p, res.frame))
         return c3_distance_table(frames)
 
-    nested = gen_nested_family(
+    nested = generate(
         FamilySpec(n=16, n_t=40, mode_count=5, kind="nested", rate=0.05, seed=7,
                    params=(0.0, 1.0, 2.0, 3.0))
     )
@@ -243,7 +237,7 @@ def test_criterion_09_c3_dichotomy():
     nested_rec = check_c3(nested_table)
     off = nested_table.values[~np.eye(len(modes), dtype=bool)]
 
-    nonnested = gen_nonnested_family(
+    nonnested = generate(
         FamilySpec(n=16, n_t=40, mode_count=5, kind="nonnested", rate=0.3, seed=2,
                    params=(0.0, 1.0, 2.0, 3.0))
     )

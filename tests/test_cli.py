@@ -1035,6 +1035,50 @@ def test_synth_non_finite_or_negative_noise_or_rate_exit_2(tmp_path, capsys, kin
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_params_exit_2(tmp_path, capsys, value):
+    code = run("--out", tmp_path, "--quiet", "synth", "--kind", "rotation", "--n", 8, "--nt", 12,
+               "--modes", 2, f"--params=0,{value},1")
+    assert code == 2
+    assert "family parameters must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("form, shape", [("bin", (8, 12)), ("bin", (24, 6)), ("csv", (8, 12))],
+                         ids=["bin-whole", "bin-streamed", "csv"])
+def test_non_finite_snapshot_lambda_exit_2(tmp_path, capsys, form, shape):
+    # a NaN lambda in a binary header (read whole, or streamed in row blocks
+    # when tall) and lambda=inf in a CSV header are data errors at the read,
+    # not a target's non-finite Lagrange weights, and pod writes no report
+    n, n_t = shape
+    fam = generate(FamilySpec(n=n, n_t=n_t, mode_count=2, kind="rotation", rate=0.1, seed=3,
+                              params=(0.0, 1.0, 2.0)))
+    files = []
+    for i, snap in enumerate(fam.snapshots):
+        path = tmp_path / f"snapshot_{i:03d}.{'gpm' if form == 'bin' else 'csv'}"
+        if form == "bin":
+            write_snapshot_bin(path, snap)
+        else:
+            fileio.write_snapshot_csv(path, snap)
+        files.append(path)
+    bad = "nan" if form == "bin" else "inf"
+    if form == "bin":
+        with open(files[1], "r+b") as fh:
+            fh.seek(20)
+            fh.write(np.array([np.nan], dtype="<f8").tobytes())
+    else:
+        text = files[1].read_text()
+        files[1].write_text(text.replace("lambda=1.0", "lambda=inf", 1))
+    for argv in (["pod", *files, "--mode", 2],
+                 ["interpolate", *files, "--mode", 2, "--target", 0.5],
+                 ["sweep-c2", *files, "--mode", 2, "--lo", 0, "--hi", 2, "--samples", 5,
+                  "--reference-index", 0]):
+        out = tmp_path / argv[0]
+        assert run("--out", out, "--quiet", *argv) == 2
+        assert f"snapshot parameter lambda={bad} is not finite" in capsys.readouterr().err
+        assert not list(out.glob("*.json"))
+
+
 def test_cli_defaults_are_the_library_constants():
     from gpmor.stability import DEFAULT_C3_THRESHOLD
     from gpmor.synth import DEFAULT_NOISE, FamilySpec

@@ -14,9 +14,7 @@ from gpmor import (
     c2_sweep,
     check_c1,
     compute_pod,
-    gen_crossing_family,
-    gen_nonnested_family,
-    gen_rotation_family,
+    generate,
     interpolate,
     lagrange_weights,
     log_map,
@@ -137,7 +135,7 @@ def test_rotation_family_exact_interpolation():
         n=8, n_t=20, mode_count=1, kind="rotation", rate=1.0, seed=9,
         params=(0.0, 0.2, 0.4), noise=0.0,
     )
-    fam = gen_rotation_family(spec)
+    fam = generate(spec)
     pts = tuple((s.param, compute_pod(s, 1).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts)
     res = interpolate(ts, 0.3)
@@ -213,7 +211,7 @@ def test_c2_failure_returns_no_frame():
         n=8, n_t=20, mode_count=1, kind="crossing", rate=np.pi / 2, seed=10,
         params=(-0.8, 0.0, 0.8),
     )
-    fam = gen_crossing_family(spec)
+    fam = generate(spec)
     pts = tuple((s.param, compute_pod(s, 1).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts)
     res = interpolate(ts, 1.3, reference_index=1)  # theta_1 = (pi/2) * 1.3 > pi/2
@@ -278,7 +276,7 @@ def test_sweep_crossing_family_matches_prediction():
         n=12, n_t=30, mode_count=2, kind="crossing", rate=rate, seed=11,
         params=(-0.8, 0.0, 0.8),
     )
-    fam = gen_crossing_family(spec)
+    fam = generate(spec)
     assert fam.manifest["crossing_offset"] == pytest.approx(1.0, abs=1e-15)
     pts = tuple((s.param, compute_pod(s, 2).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts)
@@ -309,7 +307,7 @@ def test_far_outside_hull_gives_c2_verdict_matching_sweep():
         n=200, n_t=40, mode_count=3, kind="rotation", rate=0.1, seed=1,
         params=tuple(float(x) for x in range(8)),
     )
-    pts = tuple((s.param, compute_pod(s, 3).basis) for s in gen_rotation_family(spec).snapshots)
+    pts = tuple((s.param, compute_pod(s, 3).basis) for s in generate(spec).snapshots)
     sweep = c2_sweep(TrainingSet(points=pts), 20.0, 50.0, 4, 7)
     for target, swept in zip((20.0, 30.0, 50.0), sweep.thetas[[0, 1, 3]]):
         res = interpolate(TrainingSet(points=pts), target)
@@ -325,7 +323,7 @@ def test_far_extrapolation_within_c2_gives_frame_matching_sweep():
         n=200, n_t=40, mode_count=3, kind="rotation", rate=0.01, seed=1, noise=0.0,
         params=(*(float(x) for x in range(8)), 20.0, 30.0),
     )
-    snaps = gen_rotation_family(spec).snapshots
+    snaps = generate(spec).snapshots
     pts = tuple((s.param, compute_pod(s, 3).basis) for s in snaps[:8])
     sweep = c2_sweep(TrainingSet(points=pts), 20.0, 30.0, 2, 7)
     for snap, swept in zip(snaps[8:], sweep.thetas):
@@ -338,23 +336,21 @@ def test_far_extrapolation_within_c2_gives_frame_matching_sweep():
     assert res.c2.theta_max == sweep.thetas[0]
 
 
-def _pod_training_set(gen, p, **spec):
-    family = gen(FamilySpec(mode_count=p, **spec))
+def _pod_training_set(p, **spec):
+    family = generate(FamilySpec(mode_count=p, **spec))
     return TrainingSet(points=tuple((s.param, compute_pod(s, p).basis) for s in family.snapshots))
 
 
 @pytest.mark.parametrize("ts, lo, hi, samples, ref, invalid", [
     # nine nodes on [-3, 3], p = 4, swept past both ends of the hull: C2
     # passes near the reference and fails beyond the cut locus on either side
-    *((_pod_training_set(gen, 4, n=40, n_t=20, kind=kind, rate=rate, seed=seed,
+    *((_pod_training_set(4, n=40, n_t=20, kind=kind, rate=rate, seed=seed,
                          params=tuple(np.linspace(-3.0, 3.0, 9).tolist())), -9.3, 9.1, 81, ref, False)
-      for gen, kind, rate in ((gen_crossing_family, "crossing", 0.5),
-                              (gen_rotation_family, "rotation", 0.2),
-                              (gen_nonnested_family, "nonnested", 0.8))
+      for kind, rate in (("crossing", 0.5), ("rotation", 0.2), ("nonnested", 0.8))
       for seed, ref in ((1, 4), (2, 0), (3, 7))),
     # the 60-node noiseless family of the CLI's sixty-node sweep: samples
     # near both ends of the hull are past the weight bound
-    (_pod_training_set(gen_rotation_family, 2, n=10, n_t=6, kind="rotation", rate=0.02,
+    (_pod_training_set(2, n=10, n_t=6, kind="rotation", rate=0.02,
                        seed=3, noise=0.0, params=tuple(float(x) for x in range(60))),
      0.0, 59.0, 237, 30, True),
 ])
@@ -381,7 +377,7 @@ def test_far_extrapolation_weights_bound_is_a_parameter_error():
     spec = FamilySpec(n=200, n_t=40, mode_count=3, kind="rotation", rate=0.01, seed=1,
                       noise=0.0, params=tuple(float(x) for x in range(8)))
     ts = TrainingSet(points=tuple((s.param, compute_pod(s, 3).basis)
-                                  for s in gen_rotation_family(spec).snapshots))
+                                  for s in generate(spec).snapshots))
     assert interpolate(ts, 35.0).ok
     with pytest.raises(ParameterError, match=r"target 50.0 .* sum \|w_i\| = 1.1"):
         interpolate(ts, 50.0)
@@ -432,7 +428,7 @@ def test_sweep_c2_flags_use_the_margin():
 def test_sweep_arrays_are_frozen_so_verdicts_cannot_go_stale():
     spec = FamilySpec(n=12, n_t=30, mode_count=2, kind="rotation", rate=0.1, seed=4,
                       params=(0.0, 1.0, 2.0, 3.0))
-    pts = tuple((s.param, compute_pod(s, 2).basis) for s in gen_rotation_family(spec).snapshots)
+    pts = tuple((s.param, compute_pod(s, 2).basis) for s in generate(spec).snapshots)
     sweep = c2_sweep(TrainingSet(points=pts), 0.0, 3.0, 7, 1)
     assert all(sweep.c2_ok)
     for a in (sweep.grid, sweep.thetas):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpmor import kernels, snapshots
+from gpmor import ParameterError, kernels, snapshots
 from gpmor.interpolation import lagrange_weights
 
 
@@ -201,3 +201,15 @@ def test_stack_folded_from_row_blocks_matches_direct_evaluation(monkeypatch):
     assert shapes == [(100, 12)] + [(112, 12)] * 8  # each block below the 12 x 12 triangle
     np.testing.assert_allclose(folded, whole, rtol=1e-13)
     assert_matches_reference(lifts, params, grid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kernels.lagrange_matrix([1.0, 1.0, 2.0], [0.5]),
+    lambda: kernels.theta_curve(np.ones((3, 4, 1)), [1.0, 2.0, 1.0], [0.5]),
+    lambda: lagrange_weights([0.0, 1.0, 0.0], 0.5),
+], ids=["lagrange_matrix", "theta_curve", "lagrange_weights"])
+def test_repeated_nodes_are_named(call):
+    # repeated nodes divide by zero: the one distinct-node rule names them
+    # instead of blaming the target for non-finite weights
+    with pytest.raises(ParameterError, match="^interpolation nodes must be pairwise distinct$"):
+        call()

@@ -15,7 +15,7 @@ from gpmor import (
     reduced_model,
     singular_spectrum,
 )
-from gpmor.snapshots import factor_pod, truncate_pod
+from gpmor.snapshots import PodFactor, factor_pod, truncate_pod
 from oracles import jacobi_svd, thin_svd_pod
 
 
@@ -286,3 +286,14 @@ def test_truncate_beyond_kept_modes_rejected():
         truncate_pod(factor, 3)
     with pytest.raises(ParameterError, match=r"\[1, 6\]"):
         truncate_pod(factor, 7)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("record", ["snapshot", "factor"])
+def test_records_reject_non_finite_lambda(record, lam):
+    data = np.eye(3, 2)
+    with pytest.raises(DataError, match=f"^snapshot parameter lambda={lam} is not finite$"):
+        if record == "snapshot":
+            SnapshotMatrix(data=data, param=lam)
+        else:
+            PodFactor(vectors=data, singular_values=np.ones(2), shape=(3, 2), param=lam)

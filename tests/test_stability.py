@@ -16,7 +16,7 @@ from gpmor import (
     check_c2,
     check_c3,
     compute_pod,
-    gen_nested_family,
+    generate,
     grassmann_dimension,
     in_injectivity_domain,
     riemannian_distance,
@@ -74,7 +74,7 @@ def test_c1_nested_family_all_modes_ok():
     spec = FamilySpec(
         n=12, n_t=30, mode_count=5, kind="nested", rate=0.05, seed=1, params=(0.0, 1.0, 2.0)
     )
-    fam = gen_nested_family(spec)
+    fam = generate(spec)
     for p in (1, 2, 5):
         pts = tuple((s.param, compute_pod(s, p).basis) for s in fam.snapshots)
         rec = check_c1(TrainingSet(points=pts), 0)

@@ -9,11 +9,8 @@ from gpmor import (
     ParameterError,
     TrainingSet,
     c2_sweep,
+    cli,
     compute_pod,
-    gen_crossing_family,
-    gen_nested_family,
-    gen_nonnested_family,
-    gen_rotation_family,
     generate,
     principal_angles,
     riemannian_distance,
@@ -56,16 +53,14 @@ def test_spec_rejects_bad_counts_and_empty_params(field, value, message):
         FamilySpec(**dict(kwargs, **{field: value}))
 
 
-@pytest.mark.parametrize("gen, kind, rate, message", [
-    (gen_rotation_family, "nested", 0.1, "expected a rotation/crossing spec, got kind='nested'"),
-    (gen_crossing_family, "rotation", 0.1, "expected kind='crossing', got 'rotation'"),
-    (gen_crossing_family, "crossing", 0.0, "crossing family needs a positive rate"),
-    (gen_nested_family, "rotation", 0.1, "expected kind='nested', got 'rotation'"),
-], ids=["rotation-kind", "crossing-kind", "crossing-rate", "nested-kind"])
-def test_generator_rejects_other_kind_or_zero_rate(gen, kind, rate, message):
-    spec = FamilySpec(n=8, n_t=10, mode_count=2, kind=kind, rate=rate, seed=0, params=(0.0,))
+@pytest.mark.parametrize("kind, rate, message", [
+    ("spiral", 0.1, "unknown family kind 'spiral'"),
+    ("crossing", 0.0, "crossing family needs a positive rate"),
+], ids=["unknown-kind", "crossing-rate"])
+def test_generator_rejects_other_kind_or_zero_rate(kind, rate, message):
     with pytest.raises(ParameterError, match=re.escape(message)):
-        gen(spec)
+        generate(FamilySpec(n=8, n_t=10, mode_count=2, kind=kind, rate=rate, seed=0,
+                            params=(0.0,)))
 
 
 def test_determinism_bitwise():
@@ -81,7 +76,7 @@ def test_rotation_rate_zero_constant_family():
     # noiseless: with noise the subspaces only agree to the noise floor
     spec = FamilySpec(n=8, n_t=12, mode_count=2, kind="rotation", rate=0.0, seed=1,
                       params=(0.0, 1.0, 2.0), noise=0.0)
-    fam = gen_rotation_family(spec)
+    fam = generate(spec)
     bases = [compute_pod(s, 2).basis for s in fam.snapshots]
     for b in bases[1:]:
         assert riemannian_distance(bases[0], b) < 1e-10
@@ -90,7 +85,7 @@ def test_rotation_rate_zero_constant_family():
 def test_rotation_p1_known_angle():
     spec = FamilySpec(n=8, n_t=12, mode_count=1, kind="rotation", rate=0.1, seed=2,
                       params=(0.0, 1.0))
-    fam = gen_rotation_family(spec)
+    fam = generate(spec)
     a = compute_pod(fam.snapshots[0], 1).basis
     b = compute_pod(fam.snapshots[1], 1).basis
     assert riemannian_distance(a, b) == pytest.approx(0.1, abs=1e-6)
@@ -99,23 +94,36 @@ def test_rotation_p1_known_angle():
 def test_rotation_p2_known_angles():
     spec = FamilySpec(n=8, n_t=12, mode_count=2, kind="rotation", rate=0.05, seed=3,
                       params=(0.0, 2.0))
-    fam = gen_rotation_family(spec)
+    fam = generate(spec)
     a = compute_pod(fam.snapshots[0], 2).basis
     b = compute_pod(fam.snapshots[1], 2).basis
     assert np.allclose(principal_angles(a, b), [0.1, 0.1], atol=1e-6)
 
 
-def test_rotation_warns_on_crossing_rate():
+def test_rotation_warns_on_crossing_rate(tmp_path):
     spec = FamilySpec(n=8, n_t=12, mode_count=1, kind="rotation", rate=2.0, seed=4,
                       params=(0.0, 1.0))
-    with pytest.warns(RuntimeWarning):
-        gen_rotation_family(spec)
+    # the warning points at the caller of generate, and at the CLI for synth
+    with pytest.warns(RuntimeWarning) as record:
+        generate(spec)
+    assert record[0].filename == __file__
+    with pytest.warns(RuntimeWarning) as record:
+        cli.main(["--out", str(tmp_path), "--quiet", "synth", "--kind", "rotation", "--n", "8",
+                  "--nt", "12", "--modes", "1", "--rate", "2.0", "--params=0,1"])
+    assert record[0].filename == cli.__file__
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_spec_rejects_non_finite_params(value):
+    with pytest.raises(ParameterError, match="family parameters must be finite"):
+        FamilySpec(n=8, n_t=12, mode_count=1, kind="rotation", rate=0.1, seed=4,
+                   params=(0.0, value))
 
 
 def test_singular_ladder_recovered():
     spec = FamilySpec(n=10, n_t=20, mode_count=3, kind="rotation", rate=0.1, seed=5,
                       params=(0.0,))
-    fam = gen_rotation_family(spec)
+    fam = generate(spec)
     sp = singular_spectrum(fam.snapshots[0])
     assert np.allclose(sp[:3], _ladder(3), rtol=1e-4)
 
@@ -123,7 +131,7 @@ def test_singular_ladder_recovered():
 def test_designed_subspace_recovered():
     spec = FamilySpec(n=10, n_t=20, mode_count=2, kind="rotation", rate=0.3, seed=6,
                       params=(0.0, 0.5))
-    fam = gen_rotation_family(spec)
+    fam = generate(spec)
     # distance between the two designed subspaces is rate * spread per plane
     a = compute_pod(fam.snapshots[0], 2).basis
     b = compute_pod(fam.snapshots[1], 2).basis
@@ -137,7 +145,7 @@ def test_rotation_family_memory_scales_with_n():
                       params=(0.0, 1.0), noise=0.0)
     tracemalloc.start()
     try:
-        fam = gen_rotation_family(spec)
+        fam = generate(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -153,7 +161,7 @@ def test_rotation_family_memory_scales_with_n():
 def test_crossing_manifest_predictions():
     spec = FamilySpec(n=8, n_t=12, mode_count=1, kind="crossing", rate=np.pi / 2, seed=7,
                       params=(-0.5, 0.0, 0.5))
-    fam = gen_crossing_family(spec)
+    fam = generate(spec)
     assert fam.manifest["crossing_offset"] == pytest.approx(1.0, abs=1e-15)
     assert fam.manifest["crossing_points"]["0.0"] == [-1.0, 1.0]
 
@@ -161,7 +169,7 @@ def test_crossing_manifest_predictions():
 def test_crossing_low_rate_sweep_all_ok():
     spec = FamilySpec(n=8, n_t=12, mode_count=1, kind="crossing", rate=0.1, seed=8,
                       params=(-0.5, 0.0, 0.5))
-    fam = gen_crossing_family(spec)
+    fam = generate(spec)
     pts = tuple((s.param, compute_pod(s, 1).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts)
     assert all(c2_sweep(ts, -0.5, 0.5, 51, 1).c2_ok)
@@ -170,7 +178,7 @@ def test_crossing_low_rate_sweep_all_ok():
 def test_crossing_theta_zero_at_reference():
     spec = FamilySpec(n=8, n_t=12, mode_count=1, kind="crossing", rate=1.0, seed=9,
                       params=(-0.5, 0.0, 0.5))
-    fam = gen_crossing_family(spec)
+    fam = generate(spec)
     pts = tuple((s.param, compute_pod(s, 1).basis) for s in fam.snapshots)
     ts = TrainingSet(points=pts)
     sweep = c2_sweep(ts, -0.5, 0.5, 5, 1)
@@ -181,18 +189,11 @@ def test_crossing_theta_zero_at_reference():
 def test_nested_rate_zero_distances_zero():
     spec = FamilySpec(n=10, n_t=20, mode_count=3, kind="nested", rate=0.0, seed=10,
                       params=(0.0, 1.0), noise=0.0)
-    fam = gen_nested_family(spec)
+    fam = generate(spec)
     for p in (1, 2, 3):
         a = compute_pod(fam.snapshots[0], p).basis
         b = compute_pod(fam.snapshots[1], p).basis
         assert riemannian_distance(a, b) < 1e-10
-
-
-def test_nonnested_requires_kind():
-    spec = FamilySpec(n=10, n_t=20, mode_count=3, kind="nested", rate=0.1, seed=11,
-                      params=(0.0, 1.0))
-    with pytest.raises(ParameterError):
-        gen_nonnested_family(spec)
 
 
 def test_nonnested_deterministic():
@@ -212,7 +213,7 @@ def test_nonnested_matches_full_ambient_draw(n, n_t, p, seed):
     params = (0.0, 1.0, 2.0, 3.0)
     spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind="nonnested", rate=0.3, seed=seed,
                       params=params)
-    fam = gen_nonnested_family(spec)
+    fam = generate(spec)
     expected = nonnested_snapshots(n, n_t, p, 0.3, seed, params, spec.noise)
     independent = nonnested_snapshots(n, n_t, p, 0.3, seed, params, spec.noise, scipy_expm_apply)
     for snap, data, ref in zip(fam.snapshots, expected, independent):
@@ -258,7 +259,7 @@ def test_turning_kinds_match_column_oracle(kind, rate, moving, n, n_t, p, seed):
 def test_manifest_contents():
     spec = FamilySpec(n=8, n_t=12, mode_count=2, kind="rotation", rate=0.1, seed=13,
                       params=(0.0, 1.0))
-    fam = gen_rotation_family(spec)
+    fam = generate(spec)
     m = fam.manifest
     assert m["schema"] == "gpm/1"
     assert m["rng"] == "pcg64"
