@@ -41,7 +41,6 @@ from .snapshots import (
     factor_pod,
     factor_rows,
     kept_modes,
-    per_block,
     row_blocks,
 )
 from .stability import DistanceTable
@@ -87,30 +86,20 @@ def _write_bin(fh, magic, header, fields):
     """Start the container _read_bin reads in fh: the magic and `fields`
     packed by `header`. Returns put(block), which writes the next row block,
     in order, of the fields[0]-row matrix that follows as column-major f64,
-    so a caller need not hold the whole matrix. A block of every row goes
-    out in column blocks of at most snapshots.STREAM_BYTES, straight from an
-    F-ordered array; a block of some rows goes out from one F-ordered copy
-    as one positioned write per column segment, the mirror of
-    _factor_snapshot's reads."""
+    so a caller need not hold the whole matrix. Each column segment of a
+    block goes out by one positioned write, the mirror of _factor_snapshot's
+    reads, from a copy of that one column when it is not contiguous."""
     rows = fields[0]
     fh.write(magic + struct.pack(header, *fields))
     fh.flush()
-    payload, start = fh.tell(), 0
+    fd, payload, start = fh.fileno(), fh.tell(), 0
 
     def put(block):
         nonlocal start
-        block = np.asarray(block, dtype="<f8")
-        if len(block) == rows:
-            cols = per_block(rows)
-            for c in range(0, block.shape[1], cols):
-                # the transpose of an F-ordered block is C-contiguous, in file order
-                fh.write(np.asfortranarray(block[:, c:c + cols]).T)
-        else:
-            fd = fh.fileno()
-            # rows of the transposed F-ordered copy are the column segments
-            for j, segment in enumerate(np.asfortranarray(block).T):
-                if os.pwrite(fd, segment, payload + 8 * (j * rows + start)) < segment.nbytes:
-                    raise OSError(f"{fh.name}: short write")
+        for j in range(block.shape[1]):
+            segment = np.ascontiguousarray(block[:, j], dtype="<f8")
+            if os.pwrite(fd, segment, payload + 8 * (j * rows + start)) < segment.nbytes:
+                raise OSError(f"{fh.name}: short write")
         start += len(block)
 
     return put
@@ -224,7 +213,9 @@ def _read_matrix_csv(path):
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return header or "", np.array(rows)
+    # column-major, as _read_bin gives a payload, so a matrix reduces in
+    # the same order whichever format it came in
+    return header or "", np.asfortranarray(rows, dtype=float)
 
 
 def _header_field(path, header, key, default, parse):

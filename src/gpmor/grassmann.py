@@ -106,12 +106,6 @@ def below_cut_locus(angle):
     return verdict if verdict.ndim else bool(verdict)
 
 
-def _signed_thin_svd(mat):
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    fix_svd_signs(u, vt)
-    return u, s, vt
-
-
 @dataclass(frozen=True)
 class GrassmannPoint:
     """A point of G(p, n) represented by an orthonormal n x p frame."""
@@ -211,11 +205,15 @@ def geodesic(base, v, t):
     if v.base is not base and not np.array_equal(v.base.frame, base.frame):
         raise ParameterError("tangent vector is not based at the given point")
     _require_half_dimension(base)
-    u, theta, vt = _signed_thin_svd(v.lift)
+    u, theta, vt = np.linalg.svd(v.lift, full_matrices=False)
+    # the signs choose the frame's columns, so they are fixed
+    fix_svd_signs(u, vt)
     tt = t * theta
     # the frame is formed in u's own storage: one n x p array fewer alive
     u *= np.sin(tt)
     u += base.frame @ (vt.T * np.cos(tt))
+    # frozen, so the GrassmannPoint keeps it without a copy
+    u.setflags(write=False)
     return GrassmannPoint(u)
 
 
@@ -229,7 +227,9 @@ def log_lift(base, target):
     if not overlap_invertible(sv, base.n):
         return sv, None
     mat = np.linalg.solve(overlap.T, target.frame.T).T - base.frame
-    u, s, vt = _signed_thin_svd(mat)
+    # no sign fix: flipping u_j and v_j together leaves every product, and
+    # so the lift, bit for bit the same
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
     lift = (u * np.arctan(s)) @ vt
     # frozen, so a TangentVector keeps it without a copy
     lift.setflags(write=False)

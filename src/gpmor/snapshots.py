@@ -8,7 +8,8 @@ through the n_t x n_t triangle of its QR (the R-SVD of T. F. Chan, ACM TOMS
 8, 1982) and only the kept left singular vectors are formed, from S and the
 right ones. The triangle is folded from row blocks of S (TSQR: Demmel,
 Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012), so a snapshot
-streamed from a file is never held whole.
+streamed from a file is never held whole. A snapshot in memory is folded
+from copies of the same row blocks, so both give the same bits.
 """
 
 import math
@@ -112,12 +113,13 @@ def kept_modes(sv, shape, max_mode):
 # any change that can move a bit of a factor (its QR or SVD, the row blocks,
 # the Gram-Schmidt passes, fix_svd_signs, _numerical_rank or kept_modes) must
 # bump it, or old cache entries keep being served. 2: a tall snapshot of more
-# than one row block is folded block by block.
-POD_FACTOR_VERSION = 2
+# than one row block is folded block by block. 3: a tall snapshot of one row
+# block is factored from its row_blocks copy too, not from the array as
+# read, so a CSV snapshot gives its binary twin's bits.
+POD_FACTOR_VERSION = 3
 
-# Bytes of snapshot rows (or columns) held at once where a snapshot is
-# streamed from its file: a row block of a tall snapshot being factored, and
-# a column block of a binary write of a whole matrix. synth builds its
+# Bytes of snapshot rows held at once where a tall matrix is factored: a row
+# block of a snapshot, in memory or streamed from its file. synth builds its
 # snapshots in smaller row blocks, of synth.BLOCK_BYTES. Factoring holds
 # about three blocks (the block, [R; block] and LAPACK's copy of it) beside
 # the triangle and the kept vectors. On a 200000 x 100 snapshot (2 vCPUs,
@@ -128,24 +130,14 @@ POD_FACTOR_VERSION = 2
 STREAM_BYTES = 8 << 20
 
 
-def per_block(size):
-    """How many float64 rows or columns of `size` entries fit in
-    STREAM_BYTES; at least one."""
-    return max(1, STREAM_BYTES // (8 * max(size, 1)))
-
-
-def _block_height(n_t):
-    """Rows of every row block of an n_t-column matrix but the last: at
-    least n_t, so folding a block into the n_t x n_t triangle costs little
-    beyond the block's own QR."""
-    return max(n_t, per_block(n_t))
-
-
 def row_blocks(n, n_t, fill):
     """The row blocks of an n x n_t matrix S in order, each an F-ordered view
     of one reused buffer that fill(view, start) sets to rows start.. of S.
-    The buffer holds little-endian f64, as binary snapshot files do."""
-    rows = min(n, _block_height(n_t))
+    The buffer holds little-endian f64, as binary snapshot files do. Every
+    block but the last has the rows that fit in STREAM_BYTES, and at least
+    n_t, so folding a block into the n_t x n_t triangle costs little beyond
+    the block's own QR."""
+    rows = min(n, max(n_t, STREAM_BYTES // (8 * n_t)))
     buf = np.empty((rows, n_t), dtype="<f8", order="F")
     for start in range(0, n, rows):
         view = buf[: min(rows, n - start)]
@@ -203,8 +195,9 @@ def factor_pod(s, max_mode):
     """POD factor of s keeping min(max_mode, rank) left singular vectors.
 
     A wide or square s (n <= n_t) is small: its own SVD gives them. A tall s
-    goes through factor_rows: the matrix itself when it fits in one row
-    block, else copies of its row blocks. Either way column j is bitwise the
+    goes through factor_rows on copies of its row blocks, the buffer a
+    binary file's blocks are read into, so its bits do not depend on the
+    memory order or the format s came in. Either way column j is bitwise the
     same for every max_mode >= j, and the vectors are F-ordered for a tall s
     and C-ordered otherwise. Signs follow fix_svd_signs. Vectors beyond the
     numerical rank are not formed: their sigma_j is noise.
@@ -212,9 +205,6 @@ def factor_pod(s, max_mode):
     data = s.data
     n, n_t = data.shape
     if n > n_t:
-        if n <= _block_height(n_t):
-            return factor_rows(lambda: (data,), data.shape, s.param, max_mode)
-
         def copy_rows(view, start):
             view[...] = data[start:start + len(view)]
 

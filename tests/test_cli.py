@@ -134,23 +134,26 @@ def _generated_files(spec):
 def test_streamed_synth_files_match_whole_array_oracle(tmp_path, monkeypatch, kind):
     # rows: a budget of 48 rows, so each snapshot is built, and its payload
     # written by positioned column segments, in four row blocks, the last
-    # short; columns: one row block, written in column blocks of 2
+    # short; one-block: the default budget, so each snapshot is one row
+    # block, whose binary payload goes out by n_t positioned writes too
     n, n_t, p, params = 150, 9, 3, (0.0, 0.5, 1.5)
     expected = synth_files(kind, n, n_t, p, 0.4, 5, params, DEFAULT_NOISE)
     spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind=kind, rate=0.4, seed=5, params=params)
+    pwrite = os.pwrite
     for budget, blocks in (("rows", [(0, 48), (48, 96), (96, 144), (144, 150)]),
-                           ("columns", [(0, 150)])):
+                           ("one-block", [(0, 150)])):
         with monkeypatch.context() as patch:
             if budget == "rows":
                 patch.setattr(synth, "BLOCK_BYTES", 48 * n_t * 8)
-            else:
-                patch.setattr(snapshots, "STREAM_BYTES", 2 * n * 8)
-                assert snapshots.per_block(n) == 2
+            writes = []
+            patch.setattr(os, "pwrite", lambda fd, data, offset: writes.append(offset)
+                          or pwrite(fd, data, offset))
             assert synth._row_ranges(n, n_t) == blocks
             out = tmp_path / budget
             assert run("--out", out, "--quiet", "--seed", 5, "synth", "--kind", kind, "--n", n,
                        "--nt", n_t, "--modes", p, "--rate", 0.4, "--params=0,0.5,1.5",
                        "--format", "both") == 0
+            assert len(writes) == len(params) * len(blocks) * n_t
             got = {f.name: f.read_bytes() for f in out.glob("snapshot_*")}
             assert got == expected
             assert _generated_files(spec) == expected
@@ -175,6 +178,42 @@ def test_tall_synth_writes_partial_row_blocks(tmp_path, monkeypatch):
     assert got == expected
     spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind="rotation", rate=0.3, seed=8, params=params)
     assert _generated_files(spec) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_csv_inputs_give_the_binary_inputs_bytes(tmp_path, monkeypatch, kind):
+    # one family written in both formats: every subcommand writes the same
+    # bytes from its .csv files as from its .gpm files, for a tall snapshot
+    # of one row block, one of three (20-row blocks) and a wide one. Only
+    # pod_summary.json names its inputs
+    for shape, n, n_t, budget in (("one-block", 60, 9, None), ("multi-block", 60, 9, 20 * 9 * 8),
+                                  ("wide", 12, 30, None)):
+        with monkeypatch.context() as patch:
+            if budget:
+                patch.setattr(snapshots, "STREAM_BYTES", budget)
+            fam = tmp_path / shape
+            assert run("--out", fam, "--quiet", "--seed", 4, "synth", "--kind", kind, "--n", n,
+                       "--nt", n_t, "--modes", 3, "--rate", 0.6, "--params=0,0.5,1,1.5,2",
+                       "--format", "both") == 0
+            got = {}
+            for ext in ("gpm", "csv"):
+                files = sorted(fam.glob(f"snapshot_*.{ext}"))
+                for call, argv in (
+                        ("pod", ["pod", *files, "--mode", 3]),
+                        ("interpolate", ["interpolate", *files, "--mode", 3, "--target", 0.7]),
+                        ("sweep-c2", ["sweep-c2", *files, "--mode", 3, "--lo", 0, "--hi", 2,
+                                      "--samples", 21, "--reference-index", 2]),
+                        ("check-c3", ["check-c3", *files, "--modes", "1,2,3", "--target", 0.7]),
+                        ("metrics", ["metrics", "--approx", files[0], "--reference", files[1]])):
+                    out = tmp_path / f"{shape}-{ext}-{call}"
+                    code = run("--out", out, "--quiet", *argv)
+                    written = {f.name: f.read_bytes().replace(f".{ext}\"".encode(), b'"')
+                               if f.name == "pod_summary.json" else f.read_bytes()
+                               for f in out.iterdir()}
+                    assert written, (shape, ext, call)
+                    got.setdefault(call, []).append((code, written))
+            for call, (binary, text) in got.items():
+                assert text == binary, (shape, call)
 
 
 @pytest.mark.parametrize("form, owner, name", [("bin", os, "pwrite"), ("csv", fileio, "_csv_rows"),

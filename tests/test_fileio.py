@@ -144,6 +144,28 @@ def test_binary_read_holds_the_payload_once(tmp_path):
         assert back.flags.aligned and not back.flags.writeable
 
 
+def test_binary_write_of_a_c_ordered_matrix_holds_one_column(tmp_path):
+    # 20000 x 50, 7.6 MB: the payload goes out one column segment at a time,
+    # so the write holds a copy of one column, not a column-major copy of
+    # the whole matrix, and gives the bytes of the F-ordered copy's file
+    rng = np.random.default_rng(10)
+    data = rng.standard_normal((20000, 50))
+    frame = np.linalg.qr(data)[0]
+    for write, make, matrix in ((write_snapshot_bin, SnapshotMatrix, data),
+                                (write_frame_bin, GrassmannPoint, frame)):
+        c_path, f_path = tmp_path / "c.bin", tmp_path / "f.bin"
+        c_ordered = make(np.ascontiguousarray(matrix))
+        write(f_path, make(np.asfortranarray(matrix)))
+        tracemalloc.start()
+        try:
+            write(c_path, c_ordered)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert c_path.read_bytes() == f_path.read_bytes()
+
+
 def test_csv_rows_match_per_value_fmt(tmp_path):
     values = np.array([[0.1, -0.0, 5e-324, 1.7976931348623157e308],
                        [-0.1, 0.0, -5e-324, -1.7976931348623157e308]])
@@ -226,18 +248,23 @@ def test_distance_table_rejects_malformed(tmp_path, text):
 @pytest.mark.parametrize("shape, rank", [((40, 12), 12), ((12, 40), 12), ((40, 12), 3)])
 def test_read_pod_factor_is_factor_pod_bit_for_bit(tmp_path, write, shape, rank):
     # cold, then served at the same and at lower modes, refactored at a
-    # higher one: values, dtype and memory order all match a fresh factor_pod
+    # higher one: values, dtype and memory order all match a fresh factor_pod,
+    # of the snapshot as read and of C- and F-ordered copies of the matrix
+    # written, whichever the format
     rng = np.random.default_rng(1)
     data = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
     path = tmp_path / "s.snap"
     write(path, SnapshotMatrix(data=data, param=0.3))
     for mode in (5, 5, 2, 0, 8, 3, 100, 11):
-        got, want = read_pod_factor(path, mode), factor_pod(read_snapshot(path), mode)
-        assert got.shape == want.shape and got.param == want.param
-        for a, b in ((got.vectors, want.vectors), (got.singular_values, want.singular_values)):
-            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-            assert a.flags.c_contiguous == b.flags.c_contiguous
-            assert a.flags.f_contiguous == b.flags.f_contiguous
+        got = read_pod_factor(path, mode)
+        for snap in (read_snapshot(path), SnapshotMatrix(np.ascontiguousarray(data), 0.3),
+                     SnapshotMatrix(np.asfortranarray(data), 0.3)):
+            want = factor_pod(snap, mode)
+            assert got.shape == want.shape and got.param == want.param
+            for a, b in ((got.vectors, want.vectors), (got.singular_values, want.singular_values)):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+                assert a.flags.c_contiguous == b.flags.c_contiguous
+                assert a.flags.f_contiguous == b.flags.f_contiguous
     assert [p.name for p in (tmp_path / ".gpmor_cache").iterdir()] == ["s.snap.pod"]
 
 

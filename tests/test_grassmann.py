@@ -23,6 +23,7 @@ from gpmor import (
 )
 from oracles import line_angle, random_grassmann_point, random_tangent
 
+from gpmor import grassmann
 from gpmor.grassmann import C2_MARGIN, below_cut_locus, deterministic_qr
 
 
@@ -184,8 +185,9 @@ def test_geodesic_endpoints():
 
 def test_geodesic_forms_its_frame_in_place():
     # 20000 x 10: the left singular vectors, which become the frame, the
-    # product with the base frame, then the GrassmannPoint's copy and its
-    # finiteness mask (3.13 n x p arrays when frame and u * sin were apart)
+    # product with the base frame, then the GrassmannPoint's finiteness
+    # mask, 2.00 n x p arrays. A copy of the frame (2.13) or a frame apart
+    # from u * sin (3.13) breaks the bound
     rng = np.random.default_rng(14)
     n, p = 20000, 10
     base = random_grassmann_point(rng, n, p)
@@ -197,7 +199,28 @@ def test_geodesic_forms_its_frame_in_place():
     finally:
         tracemalloc.stop()
     assert end.frame.shape == (n, p)
-    assert peak < 2.2 * n * p * 8
+    assert peak < 2.1 * n * p * 8
+
+
+def test_geodesic_frame_is_frozen_where_it_is_made(monkeypatch):
+    # the frame comes back read-only, and the GrassmannPoint keeps it
+    # without a copy
+    kept = []
+    frozen_float = grassmann._frozen_float
+
+    def recording(a):
+        out = frozen_float(a)
+        kept.append(out is a)
+        return out
+
+    rng = np.random.default_rng(15)
+    base = random_grassmann_point(rng, 40, 4)
+    v = random_tangent(rng, base, theta1=0.8)
+    monkeypatch.setattr(grassmann, "_frozen_float", recording)
+    end = geodesic(base, v, 0.6)
+    assert kept == [True]
+    with pytest.raises(ValueError, match="read-only"):
+        end.frame[0, 0] = 0.0
 
 
 def test_geodesic_unit_speed():
