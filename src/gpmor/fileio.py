@@ -160,19 +160,9 @@ def write_snapshot_bin(path, snap):
     write_snapshot_blocks(path, None, snap.data.shape, snap.param, (snap.data,))
 
 
-def read_snapshot_bin(path):
-    (_, _, lam), data = _read_bin(path, SNAPSHOT_MAGIC, "<QQd")
-    return SnapshotMatrix(data=data, param=lam)
-
-
 def write_frame_bin(path, point):
     with open(path, "wb") as fh:
         _write_bin(fh, FRAME_MAGIC, "<QQ", (point.n, point.p))(point.frame)
-
-
-def read_frame_bin(path):
-    _, frame = _read_bin(path, FRAME_MAGIC, "<QQ")
-    return GrassmannPoint(frame=frame)
 
 
 # -- CSV ---------------------------------------------------------------------
@@ -193,29 +183,44 @@ def write_csv(path, header, rows):
 
 
 def _read_matrix_csv(path):
-    header = None
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    """The first `#` line of a CSV matrix file ("" when it has none) and its
+    rows as one frozen, column-major float64 array, as _read_bin gives a
+    payload, so a matrix reduces in the same order whichever format it came
+    in. A first pass counts the rows, so the second parses each straight into
+    its row and the read holds the matrix once."""
+    header, rows, cols = "", 0, 0
+    # undecodable bytes (a binary file of another magic) make unparsable rows
+    with open(path, errors="replace") as fh:
+        for line in map(str.strip, fh):
             if line.startswith("#"):
-                if header is None:
-                    header = line
+                header = header or line
+            elif line:
+                rows += 1
+                cols = cols or line.count(",") + 1
+        if not rows:
+            raise DataError(f"{path}: no data rows")
+        data = np.empty((rows, cols), order="F")
+        fh.seek(0)
+        widths, i = set(), 0
+        for lineno, line in enumerate(map(str.strip, fh), start=1):
+            if not line or line.startswith("#"):
                 continue
+            values = line.split(",")
+            widths.add(len(values))
+            # a row that has no place in the array is parsed into a scratch
+            # row, so the first unparsable row is named before any width
+            row = data[i] if i < rows and len(values) == cols else np.empty(len(values))
             try:
-                rows.append([float(x) for x in line.split(",")])
+                row[:] = values
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: unparsable row: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+            i += 1
+    if i != rows:
+        raise DataError(f"{path}: changed while it was read")
+    if widths != {cols}:
         raise DataError(f"{path}: ragged rows (widths {sorted(widths)})")
-    # column-major, as _read_bin gives a payload, so a matrix reduces in
-    # the same order whichever format it came in
-    return header or "", np.asfortranarray(rows, dtype=float)
+    data.setflags(write=False)
+    return header, data
 
 
 def _header_field(path, header, key, default, parse):
@@ -232,20 +237,6 @@ def _header_field(path, header, key, default, parse):
 
 def write_snapshot_csv(path, snap):
     write_snapshot_blocks(None, path, snap.data.shape, snap.param, (snap.data,))
-
-
-def read_snapshot_csv(path):
-    header, data = _read_matrix_csv(path)
-    return SnapshotMatrix(data=data, param=_header_field(path, header, "lambda", 0.0, float))
-
-
-def write_frame_csv(path, point):
-    write_csv(path, "# gpm-frame orthonormal", map(np.ndarray.tolist, point.frame))
-
-
-def read_frame_csv(path):
-    _, data = _read_matrix_csv(path)
-    return GrassmannPoint(frame=data)
 
 
 def write_distance_table(path, table):
@@ -265,21 +256,24 @@ def read_distance_table(path):
         raise DataError(f"{path}: {exc}") from None
 
 
-def _read_either(path, magic, read_bin, read_csv):
-    """Read with read_bin when the file starts with `magic`, else with read_csv."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    return (read_bin if head == magic else read_csv)(path)
-
-
 def read_snapshot(path):
     """Read a snapshot in either format, picked by file magic."""
-    return _read_either(path, SNAPSHOT_MAGIC, read_snapshot_bin, read_snapshot_csv)
+    with open(path, "rb") as fh:
+        binary = fh.read(4) == SNAPSHOT_MAGIC
+    if binary:
+        (_, _, lam), data = _read_bin(path, SNAPSHOT_MAGIC, "<QQd")
+    else:
+        header, data = _read_matrix_csv(path)
+        lam = _header_field(path, header, "lambda", 0.0, float)
+    return SnapshotMatrix(data=data, param=lam)
 
 
 def read_frame(path):
-    return _read_either(path, FRAME_MAGIC, read_frame_bin, read_frame_csv)
+    """Read an orthonormal frame in either format, picked by file magic."""
+    with open(path, "rb") as fh:
+        binary = fh.read(4) == FRAME_MAGIC
+    data = _read_bin(path, FRAME_MAGIC, "<QQ")[1] if binary else _read_matrix_csv(path)[1]
+    return GrassmannPoint(frame=data)
 
 
 # -- POD factor cache ----------------------------------------------------------

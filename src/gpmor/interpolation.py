@@ -40,18 +40,6 @@ def weight_bound(weights):
     return spread, spread * np.finfo(float).eps > FRAME_REJECT_TOL / 2
 
 
-def _thetas(lifts, params, grid):
-    """theta_1 of the interpolated lift at each grid parameter, from
-    kernels.theta_curve, and nan where a sample passes C2 with weights past
-    weight_bound. interpolate (at its one target) and c2_sweep both read
-    theta here, so they give one verdict at one lambda, bit for bit."""
-    thetas = kernels.theta_curve(lifts, np.asarray(params), grid)
-    # a sample past the cut locus keeps its C2 verdict whatever its weights
-    past = weight_bound(kernels.lagrange_matrix(params, grid))[1]
-    thetas[past & below_cut_locus(thetas)] = np.nan
-    return thetas
-
-
 def lagrange_weights(params, target):
     """Lagrange cardinal weights at `target` for the given distinct nodes."""
     return kernels.lagrange_matrix(params, [float(target)])[0].tolist()
@@ -138,11 +126,11 @@ def interpolate(ts, target, reference_index=None):
     c1, lifts = tangent_step(ts, ref)
     if lifts is None:
         return InterpolationResult(target, ref, c1, extrapolated=extrapolated)
-    theta = _thetas(lifts, ts.params, [target])[0]
-    spread = weight_bound(weights)[0]
-    # past the weight bound it is an input error named by its weights, not a
-    # frame that GrassmannPoint rejects
-    if np.isnan(theta):
+    theta = kernels.theta_curve(lifts, ts.params, [target])[0]
+    spread, past = weight_bound(weights)
+    # past the weight bound but below the cut locus it is an input error named
+    # by its weights, not a frame that GrassmannPoint rejects
+    if past and below_cut_locus(theta):
         raise ParameterError(
             f"target {target} needs Lagrange weights with sum |w_i| = {spread:.3e}; their "
             f"rounding would leave the frame beyond its tolerance {FRAME_REJECT_TOL:g}"
@@ -223,4 +211,8 @@ def c2_sweep(ts, lo, hi, samples, reference_index):
     c1, lifts = tangent_step(ts, reference_index)
     if lifts is None:
         return C2Sweep(grid, np.full(samples, np.nan), c1)
-    return C2Sweep(grid, _thetas(lifts, ts.params, grid), c1)
+    thetas = kernels.theta_curve(lifts, ts.params, grid)
+    # a sample past the cut locus keeps its C2 verdict whatever its weights
+    past = weight_bound(kernels.lagrange_matrix(ts.params, grid))[1]
+    thetas[past & below_cut_locus(thetas)] = np.nan
+    return C2Sweep(grid, thetas, c1)

@@ -96,10 +96,11 @@ def test_subcommand_does_not_load_scipy(tmp_path, call):
         fileio.write_frame_bin(fam / f"{name}.gpf", compute_pod(read_snapshot(path), 3).basis)
     argv = ["--out", tmp_path / "out", "--quiet", *_scipy_free_argv(call, fam, files)]
     # twice: the first call fills the factor cache, the second is served from
-    # it. synth draws with numpy.random, whose SeedSequence imports secrets
-    # and so hashlib; every other subcommand keeps OpenSSL out.
+    # it. synth draws with numpy.random (about 6 MB of RSS), whose
+    # SeedSequence imports secrets and so hashlib; every other subcommand
+    # keeps both out.
     main = f"gpmor.cli.main({list(map(str, argv))!r})"
-    banned = ("scipy",) if call.startswith("synth-") else ("scipy", "_hashlib")
+    banned = ("scipy",) if call.startswith("synth-") else ("scipy", "_hashlib", "numpy.random")
     assert _exit_code_in_fresh_process(f"{main} or {main}", banned) == 0
 
 
@@ -598,8 +599,7 @@ def test_factor_cache_factors_each_file_once(tmp_path, monkeypatch, suffix):
                         counting(factored, lambda s, m: s.param, fileio.factor_pod))
     monkeypatch.setattr(fileio, "factor_rows",
                         counting(factored, lambda b, shape, param, m: param, fileio.factor_rows))
-    for name in ("read_snapshot_bin", "read_snapshot_csv"):
-        monkeypatch.setattr(fileio, name, counting(parsed, str, getattr(fileio, name)))
+    monkeypatch.setattr(fileio, "read_snapshot", counting(parsed, str, fileio.read_snapshot))
     monkeypatch.setattr(fileio, "row_blocks",
                         counting(passes, lambda n, n_t, fill: (n, n_t), fileio.row_blocks))
     fam = _cache_family(tmp_path)

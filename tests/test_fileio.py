@@ -9,28 +9,29 @@ from gpmor import (
     DistanceTable,
     GrassmannPoint,
     SnapshotMatrix,
+    fileio,
     geometric_distance,
     snapshots,
 )
 from gpmor.fileio import (
     fmt,
     read_frame,
-    read_frame_bin,
-    read_frame_csv,
     read_distance_table,
     read_json,
     read_pod_factor,
     read_snapshot,
-    read_snapshot_bin,
-    read_snapshot_csv,
+    write_csv,
     write_distance_table,
     write_frame_bin,
-    write_frame_csv,
     write_json,
     write_snapshot_bin,
     write_snapshot_csv,
 )
 from gpmor.snapshots import factor_pod
+
+
+def _write_frame_csv(path, point):
+    write_csv(path, "# gpm-frame orthonormal", map(np.ndarray.tolist, point.frame))
 
 
 def test_fmt_round_trip():
@@ -43,7 +44,7 @@ def test_snapshot_bin_round_trip(tmp_path):
     snap = SnapshotMatrix(data=rng.standard_normal((6, 4)), param=2.5)
     path = tmp_path / "s.gpm"
     write_snapshot_bin(path, snap)
-    back = read_snapshot_bin(path)
+    back = read_snapshot(path)
     assert np.array_equal(back.data, snap.data)
     assert back.param == snap.param
 
@@ -53,7 +54,7 @@ def test_snapshot_csv_round_trip(tmp_path):
     snap = SnapshotMatrix(data=rng.standard_normal((5, 3)), param=-1.75)
     path = tmp_path / "s.csv"
     write_snapshot_csv(path, snap)
-    back = read_snapshot_csv(path)
+    back = read_snapshot(path)
     assert np.array_equal(back.data, snap.data)
     assert back.param == snap.param
 
@@ -63,9 +64,9 @@ def test_frame_round_trips(tmp_path):
     q = np.linalg.qr(rng.standard_normal((7, 3)))[0]
     pt = GrassmannPoint(q)
     write_frame_bin(tmp_path / "f.gpf", pt)
-    assert np.array_equal(read_frame_bin(tmp_path / "f.gpf").frame, pt.frame)
-    write_frame_csv(tmp_path / "f.csv", pt)
-    assert np.array_equal(read_frame_csv(tmp_path / "f.csv").frame, pt.frame)
+    assert np.array_equal(read_frame(tmp_path / "f.gpf").frame, pt.frame)
+    _write_frame_csv(tmp_path / "f.csv", pt)
+    assert np.array_equal(read_frame(tmp_path / "f.csv").frame, pt.frame)
 
 
 def test_magic_autodetect(tmp_path):
@@ -77,18 +78,21 @@ def test_magic_autodetect(tmp_path):
     assert np.array_equal(read_snapshot(tmp_path / "a.csv").data, snap.data)
     pt = GrassmannPoint(np.linalg.qr(rng.standard_normal((6, 2)))[0])
     write_frame_bin(tmp_path / "b.gpf", pt)
-    write_frame_csv(tmp_path / "b.csv", pt)
+    _write_frame_csv(tmp_path / "b.csv", pt)
     assert np.array_equal(read_frame(tmp_path / "b.gpf").frame, pt.frame)
     assert np.array_equal(read_frame(tmp_path / "b.csv").frame, pt.frame)
 
 
 def test_bad_magic(tmp_path):
+    # another magic is read as CSV, whose rows do not parse; a payload that is
+    # not UTF-8 included
     path = tmp_path / "bad.gpm"
-    path.write_bytes(b"NOPE" + b"\x00" * 24)
-    with pytest.raises(DataError):
-        read_snapshot_bin(path)
-    with pytest.raises(DataError):
-        read_frame_bin(path)
+    for payload in (b"\x00" * 24, np.array([1.5, -2.25, 3.0]).tobytes()):
+        path.write_bytes(b"NOPE" + payload)
+        with pytest.raises(DataError, match="unparsable row"):
+            read_snapshot(path)
+        with pytest.raises(DataError, match="unparsable row"):
+            read_frame(path)
 
 
 def test_truncated_payload(tmp_path):
@@ -96,8 +100,8 @@ def test_truncated_payload(tmp_path):
     rng = np.random.default_rng(4)
     snap = SnapshotMatrix(data=rng.standard_normal((4, 2)))
     point = GrassmannPoint(np.eye(4)[:, :2])
-    for write, read, obj in ((write_snapshot_bin, read_snapshot_bin, snap),
-                             (write_frame_bin, read_frame_bin, point)):
+    for write, read, obj in ((write_snapshot_bin, read_snapshot, snap),
+                             (write_frame_bin, read_frame, point)):
         for extra in (-8, 8):
             path = tmp_path / f"t{extra}.bin"
             write(path, obj)
@@ -120,7 +124,7 @@ def test_malformed_snapshot_header_field(tmp_path, field):
     path = tmp_path / "s.csv"
     path.write_text(f"# gpm-snapshot {field}\n1.0,2.0\n")
     with pytest.raises(DataError, match=re.escape(f"{path}: header field lambda=")):
-        read_snapshot_csv(path)
+        read_snapshot(path)
 
 
 def test_binary_read_holds_the_payload_once(tmp_path):
@@ -142,6 +146,51 @@ def test_binary_read_holds_the_payload_once(tmp_path):
         assert peak < 1.5 * path.stat().st_size
         assert np.array_equal(back, getattr(obj, attr))
         assert back.flags.aligned and not back.flags.writeable
+
+
+def test_csv_read_holds_the_matrix_once(tmp_path):
+    # each row is parsed straight into one frozen, column-major array that
+    # the snapshot or frame keeps: no Python float per entry (about five
+    # times the matrix) and no second copy
+    rng = np.random.default_rng(11)
+    snap = SnapshotMatrix(data=rng.standard_normal((4000, 200)), param=0.5)
+    point = GrassmannPoint(np.linalg.qr(rng.standard_normal((4000, 50)))[0])
+    for write, read, obj, attr in ((write_snapshot_csv, read_snapshot, snap, "data"),
+                                   (_write_frame_csv, read_frame, point, "frame")):
+        path = tmp_path / f"{attr}.csv"
+        write(path, obj)
+        tracemalloc.start()
+        try:
+            back = getattr(read(path), attr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * back.nbytes
+        assert np.array_equal(back, getattr(obj, attr))
+        assert back.flags.f_contiguous and not back.flags.writeable
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_csv_rewritten_between_passes_is_a_data_error(tmp_path, monkeypatch, rows):
+    # the file gets a row fewer or more in place after the pass that counts
+    # them: no row of the matrix is left unset or has no place
+    path = tmp_path / "s.csv"
+    path.write_text("# gpm-snapshot lambda=0.0\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+
+    def rewriting_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        seek = fh.seek
+
+        def rewrite_then_seek(offset):
+            path.write_text("1.0,2.0\n" * rows)
+            return seek(offset)
+
+        fh.seek = rewrite_then_seek
+        return fh
+
+    monkeypatch.setattr(fileio, "open", rewriting_open, raising=False)
+    with pytest.raises(DataError, match="changed while it was read$"):
+        read_snapshot(path)
 
 
 def test_binary_write_of_a_c_ordered_matrix_holds_one_column(tmp_path):
@@ -173,26 +222,26 @@ def test_csv_rows_match_per_value_fmt(tmp_path):
     write_snapshot_csv(path, SnapshotMatrix(data=values, param=-0.0))
     rows = "".join(",".join(fmt(x) for x in row) + "\n" for row in values)
     assert path.read_text() == "# gpm-snapshot lambda=-0.0\n" + rows
-    assert np.array_equal(read_snapshot_csv(path).data, values)
+    assert np.array_equal(read_snapshot(path).data, values)
 
 
 def test_csv_parse_errors(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("# gpm-snapshot lambda=0.0\n1.0,2.0\n3.0\n")
     with pytest.raises(DataError) as exc:
-        read_snapshot_csv(ragged)
+        read_snapshot(ragged)
     assert "ragged" in str(exc.value)
 
     garbage = tmp_path / "garbage.csv"
     garbage.write_text("# gpm-snapshot lambda=0.0\n1.0,zzz\n")
     with pytest.raises(DataError) as exc:
-        read_snapshot_csv(garbage)
+        read_snapshot(garbage)
     assert ":2:" in str(exc.value)
 
     empty = tmp_path / "empty.csv"
     empty.write_text("# gpm-snapshot lambda=0.0\n")
     with pytest.raises(DataError):
-        read_snapshot_csv(empty)
+        read_snapshot(empty)
 
 
 def test_json_deterministic(tmp_path):
@@ -211,7 +260,7 @@ def test_csv_full_precision(tmp_path):
     snap = SnapshotMatrix(data=data, param=np.pi)
     path = tmp_path / "pi.csv"
     write_snapshot_csv(path, snap)
-    back = read_snapshot_csv(path)
+    back = read_snapshot(path)
     assert np.array_equal(back.data, data)
     assert back.param == np.pi
 

@@ -16,6 +16,7 @@ from gpmor import (
     compute_pod,
     generate,
     interpolate,
+    kernels,
     lagrange_weights,
     log_map,
     principal_angles,
@@ -145,6 +146,24 @@ def test_rotation_family_exact_interpolation():
     # exactly 0.3 rad from the first node and 0.1 rad from the second
     assert riemannian_distance(res.frame, base) == pytest.approx(0.3, abs=1e-8)
     assert riemannian_distance(res.frame, pts[1][1]) == pytest.approx(0.1, abs=1e-8)
+
+
+def test_interpolate_builds_its_weights_twice(monkeypatch):
+    # once for the combination and the weight bound, once inside theta_curve
+    calls = []
+    lagrange_matrix = kernels.lagrange_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return lagrange_matrix(*args)
+
+    spec = FamilySpec(n=8, n_t=20, mode_count=1, kind="rotation", rate=1.0, seed=9,
+                      params=(0.0, 0.2, 0.4), noise=0.0)
+    ts = TrainingSet(points=tuple((s.param, compute_pod(s, 1).basis)
+                                  for s in generate(spec).snapshots))
+    monkeypatch.setattr(kernels, "lagrange_matrix", counting)
+    assert interpolate(ts, 0.3).ok
+    assert len(calls) == 2
 
 
 def test_c1_failure_is_verdict_not_crash():
