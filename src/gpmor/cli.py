@@ -6,6 +6,7 @@ failure, 12 C3 failure (first failure wins in that order).
 """
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -361,5 +362,13 @@ def main(argv=None):
         return EXIT_ERROR
 
 
+def run():
+    """Entry of `gpmor` and `python -m gpmor.cli`: exit with main()'s code, the
+    heap frozen so that the exit's garbage collection skips it."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

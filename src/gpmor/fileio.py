@@ -17,10 +17,11 @@ vectors kept, f64-LE lambda, u32-LE CRC-32 of those five fields and the
 payload, then the payload: min(n, n_t) f64-LE singular values and the
 n x kept f64-LE vectors column-major. The key is the snapshot file's u64-LE
 byte count, its CRC-32 and Adler-32 (u32-LE each), then as text
-snapshots.POD_FACTOR_VERSION, the numpy version and the BLAS build, since
-other factoring code or another build may give the same bytes another last
-bit. The key does not name the CPU; a cache moved to a machine whose BLAS
-picks other kernels should be deleted.
+snapshots.POD_FACTOR_VERSION, the numpy version, the BLAS build and
+snapshots.BLAS_THREADS, since other factoring code, another build or
+another thread count may give the same bytes another last bit. The key does
+not name the CPU; a cache moved to a machine whose BLAS picks other kernels
+should be deleted.
 """
 
 import contextlib
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import DataError, ParameterError
 from .grassmann import GrassmannPoint
 from .snapshots import (
+    BLAS_THREADS,
     POD_FACTOR_VERSION,
     PodFactor,
     SnapshotMatrix,
@@ -296,7 +298,7 @@ def _pod_cache_prefix(path):
             crc = zlib.crc32(chunk, crc)
             adler = zlib.adler32(chunk, adler)
     key = (struct.pack("<QII", size, crc, adler)
-           + f"gpmor factor {POD_FACTOR_VERSION}; {_BUILD}".encode())
+           + f"gpmor factor {POD_FACTOR_VERSION}; {_BUILD}; {BLAS_THREADS} threads".encode())
     return POD_CACHE_MAGIC + struct.pack("<I", len(key)) + key, state
 
 

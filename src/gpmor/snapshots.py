@@ -13,6 +13,8 @@ from copies of the same row blocks, so both give the same bits.
 """
 
 import math
+import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -117,6 +119,24 @@ def kept_modes(sv, shape, max_mode):
 # block is factored from its row_blocks copy too, not from the array as
 # read, so a CSV snapshot gives its binary twin's bits.
 POD_FACTOR_VERSION = 3
+
+
+def _blas_threads(environ, cpus):
+    """The thread count OpenBLAS starts with on `cpus` usable CPUs: the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that C's atoi
+    reads as positive, at most `cpus`, else `cpus`. A count set at run time
+    (threadpoolctl) is not seen."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = re.match(r"\s*([+-]?\d+)", environ.get(name, ""))
+        if value and int(value[1]) > 0:
+            return min(int(value[1]), cpus)
+    return cpus
+
+
+# A threaded BLAS may sum in another order, so the factor's last bits depend
+# on the thread count too. OpenBLAS read the environment when numpy loaded it.
+BLAS_THREADS = _blas_threads(os.environ, len(os.sched_getaffinity(0))
+                             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 # Bytes of snapshot rows held at once where a tall matrix is factored: a row
 # block of a snapshot, in memory or streamed from its file. synth builds its

@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import shutil
@@ -44,13 +45,15 @@ def synth_family(out, kind="rotation", n=8, nt=12, modes=2, rate=0.1,
     return sorted(str(p) for p in out.glob("snapshot_*.gpm"))
 
 
+FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+
 def _exit_code_in_fresh_process(expr, banned=("scipy", "_hashlib")):
     """Exit code of a fresh interpreter that imports gpmor.cli, evaluates expr
     (0 on success) and exits 1 if that loaded a banned module: scipy, or
     _hashlib (OpenSSL, about 3.5 MB of RSS)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     code = f"import sys, gpmor.cli; sys.exit(({expr}) or any(m in sys.modules for m in {banned!r}))"
-    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+    return subprocess.run([sys.executable, "-c", code], env=FRESH_ENV, timeout=60).returncode
 
 
 def _peak_mb_in_fresh_process(argv):
@@ -58,10 +61,9 @@ def _peak_mb_in_fresh_process(argv):
     interpreter. The child reads its own VmHWM from /proc/self/status: the
     ru_maxrss a parent gets for a child started by vfork and exec carries the
     parent's own high-water mark."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     code = ("import sys, gpmor.cli; code = gpmor.cli.main(sys.argv[1:]); "
             "print(code, *[l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')])")
-    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env, timeout=300,
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=FRESH_ENV, timeout=300,
                           capture_output=True, text=True, check=True)
     exit_code, kb = map(int, done.stdout.split()[-2:])
     return exit_code, kb / 1024
@@ -102,6 +104,60 @@ def test_subcommand_does_not_load_scipy(tmp_path, call):
     main = f"gpmor.cli.main({list(map(str, argv))!r})"
     banned = ("scipy",) if call.startswith("synth-") else ("scipy", "_hashlib", "numpy.random")
     assert _exit_code_in_fresh_process(f"{main} or {main}", banned) == 0
+
+
+# -- process entry ------------------------------------------------------------
+
+
+def _tree(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _entry_case(fam, case):
+    """(argv, exit code) of a call that exits with `case`: the family and call of
+    test_interpolate_at_node, test_pod_mode_out_of_range,
+    test_interpolate_crossing_exit_11 or test_check_c3_nonnested_exit_12."""
+    if case == 0:
+        files = synth_family(fam)
+        return ["interpolate", *files, "--mode", 2, "--target", 1.0], 0
+    if case == 2:
+        files = synth_family(fam, n=8, nt=12)
+        return ["pod", files[0], "--mode", 9], 2
+    if case == 11:
+        files = synth_family(fam, kind="crossing", rate=np.pi / 2, params="-0.8,0.0,0.8", modes=1)
+        return ["interpolate", *files, "--mode", 1, "--target", 1.3, "--reference-index", 1], 11
+    files = synth_family(fam, kind="nonnested", n=16, nt=40, modes=5, rate=0.3,
+                         params="0,1,2,3", seed=2)
+    return ["check-c3", *files, "--modes", "1,2,3,4,5", "--target", 1.5], 12
+
+
+@pytest.mark.parametrize("case", [0, 2, 11, 12])
+def test_fresh_process_gives_mains_exit_code_and_bytes(tmp_path, monkeypatch, capsys, case):
+    # the process entry adds nothing to main but the heap freeze, which an
+    # in-process call never makes
+    argv, code = _entry_case(tmp_path / "fam", case)
+    argv = ["--out", "out", *map(str, argv)]
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "fresh")
+    done = subprocess.run([sys.executable, "-m", "gpmor.cli", *argv], env=FRESH_ENV, timeout=120,
+                          capture_output=True, text=True)
+    (tmp_path / "in").mkdir()
+    monkeypatch.chdir(tmp_path / "in")
+    frozen = gc.get_freeze_count()
+    assert cli.main(argv) == code
+    assert gc.get_freeze_count() == frozen
+    assert (done.returncode, done.stdout, done.stderr) == (code, *capsys.readouterr())
+    assert _tree(tmp_path / "fresh" / "out") == _tree(tmp_path / "in" / "out")
+
+
+def test_entry_freezes_the_heap_and_exits_with_mains_code(tmp_path):
+    argv, code = _entry_case(tmp_path / "fam", 11)
+    probe = ("import atexit, gc, sys, gpmor.cli; "
+             "atexit.register(lambda: print(gc.get_freeze_count() > 0)); gpmor.cli.run()")
+    done = subprocess.run([sys.executable, "-c", probe, "--quiet", "--out", tmp_path / "out",
+                           *map(str, argv)], env=FRESH_ENV, timeout=120,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (code, "True\n")
 
 
 # -- synth --------------------------------------------------------------------
@@ -694,6 +750,31 @@ def test_entry_of_another_factor_version_misses(tmp_path, monkeypatch):
         factored.clear()
         assert run("--out", tmp_path / f"out{i}", "--quiet", "pod", *files, "--mode", 3) == 0
         assert sorted(factored) == ([0.0, 1.0, 2.0, 3.0] if i == 0 else [])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs")
+def test_entry_of_another_thread_count_misses(tmp_path):
+    # a tall rotation snapshot whose factor's last bits differ between one and
+    # two OpenBLAS threads: the key names the thread count, so a warm 2-thread
+    # pod over 1-thread entries gives the cold 2-thread bases
+    synth_family(tmp_path / "a", n=6000, nt=213, modes=8, params="0,1,2,3,4", seed=0)
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+
+    def pod(threads, fam, out):
+        env = dict(FRESH_ENV, OPENBLAS_NUM_THREADS=str(threads))
+        # --report csv: no pod_summary.json, which names the input paths
+        subprocess.run([sys.executable, "-m", "gpmor.cli", "--quiet", "--report", "csv",
+                        "--out", out, "pod", *sorted(fam.glob("*.gpm")), "--mode", "8"],
+                       env=env, timeout=300, check=True)
+        return _tree(out)
+
+    cold1 = pod(1, tmp_path / "a", tmp_path / "cold1")
+    warm2 = pod(2, tmp_path / "a", tmp_path / "warm2")
+    cold2 = pod(2, tmp_path / "b", tmp_path / "cold2")
+    if cold1 == cold2:
+        pytest.skip("this BLAS factors the family to the same bits under 1 and 2 threads")
+    assert warm2 == cold2
 
 
 def test_failed_cache_write_is_skipped(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from gpmor import (
     reduced_model,
     singular_spectrum,
 )
-from gpmor.snapshots import PodFactor, factor_pod, truncate_pod
+from gpmor.snapshots import PodFactor, _blas_threads, factor_pod, truncate_pod
 from oracles import jacobi_svd, thin_svd_pod
 
 
@@ -297,3 +297,20 @@ def test_records_reject_non_finite_lambda(record, lam):
             SnapshotMatrix(data=data, param=lam)
         else:
             PodFactor(vectors=data, singular_values=np.ones(2), shape=(3, 2), param=lam)
+
+
+@pytest.mark.parametrize("environ, cpus, threads", [
+    ({}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "5"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "-3", "OMP_NUM_THREADS": "1"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2, 1),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 1),
+    ({"OMP_NUM_THREADS": "1,2"}, 2, 1),
+    ({"OMP_NUM_THREADS": " +1 "}, 2, 1),
+])
+def test_blas_threads_reads_the_environment_as_openblas_does(environ, cpus, threads):
+    # each case is the count OpenBLAS 0.3.31's openblas_get_num_threads gave
+    # in a process started with that environment on two CPUs
+    assert _blas_threads(environ, cpus) == threads
