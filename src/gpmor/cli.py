@@ -22,6 +22,7 @@ from .stability import (
     EXIT_ERROR,
     EXIT_OK,
     StabilityReport,
+    _c3_modes,
     _c3_threshold,
     c3_distance_table,
     check_c3,
@@ -186,8 +187,8 @@ def cmd_check_c3(args):
             if getattr(args, option) is None:
                 raise ParameterError(f"check-c3 needs --{option} unless --table is given")
         modes = _parse_list(args.modes, int, "--modes")
-        if len(modes) < 2:
-            raise ParameterError("check-c3 needs at least two modes")
+        # judged before any snapshot is read, as the table would judge them
+        _c3_modes(modes)
         results = []
         for p, ts in _training_sets(args, modes):
             res = interpolate(ts, args.target, args.reference_index)
@@ -354,8 +355,8 @@ def main(argv=None):
         args.out = Path(args.out)
         args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args)
-    except GpmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GpmError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

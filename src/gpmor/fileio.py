@@ -332,9 +332,7 @@ def _load_pod_cache(cache, prefix, max_mode):
     keep = kept_modes(sv, (n, n_t), max_mode)
     if keep > kept:
         return None
-    order = np.asfortranarray if n > n_t else np.ascontiguousarray
-    vectors = order(vectors.reshape((n, kept), order="F")[:, :keep])
-    vectors.setflags(write=False)
+    vectors = vectors.reshape((n, kept), order="F")[:, :keep]
     return PodFactor(vectors=vectors, singular_values=sv, shape=(n, n_t), param=lam)
 
 
@@ -344,7 +342,7 @@ def _store_pod_cache(cache, prefix, factor, max_mode):
     n, n_t = factor.shape
     sv = np.asarray(factor.singular_values, dtype="<f8")
     # the transpose of the F-ordered vectors is C-contiguous, in file order:
-    # a tall factor's vectors are written and checksummed without a copy
+    # they are written and checksummed without a copy
     vectors = np.asfortranarray(factor.vectors, dtype="<f8").T
     built = min(max(int(max_mode), 0), min(n, n_t))
     kept = factor.vectors.shape[1]
@@ -357,15 +355,15 @@ def _store_pod_cache(cache, prefix, factor, max_mode):
 
 
 def _factor_snapshot(path, max_mode):
-    """factor_pod(read_snapshot(path), max_mode), bit for bit. A tall binary
-    snapshot is not read whole: factor_rows takes it in row blocks, each
-    filled by positioned reads of its column segments and checked for
+    """factor_pod(read_snapshot(path), max_mode), bit for bit. A non-empty
+    binary snapshot is not read whole: factor_rows takes it in row blocks,
+    each filled by positioned reads of its column segments and checked for
     non-finite entries, in two passes over the file."""
     with open(path, "rb", buffering=0) as fh:
         if fh.read(4) == SNAPSHOT_MAGIC:
             fh.seek(0)
             n, n_t, lam = _bin_header(fh, path, SNAPSHOT_MAGIC, "<QQd")
-            if n > n_t > 0:
+            if n and n_t:
                 payload = fh.tell()
 
                 def fill(view, start):
@@ -386,13 +384,13 @@ def read_pod_factor(path, max_mode):
     The factor comes from the cache file beside the snapshot when its key
     matches the file's bytes and it keeps the vectors max_mode needs (column
     j does not depend on max_mode); a hit streams the snapshot for its key
-    and parses nothing. Otherwise the snapshot is factored (a tall binary one
-    in row blocks, see _factor_snapshot), and the cache rewritten under the
+    and parses nothing. Otherwise the snapshot is factored (a binary one in
+    row blocks, see _factor_snapshot), and the cache rewritten under the
     key already streamed, unless the file's stat fields show a write or a
     replacement since the stream began; a cache that cannot be written is
     skipped silently. The key is a checksum of the file in file order, which
     a row block of a column-major file is not, so a miss reads the file once
-    for the key and again for the factor.
+    for the key and again for the factor (twice, a binary one).
     """
     path = Path(path)
     cache = path.parent / POD_CACHE_DIR / f"{path.name}.pod"
@@ -417,5 +415,9 @@ def write_json(path, payload):
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The value of a UTF-8 JSON file; a file that is not one is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise DataError(f"{path}: not UTF-8 JSON: {exc}") from None

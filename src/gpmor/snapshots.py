@@ -2,14 +2,14 @@
 
 A snapshot matrix stacks the discretized space-time field of one parameter
 value column by column (n spatial DOFs x n_t time steps). POD extracts the
-leading left singular subspace, which is a point on G(p, n). Snapshots
-usually have far more DOFs than time steps, so a tall one is factored
-through the n_t x n_t triangle of its QR (the R-SVD of T. F. Chan, ACM TOMS
-8, 1982) and only the kept left singular vectors are formed, from S and the
-right ones. The triangle is folded from row blocks of S (TSQR: Demmel,
-Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012), so a snapshot
-streamed from a file is never held whole. A snapshot in memory is folded
-from copies of the same row blocks, so both give the same bits.
+leading left singular subspace, which is a point on G(p, n). A snapshot is
+factored through the min(n, n_t) x n_t triangle of its QR (the R-SVD of
+T. F. Chan, ACM TOMS 8, 1982) and only the kept left singular vectors are
+formed, from S and the right ones. The triangle is folded from row blocks of
+S (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012),
+so a tall snapshot streamed from a file is never held whole; a wide one is
+one block. A snapshot in memory is folded from copies of the same row
+blocks, so both give the same bits.
 """
 
 import math
@@ -86,8 +86,8 @@ def singular_spectrum(s):
 @dataclass(frozen=True)
 class PodFactor:
     """The full singular spectrum of a snapshot matrix and its leading signed
-    left singular vectors, ready to truncate to any mode up to the number of
-    vectors it keeps."""
+    left singular vectors, F-ordered, ready to truncate to any mode up to
+    the number of vectors it keeps."""
 
     vectors: np.ndarray
     singular_values: np.ndarray
@@ -117,8 +117,10 @@ def kept_modes(sv, shape, max_mode):
 # bump it, or old cache entries keep being served. 2: a tall snapshot of more
 # than one row block is folded block by block. 3: a tall snapshot of one row
 # block is factored from its row_blocks copy too, not from the array as
-# read, so a CSV snapshot gives its binary twin's bits.
-POD_FACTOR_VERSION = 3
+# read, so a CSV snapshot gives its binary twin's bits. 4: a wide or square
+# snapshot is factored through its row-block triangle too, not by an SVD of
+# itself, and its vectors are F-ordered.
+POD_FACTOR_VERSION = 4
 
 
 def _blas_threads(environ, cpus):
@@ -139,8 +141,9 @@ BLAS_THREADS = _blas_threads(os.environ, len(os.sched_getaffinity(0))
                              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 # Bytes of snapshot rows held at once where a tall matrix is factored: a row
-# block of a snapshot, in memory or streamed from its file. synth builds its
-# snapshots in smaller row blocks, of synth.BLOCK_BYTES. Factoring holds
+# block of a snapshot, in memory or streamed from its file (a wide or square
+# one is one block). synth builds its snapshots in smaller row blocks, of
+# synth.BLOCK_BYTES. Factoring holds
 # about three blocks (the block, [R; block] and LAPACK's copy of it) beside
 # the triangle and the kept vectors. On a 200000 x 100 snapshot (2 vCPUs,
 # OpenBLAS) a factor took 0.83-0.90 s from 6 to 12 MB blocks, 1.15 s at
@@ -168,7 +171,7 @@ def row_blocks(n, n_t, fill):
 def fold_triangle(blocks):
     """R of the QR of the matrix whose row blocks `blocks` yields in order,
     folded block by block as R = qr([R; block]), so one block alone is
-    exactly qr(S, mode="r")."""
+    exactly qr(S, mode="r"), an n x n_t trapezoid when n < n_t."""
     r = None
     for block in blocks:
         r = np.linalg.qr(block if r is None else np.vstack((r, block)), mode="r")
@@ -176,8 +179,8 @@ def fold_triangle(blocks):
 
 
 def factor_rows(blocks, shape, param, max_mode):
-    """factor_pod of a tall matrix S of `shape` (n > n_t) given by its row
-    blocks: each call blocks() makes one pass, yielding them in order.
+    """factor_pod of the matrix S of `shape` given by its row blocks: each
+    call blocks() makes one pass, yielding them in order.
 
     The first pass folds the blocks into the triangle R (fold_triangle);
     one SVD of R gives the full spectrum sigma and the right vectors v_j.
@@ -186,10 +189,9 @@ def factor_rows(blocks, shape, param, max_mode):
     Gram-Schmidt re-orthonormalise u_j against u_1..u_{j-1}. Column j is
     bitwise the same for every max_mode >= j. The arrays come back frozen.
     """
-    n, n_t = shape
     _, sv, vt = np.linalg.svd(fold_triangle(blocks()), full_matrices=False)
     keep = kept_modes(sv, shape, max_mode)
-    u = np.empty((n, keep), order="F")
+    u = np.empty((shape[0], keep), order="F")
     start = 0
     for block in blocks():
         stop = start + block.shape[0]
@@ -212,31 +214,20 @@ def factor_rows(blocks, shape, param, max_mode):
 
 
 def factor_pod(s, max_mode):
-    """POD factor of s keeping min(max_mode, rank) left singular vectors.
-
-    A wide or square s (n <= n_t) is small: its own SVD gives them. A tall s
-    goes through factor_rows on copies of its row blocks, the buffer a
-    binary file's blocks are read into, so its bits do not depend on the
-    memory order or the format s came in. Either way column j is bitwise the
-    same for every max_mode >= j, and the vectors are F-ordered for a tall s
-    and C-ordered otherwise. Signs follow fix_svd_signs. Vectors beyond the
-    numerical rank are not formed: their sigma_j is noise.
+    """POD factor of s keeping min(max_mode, rank) left singular vectors:
+    factor_rows on copies of its row blocks, the buffer a binary file's
+    blocks are read into, so the bits do not depend on the memory order or
+    the format s came in. Column j is bitwise the same for every
+    max_mode >= j. Signs follow fix_svd_signs. Vectors beyond the numerical
+    rank are not formed: their sigma_j is noise.
     """
     data = s.data
     n, n_t = data.shape
-    if n > n_t:
-        def copy_rows(view, start):
-            view[...] = data[start:start + len(view)]
 
-        return factor_rows(lambda: row_blocks(n, n_t, copy_rows), data.shape, s.param, max_mode)
-    u, sv, vt = np.linalg.svd(data, full_matrices=False)
-    keep = kept_modes(sv, data.shape, max_mode)
-    # a copy of the kept columns lets the full U be freed
-    u = u[:, :keep].copy()
-    fix_svd_signs(u, vt[:keep])
-    u.setflags(write=False)
-    sv.setflags(write=False)
-    return PodFactor(vectors=u, singular_values=sv, shape=data.shape, param=s.param)
+    def copy_rows(view, start):
+        view[...] = data[start:start + len(view)]
+
+    return factor_rows(lambda: row_blocks(n, n_t, copy_rows), data.shape, s.param, max_mode)
 
 
 def truncate_pod(f, p):

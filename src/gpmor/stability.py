@@ -57,6 +57,12 @@ class C2Record:
         return asdict(self)
 
 
+def _c3_modes(modes):
+    """C3 compares at least 2 pairwise distinct modes; else a ParameterError."""
+    if len(modes) < 2 or len(set(modes)) != len(modes):
+        raise ParameterError(f"C3 needs at least 2 pairwise distinct modes, got {tuple(modes)}")
+
+
 @dataclass(frozen=True)
 class DistanceTable:
     """Pairwise geometric distances over at least 2 pairwise-distinct int
@@ -72,9 +78,8 @@ class DistanceTable:
             values = _frozen_float(self.values)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"C3 table: {exc}") from None
+        _c3_modes(modes)
         m = len(modes)
-        if m < 2 or len(set(modes)) != m:
-            raise ParameterError(f"C3 table needs at least 2 pairwise distinct modes, got {modes}")
         if values.shape != (m, m):
             raise ParameterError(f"C3 table over {m} modes must be {m}x{m}, got shape {values.shape}")
         if not np.all(np.isfinite(values) & (values >= 0.0)):

@@ -560,10 +560,9 @@ def test_check_c3_table_round_trip_same_report(tmp_path):
 
 
 def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
-    # a wide snapshot is read whole and factored by one SVD of itself; a tall
-    # binary one is streamed in two passes of row blocks, here one block
-    # each, and factored by one QR of that block and one SVD of its nt x nt
-    # triangle
+    # a binary snapshot, wide or tall, is streamed in two passes of row
+    # blocks, here one block each, and factored by one QR of that block and
+    # one SVD of its min(n, nt) x nt triangle
     reads = []
     calls = []
     passes = []
@@ -597,20 +596,14 @@ def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
         code = run("--out", tmp_path / f"c3{n}", "--quiet", "check-c3", *files,
                    "--modes", "1,2,3,4,5", "--target", 1.5)
         assert code == 0
-        if n <= nt:
-            assert sorted(reads) == sorted(files)
-            assert passes == []
-            assert calls.count(("svd", (n, nt))) == len(files)
-            assert ("qr", (n, nt)) not in calls
-        else:
-            assert reads == []
-            assert passes == [(n, nt)] * (2 * len(files))
-            # the C2 kernel takes one QR of each mode's n x Np lift stack,
-            # which at p = 3 has the snapshots' shape
-            stacks = [(n, len(files) * p) for p in range(1, 6)]
-            assert calls.count(("qr", (n, nt))) == len(files) + stacks.count((n, nt))
-            assert calls.count(("svd", (nt, nt))) == len(files)
-            assert ("svd", (n, nt)) not in calls
+        assert reads == []
+        assert passes == [(n, nt)] * (2 * len(files))
+        # the C2 kernel takes one QR of each mode's n x Np lift stack,
+        # which at p = 3 has the tall snapshots' shape
+        stacks = [(n, len(files) * p) for p in range(1, 6)]
+        assert calls.count(("qr", (n, nt))) == len(files) + stacks.count((n, nt))
+        assert calls.count(("svd", (min(n, nt), nt))) == len(files)
+        assert n <= nt or ("svd", (n, nt)) not in calls
 
 
 # -- factor cache -------------------------------------------------------------
@@ -1227,6 +1220,23 @@ def test_check_c3_single_mode_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", [5, 1.5])
+def test_check_c3_repeated_mode_exit_2_before_any_read(tmp_path, capsys, monkeypatch, target):
+    # at target 5 mode 2 fails C2 (exit 11 if it were interpolated), at 1.5
+    # it passes twice; either way the repeat is judged before a factor is
+    # loaded, as a single mode is
+    files = synth_family(tmp_path / "fam", kind="crossing", n=40, nt=12, modes=3, rate=0.5,
+                         params="0,1,2")
+    loads = []
+    monkeypatch.setattr(fileio, "read_pod_factor", lambda *a: loads.append(a))
+    capsys.readouterr()
+    code = run("--out", tmp_path / "c3", "--quiet", "check-c3", *files, "--modes", "2,2",
+               "--target", target, "--reference-index", 0)
+    assert code == 2 and loads == []
+    assert capsys.readouterr().err == "error: C3 needs at least 2 pairwise distinct modes, got (2, 2)\n"
+    assert list((tmp_path / "c3").iterdir()) == []
+
+
 def _bad_modes(tmp_path):
     return ["check-c3", *synth_family(tmp_path / "fam"), "--modes", "2,x", "--target", 1.0]
 
@@ -1337,6 +1347,45 @@ def test_config_bad_value_exit_2(tmp_path, capsys, config, message):
     capsys.readouterr()
     assert run("--config", path, "--out", tmp_path / "c3", "check-c3", *src) == 2
     assert capsys.readouterr().err == "error: " + message.replace("{path}", str(path)) + "\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"mode": 3,', "Expecting property name enclosed in double quotes: line 1 column 12 (char 11)"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["truncated", "not-utf8"])
+def test_config_not_utf8_json_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert run("--config", path, "--out", tmp_path / "out", "--quiet", "synth", "--kind",
+               "rotation", "--n", 8, "--nt", 12, "--modes", 2, "--params=0,1") == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 JSON: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("c2_sweep", ["sweep-c2", "--mode", 1, "--lo", 0, "--hi", 2, "--samples", 10 ** 12,
+                  "--reference-index", 0]),
+    ("stream", ["synth", "--kind", "rotation", "--n", 10 ** 12, "--nt", 12, "--modes", 2,
+                "--params=0,1"]),
+], ids=["sweep-c2", "synth"])
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                 "and data type float64"),
+     "error: Unable to allocate 7.28 TiB for an array with shape "
+     "(1000000000000,) and data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_refused_allocation_exit_2(tmp_path, capsys, monkeypatch, name, argv, exc, message):
+    # the allocation is refused by a stand-in: a real request this large can
+    # be accepted by a host that overcommits memory
+    def refuse(*args, **kwargs):
+        raise exc
+
+    files = synth_family(tmp_path / "fam") if argv[0] == "sweep-c2" else []
+    monkeypatch.setattr(cli, name, refuse)
+    capsys.readouterr()
+    assert run("--out", tmp_path / "out", "--quiet", argv[0], *files, *argv[1:]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_config_list_matches_command_line(tmp_path):

@@ -9,6 +9,7 @@ from gpmor import (
     DistanceTable,
     GrassmannPoint,
     SnapshotMatrix,
+    cli,
     fileio,
     geometric_distance,
     snapshots,
@@ -28,6 +29,7 @@ from gpmor.fileio import (
     write_snapshot_csv,
 )
 from gpmor.snapshots import factor_pod
+from gpmor.synth import FamilySpec, generate
 
 
 def _write_frame_csv(path, point):
@@ -317,6 +319,30 @@ def test_read_pod_factor_is_factor_pod_bit_for_bit(tmp_path, write, shape, rank)
     assert [p.name for p in (tmp_path / ".gpmor_cache").iterdir()] == ["s.snap.pod"]
 
 
+@pytest.mark.parametrize("n, n_t", [(12, 40), (24, 24)])
+def test_wide_and_square_factors_agree_across_sources(tmp_path, n, n_t):
+    # one factor path for every shape: the snapshot synth.generate builds in
+    # memory, the binary file synth writes and its CSV twin give the same
+    # F-ordered bits, cold and from the cache, at the mode built and below
+    spec = FamilySpec(n=n, n_t=n_t, mode_count=3, kind="nonnested", rate=0.3, seed=2,
+                      params=(0.0, 0.5))
+    assert cli.main(["--out", str(tmp_path), "--quiet", "--seed", "2", "synth", "--kind",
+                     "nonnested", "--n", str(n), "--nt", str(n_t), "--modes", "3", "--rate",
+                     "0.3", "--params=0,0.5", "--format", "both"]) == 0
+    for i, snap in enumerate(generate(spec).snapshots):
+        for mode in (n, 2):
+            want = factor_pod(snap, mode)
+            assert want.vectors.flags.f_contiguous and want.vectors.shape[1] == mode
+            for ext in ("gpm", "csv"):
+                for _ in ("cold or served", "served"):
+                    got = read_pod_factor(tmp_path / f"snapshot_{i:03d}.{ext}", mode)
+                    assert got.shape == want.shape and got.param == want.param
+                    assert np.array_equal(got.singular_values, want.singular_values)
+                    assert np.array_equal(got.vectors, want.vectors)
+                    assert got.vectors.flags.f_contiguous
+        assert (tmp_path / ".gpmor_cache" / f"snapshot_{i:03d}.csv.pod").exists()
+
+
 def _graded(n, n_t, seed):
     # singular values 10 * 0.7^k: every gap is 30% of its sigma
     rng = np.random.default_rng(seed)
@@ -384,5 +410,4 @@ def test_pod_factor_arrays_are_frozen_where_they_are_made(tmp_path, monkeypatch,
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
-    # a wide miss reads the snapshot, whose frozen payload is kept too
     assert len(kept) >= 6 and all(kept)

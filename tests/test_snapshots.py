@@ -232,17 +232,18 @@ def test_pod_matches_thin_svd_oracle(shape):
         assert _sin_largest_angle(frame, frames[:, :p]) <= 1e-12
 
 
-@pytest.mark.parametrize("n, n_t", [(400, 60), (4000, 200)])
+@pytest.mark.parametrize("n, n_t", [(400, 60), (4000, 200), (60, 400), (48, 48)])
 def test_graded_spectrum_every_mode_accepted(n, n_t):
     # sigma log-spaced over 13 decades: u_j = S v_j / sigma_j loses
     # orthogonality like sigma_1 / sigma_j, which the re-orthonormalisation
-    # must repair for every mode up to the numerical rank
-    s, exact = _with_spectrum(n, n_t, 5, np.logspace(0, -13, n_t))
+    # must repair for every mode up to the numerical rank, whatever the shape
+    q = min(n, n_t)
+    s, exact = _with_spectrum(n, n_t, 5, np.logspace(0, -13, q))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        factor = factor_pod(s, n_t)
+        factor = factor_pod(s, q)
     rank = factor.vectors.shape[1]
-    assert rank >= n_t * 9 // 10
+    assert rank >= q * 9 // 10
     oracle, _ = thin_svd_pod(s.data, rank)
     for p in range(1, rank + 1):
         with warnings.catch_warnings(record=True) as caught:
