@@ -10,13 +10,9 @@ round-trip decimal form of each 64-bit float, so re-reading a file
 reproduces the in-memory values exactly; the binary format remains the
 source of truth.
 
-POD factor cache ("GPC1"), kept as `.gpmor_cache/<file name>.pod` beside a
-snapshot file: magic, u32-LE key length, the key, i64-LE n, n_t, the
-max_mode it was built with (clamped to [0, min(n, n_t)]) and the number of
-vectors kept, f64-LE lambda, u32-LE CRC-32 of those five fields and the
-payload, then the payload: min(n, n_t) f64-LE singular values and the
-n x kept f64-LE vectors column-major. The key is the snapshot file's u64-LE
-byte count, its CRC-32 and Adler-32 (u32-LE each), then as text
+POD factor cache: one entry per snapshot file, in the format of
+gpmor.podcache, kept as `.gpmor_cache/<file name>.pod` beside it. Its key is
+the snapshot file's byte count, CRC-32 and Adler-32, then as text
 snapshots.POD_FACTOR_VERSION, the numpy version, the BLAS build and
 snapshots.BLAS_THREADS, since other factoring code, another build or
 another thread count may give the same bytes another last bit. The key does
@@ -28,30 +24,32 @@ import contextlib
 import json
 import os
 import struct
+import time
 import zlib
 from pathlib import Path
 
 import numpy as np
 
+from . import podcache
 from .errors import DataError, ParameterError
 from .grassmann import GrassmannPoint
 from .snapshots import (
     BLAS_THREADS,
     POD_FACTOR_VERSION,
-    PodFactor,
     SnapshotMatrix,
     factor_pod,
     factor_rows,
-    kept_modes,
     row_blocks,
 )
 from .stability import DistanceTable
 
 SNAPSHOT_MAGIC = b"GPM1"
 FRAME_MAGIC = b"GPF1"
-POD_CACHE_MAGIC = b"GPC1"
 POD_CACHE_DIR = ".gpmor_cache"
-_POD_CACHE_FIELDS = struct.Struct("<qqqqd")
+# a snapshot is stamped only when its ctime is older than its key's stream by
+# more than this, FAT's 2 s timestamp step (the coarsest in common use), so a
+# write in the same timestamp tick as the stream cannot hide behind the stamp
+RACY_WINDOW_NS = 2_000_000_000
 # small enough that both checksums of a chunk read it from the CPU cache
 _KEY_CHUNK = 1 << 18
 _BLAS = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
@@ -282,8 +280,15 @@ def read_frame(path):
 
 
 def _file_state(st):
-    """The stat fields a write to or a replacement of a file changes."""
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+    """The stat fields a write to or a replacement of a file changes, packed
+    as a cache entry's stamp."""
+    return podcache.STAMP.pack(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _cache_prefix(sums):
+    """podcache.prefix_of a snapshot file whose checksums pack to `sums`."""
+    text = f"gpmor factor {POD_FACTOR_VERSION}; {_BUILD}; {BLAS_THREADS} threads"
+    return podcache.prefix_of(sums, text.encode())
 
 
 def _pod_cache_prefix(path):
@@ -297,61 +302,7 @@ def _pod_cache_prefix(path):
             size += len(chunk)
             crc = zlib.crc32(chunk, crc)
             adler = zlib.adler32(chunk, adler)
-    key = (struct.pack("<QII", size, crc, adler)
-           + f"gpmor factor {POD_FACTOR_VERSION}; {_BUILD}; {BLAS_THREADS} threads".encode())
-    return POD_CACHE_MAGIC + struct.pack("<I", len(key)) + key, state
-
-
-def _load_pod_cache(cache, prefix, max_mode):
-    """The factor_pod result at max_mode from cache file `cache`, or None when
-    the file is missing, does not start with `prefix`, is malformed or keeps
-    fewer vectors than max_mode needs."""
-    try:
-        with open(cache, "rb") as fh:
-            if fh.read(len(prefix)) != prefix:
-                return None
-            head = fh.read(_POD_CACHE_FIELDS.size + 4)
-            if len(head) < _POD_CACHE_FIELDS.size + 4:
-                return None
-            fields, (crc,) = head[:-4], struct.unpack("<I", head[-4:])
-            n, n_t, built, kept, lam = _POD_CACHE_FIELDS.unpack(fields)
-            q = min(n, n_t)
-            payload = os.fstat(fh.fileno()).st_size - fh.tell()
-            if n < 1 or n_t < 1 or not 0 <= kept <= q or payload != 8 * (q + n * kept):
-                return None
-            sv = np.fromfile(fh, dtype="<f8", count=q)
-            vectors = np.fromfile(fh, dtype="<f8", count=n * kept)
-    except OSError:
-        return None
-    # frozen here, so PodFactor keeps them instead of copying them
-    sv.setflags(write=False)
-    vectors.setflags(write=False)
-    if (zlib.crc32(vectors, zlib.crc32(sv, zlib.crc32(fields))) != crc
-            or kept != kept_modes(sv, (n, n_t), built)):
-        return None
-    keep = kept_modes(sv, (n, n_t), max_mode)
-    if keep > kept:
-        return None
-    vectors = vectors.reshape((n, kept), order="F")[:, :keep]
-    return PodFactor(vectors=vectors, singular_values=sv, shape=(n, n_t), param=lam)
-
-
-def _store_pod_cache(cache, prefix, factor, max_mode):
-    """Write `factor`, built at max_mode, as cache file `cache` through
-    _replacing, so a reader sees the old file or the new."""
-    n, n_t = factor.shape
-    sv = np.asarray(factor.singular_values, dtype="<f8")
-    # the transpose of the F-ordered vectors is C-contiguous, in file order:
-    # they are written and checksummed without a copy
-    vectors = np.asfortranarray(factor.vectors, dtype="<f8").T
-    built = min(max(int(max_mode), 0), min(n, n_t))
-    kept = factor.vectors.shape[1]
-    fields = _POD_CACHE_FIELDS.pack(n, n_t, built, kept, factor.param)
-    crc = struct.pack("<I", zlib.crc32(vectors, zlib.crc32(sv, zlib.crc32(fields))))
-    cache.parent.mkdir(exist_ok=True)
-    with _replacing(cache) as fh:
-        for part in (prefix, fields, crc, sv, vectors):
-            fh.write(part)
+    return _cache_prefix(struct.pack("<QII", size, crc, adler)), state
 
 
 def _factor_snapshot(path, max_mode):
@@ -381,26 +332,39 @@ def _factor_snapshot(path, max_mode):
 def read_pod_factor(path, max_mode):
     """factor_pod(read_snapshot(path), max_mode), bit for bit.
 
-    The factor comes from the cache file beside the snapshot when its key
-    matches the file's bytes and it keeps the vectors max_mode needs (column
-    j does not depend on max_mode); a hit streams the snapshot for its key
-    and parses nothing. Otherwise the snapshot is factored (a binary one in
-    row blocks, see _factor_snapshot), and the cache rewritten under the
-    key already streamed, unless the file's stat fields show a write or a
-    replacement since the stream began; a cache that cannot be written is
-    skipped silently. The key is a checksum of the file in file order, which
-    a row block of a column-major file is not, so a miss reads the file once
-    for the key and again for the factor (twice, a binary one).
+    The factor comes from the cache entry beside the snapshot when the entry
+    is the snapshot's and keeps the vectors max_mode needs (column j does
+    not depend on max_mode). An entry whose stamp equals the file's stat and
+    whose key ends in today's text is the snapshot's, and no byte of the
+    snapshot is read. Otherwise the snapshot is streamed for its key: an
+    entry of that key is served and stamped again; without one, the
+    snapshot is factored (a binary one in row blocks, see _factor_snapshot)
+    and the entry rewritten under the key already streamed, unless the
+    file's stat shows a write or a replacement since the stream began. A
+    cache that cannot be written is skipped silently. The stamp is the
+    file's stat when the stream began, or zeros, which match no file, when
+    its ctime is within RACY_WINDOW_NS of that moment, since a write in the
+    same timestamp tick could leave the stat as it was. The key is a
+    checksum of the file in file order, which a row block of a column-major
+    file is not, so a miss reads the file once for the key and again for the
+    factor (twice, a binary one).
     """
     path = Path(path)
     cache = path.parent / POD_CACHE_DIR / f"{path.name}.pod"
+    stat = _file_state(os.stat(path))
+    if factor := podcache.load(cache, _cache_prefix(bytes(16)), max_mode, stat, False):
+        return factor
+    start = time.time_ns()
     prefix, state = _pod_cache_prefix(path)
-    factor = _load_pod_cache(cache, prefix, max_mode)
+    stamp = state if start - podcache.STAMP.unpack(state)[4] > RACY_WINDOW_NS else bytes(len(state))
+    factor = podcache.load(cache, prefix, max_mode, stamp, True)
     if factor is None:
         factor = _factor_snapshot(path, max_mode)
         with contextlib.suppress(OSError):
             if _file_state(os.stat(path)) == state:
-                _store_pod_cache(cache, prefix, factor, max_mode)
+                cache.parent.mkdir(exist_ok=True)
+                with _replacing(cache) as fh:
+                    podcache.store(fh, prefix, factor, max_mode, stamp)
     return factor
 
 

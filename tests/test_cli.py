@@ -631,11 +631,13 @@ def _cached_calls(fam, out):
 
 
 @pytest.mark.parametrize("suffix", ["gpm", "csv"])
-def test_factor_cache_factors_each_file_once(tmp_path, monkeypatch, suffix):
+def test_factor_cache_factors_each_file_once(tmp_path, monkeypatch, racy_window, suffix):
     # a cold call factors and parses each file once (a tall binary snapshot
     # is parsed as two streamed passes of row blocks); a warm call at the
-    # same or a lower mode does neither; a higher mode factors each file once
-    # more and rewrites its cache entry
+    # same or a lower mode does neither, nor does it touch an entry, since
+    # with every file inside the racy window no entry is stamped again; a
+    # higher mode factors each file once more and rewrites its cache entry
+    racy_window(float("inf"))
     factored, parsed, passes = [], [], []
 
     def counting(log, key, orig):
@@ -704,7 +706,7 @@ def _cut_in_header(b):
     return b[:8 + int.from_bytes(b[4:8], "little") + 20]
 
 
-@pytest.mark.parametrize("damage", [
+_DAMAGES = pytest.mark.parametrize("damage", [
     _rewrite_in_place,
     _corrupt_caches(lambda b: b[: len(b) // 2]),
     _corrupt_caches(lambda b: b[:-1]),
@@ -716,7 +718,9 @@ def _cut_in_header(b):
     _corrupt_caches(_cut_in_header),
 ], ids=["snapshot-rewritten", "truncated", "short", "garbage", "wrong-magic", "payload-bit",
         "trailing-byte", "lambda-bit", "cut-in-header"])
-def test_stale_or_damaged_cache_gives_the_cold_result(tmp_path, damage):
+
+
+def _assert_damage_gives_the_cold_result(tmp_path, damage):
     fam = _cache_family(tmp_path)
     first = _cached_calls(fam, tmp_path / "first")
     damage(fam)
@@ -724,6 +728,20 @@ def test_stale_or_damaged_cache_gives_the_cold_result(tmp_path, damage):
     shutil.rmtree(fam / ".gpmor_cache")
     assert got == _cached_calls(fam, tmp_path / "cold")
     assert (got == first) == (damage is not _rewrite_in_place)
+
+
+@_DAMAGES
+def test_stale_or_damaged_cache_gives_the_cold_result(tmp_path, racy_window, damage):
+    # no entry is stamped: each is checked against its streamed key
+    racy_window(float("inf"))
+    _assert_damage_gives_the_cold_result(tmp_path, damage)
+
+
+@_DAMAGES
+def test_stamped_entry_with_damage_gives_the_cold_result(tmp_path, racy_window, damage):
+    # every entry is stamped, and a damaged one is still not served
+    racy_window(0)
+    _assert_damage_gives_the_cold_result(tmp_path, damage)
 
 
 def test_entry_of_another_factor_version_misses(tmp_path, monkeypatch):
@@ -743,6 +761,73 @@ def test_entry_of_another_factor_version_misses(tmp_path, monkeypatch):
         factored.clear()
         assert run("--out", tmp_path / f"out{i}", "--quiet", "pod", *files, "--mode", 3) == 0
         assert sorted(factored) == ([0.0, 1.0, 2.0, 3.0] if i == 0 else [])
+
+
+@pytest.mark.parametrize("name", ["POD_FACTOR_VERSION", "BLAS_THREADS"])
+def test_stamped_entry_of_another_key_text_misses(tmp_path, monkeypatch, racy_window,
+                                                   fileio_calls, name):
+    # an entry stamped under another factor version or BLAS thread count is
+    # not served by its stamp: the text of its key is checked first
+    racy_window(0)
+    fam = _cache_family(tmp_path)
+    files = sorted(str(p) for p in fam.glob("snapshot_*.gpm"))
+    with monkeypatch.context() as m:
+        m.setattr(fileio, name, getattr(fileio, name) + 1)
+        assert run("--out", tmp_path / "other", "--quiet", "pod", *files, "--mode", 3) == 0
+    streamed, factored = fileio_calls("_pod_cache_prefix"), fileio_calls("_factor_snapshot")
+    for i in range(2):
+        streamed.clear()
+        factored.clear()
+        assert run("--out", tmp_path / f"out{i}", "--quiet", "pod", *files, "--mode", 3) == 0
+        assert sorted(map(str, streamed)) == sorted(map(str, factored)) == (files if i == 0 else [])
+
+
+def test_stamped_warm_calls_read_no_snapshot(tmp_path, racy_window, fileio_calls):
+    # once every entry is stamped, pod, interpolate, sweep-c2 and check-c3
+    # stream, parse and factor no snapshot, and write what calls that stream
+    # every snapshot for its key write
+    fam = _cache_family(tmp_path)
+    files = sorted(str(p) for p in fam.glob("snapshot_*.gpm"))
+    sweep = ["sweep-c2", *files, "--mode", 3, "--lo", 0, "--hi", 3, "--samples", 5,
+             "--reference-index", 1]
+
+    def calls(out):
+        code = run("--out", out / "sweep-c2", "--quiet", *sweep)
+        return code, _cached_calls(fam, out)
+
+    racy_window(float("inf"))
+    streamed = calls(tmp_path / "streamed")
+    racy_window(0)
+    assert run("--out", tmp_path / "stamping", "--quiet", "pod", *files, "--mode", 3) == 0
+    spies = [fileio_calls(name) for name in ("_pod_cache_prefix", "read_snapshot",
+                                             "_factor_snapshot")]
+    assert calls(tmp_path / "stamped") == streamed
+    assert spies == [[], [], []]
+
+
+def test_warm_call_stamps_each_entry_once(tmp_path, racy_window, fileio_calls):
+    # entries written inside the racy window carry a zero stamp; the first
+    # warm call outside it streams each file once and rewrites the stamp and
+    # its CRC in place, and the next call streams nothing and writes nothing
+    racy_window(float("inf"))
+    fam = _cache_family(tmp_path)
+    files = sorted(str(p) for p in fam.glob("snapshot_*.gpm"))
+    assert run("--out", tmp_path / "cold", "--quiet", "pod", *files, "--mode", 3) == 0
+    racy_window(0)
+    streamed = fileio_calls("_pod_cache_prefix")
+    entries = sorted((fam / ".gpmor_cache").glob("*.gpm.pod"))
+    for i in range(2):
+        before = [(p.read_bytes(), p.stat().st_ino) for p in entries]
+        streamed.clear()
+        assert run("--out", tmp_path / f"warm{i}", "--quiet", "pod", *files, "--mode", 3) == 0
+        assert sorted(map(str, streamed)) == (files if i == 0 else [])
+        for p, (old, ino) in zip(entries, before):
+            new = p.read_bytes()
+            # the stamp and its CRC follow the key and the five fields' 44 bytes
+            at = 8 + int.from_bytes(old[4:8], "little") + 44
+            assert p.stat().st_ino == ino and len(new) == len(old)
+            assert new[:at] == old[:at] and new[at + 44:] == old[at + 44:]
+            assert (new != old) == (i == 0) and (old[at:at + 40] == bytes(40)) == (i == 0)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,

@@ -1,4 +1,6 @@
+import os
 import re
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -411,3 +413,110 @@ def test_pod_factor_arrays_are_frozen_where_they_are_made(tmp_path, monkeypatch,
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
     assert len(kept) >= 6 and all(kept)
+
+
+# -- factor cache stamps -----------------------------------------------------
+
+
+def _assert_factor_of_file(path, mode):
+    got, want = read_pod_factor(path, mode), factor_pod(read_snapshot(path), mode)
+    assert np.array_equal(got.singular_values, want.singular_values)
+    assert np.array_equal(got.vectors, want.vectors)
+
+
+def _rewrite_same_size_and_mtime(path, seed):
+    # another matrix of the same shape, written over the old bytes in place:
+    # the inode, the size and (restored) the mtime stay, only ctime moves
+    st = path.stat()
+    other = path.with_name("other.gpm")
+    write_snapshot_bin(other, SnapshotMatrix(data=_graded(40, 12, seed)))
+    with open(path, "r+b") as fh:
+        fh.write(other.read_bytes())
+    other.unlink()
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def test_in_place_rewrite_with_mtime_restored_misses(tmp_path, racy_window, fileio_calls):
+    racy_window(0)
+    path = tmp_path / "s.gpm"
+    write_snapshot_bin(path, SnapshotMatrix(data=_graded(40, 12, 1)))
+    read_pod_factor(path, 3)
+    streamed = fileio_calls("_pod_cache_prefix")
+    read_pod_factor(path, 3)
+    assert streamed == []
+    _rewrite_same_size_and_mtime(path, 2)
+    _assert_factor_of_file(path, 3)
+    assert streamed == [path]
+
+
+def test_rewrite_inside_the_racy_window_streams_the_key(tmp_path, racy_window, fileio_calls):
+    # every snapshot is younger than the window: entries are stamped with
+    # zeros, so each call streams the snapshot, and a rewrite that kept the
+    # stat (as on a file system with coarse timestamps) would still miss
+    racy_window(float("inf"))
+    path = tmp_path / "s.gpm"
+    write_snapshot_bin(path, SnapshotMatrix(data=_graded(40, 12, 1)))
+    read_pod_factor(path, 3)
+    entry = (tmp_path / ".gpmor_cache" / "s.gpm.pod").read_bytes()
+    at = 8 + int.from_bytes(entry[4:8], "little") + 44
+    assert entry[at:at + 40] == bytes(40)
+    streamed = fileio_calls("_pod_cache_prefix")
+    read_pod_factor(path, 3)
+    assert streamed == [path]
+    _rewrite_same_size_and_mtime(path, 2)
+    _assert_factor_of_file(path, 3)
+    assert streamed == [path] * 2
+
+
+def test_replaced_snapshot_misses(tmp_path, racy_window, fileio_calls):
+    racy_window(0)
+    path, other = tmp_path / "s.gpm", tmp_path / "other.gpm"
+    write_snapshot_bin(path, SnapshotMatrix(data=_graded(40, 12, 1)))
+    read_pod_factor(path, 3)
+    write_snapshot_bin(other, SnapshotMatrix(data=_graded(40, 12, 2)))
+    streamed = fileio_calls("_pod_cache_prefix")
+    os.replace(other, path)
+    _assert_factor_of_file(path, 3)
+    assert streamed == [path]
+
+
+def test_copied_family_hits_after_one_stream_per_file(tmp_path, racy_window, fileio_calls):
+    # the copies are new inodes with a new ctime, so their entries' stamps
+    # miss once: each file is streamed, its entry served and stamped again
+    racy_window(0)
+    (tmp_path / "a").mkdir()
+    for i in range(3):
+        write_snapshot_bin(tmp_path / "a" / f"s{i}.gpm",
+                           SnapshotMatrix(data=_graded(40, 12, i), param=float(i)))
+    files = sorted((tmp_path / "a").glob("*.gpm"))
+    cold = [read_pod_factor(p, 3) for p in files]
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    streamed = fileio_calls("_pod_cache_prefix")
+    factored = fileio_calls("_factor_snapshot")
+    copies = sorted((tmp_path / "b").glob("*.gpm"))
+    for passes in (copies, []):
+        streamed.clear()
+        for want, path in zip(cold, copies):
+            got = read_pod_factor(path, 3)
+            assert np.array_equal(got.vectors, want.vectors)
+            assert np.array_equal(got.singular_values, want.singular_values)
+        assert streamed == passes
+    assert factored == []
+
+
+def test_stamp_moved_onto_another_entry_is_not_trusted(tmp_path, racy_window):
+    # the stamp's CRC covers the key: a stamp that lands on the entry of
+    # other bytes (one replaced between a check and its re-stamp) does not
+    # check, so that entry is not served for this file
+    racy_window(0)
+    path, other = tmp_path / "s.gpm", tmp_path / "t.gpm"
+    for seed, p in enumerate((path, other)):
+        write_snapshot_bin(p, SnapshotMatrix(data=_graded(40, 12, seed)))
+        read_pod_factor(p, 3)
+    entry = tmp_path / ".gpmor_cache" / "s.gpm.pod"
+    mine, theirs = entry.read_bytes(), (tmp_path / ".gpmor_cache" / "t.gpm.pod").read_bytes()
+    at = 8 + int.from_bytes(mine[4:8], "little") + 44
+    entry.write_bytes(theirs[:at] + mine[at:at + 40] + theirs[at + 40:])
+    _assert_factor_of_file(path, 3)
