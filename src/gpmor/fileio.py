@@ -12,12 +12,14 @@ source of truth.
 
 POD factor cache: one entry per snapshot file, in the format of
 gpmor.podcache, kept as `.gpmor_cache/<file name>.pod` beside it. Its key is
-the snapshot file's byte count, CRC-32 and Adler-32, then as text
-snapshots.POD_FACTOR_VERSION, the numpy version, the BLAS build and
-snapshots.BLAS_THREADS, since other factoring code, another build or
+the snapshot file's u64-LE byte count, CRC-32 and Adler-32 (u32-LE each),
+then as text snapshots.POD_FACTOR_VERSION, the numpy version, the BLAS build
+and snapshots.BLAS_THREADS, since other factoring code, another build or
 another thread count may give the same bytes another last bit. The key does
 not name the CPU; a cache moved to a machine whose BLAS picks other kernels
-should be deleted.
+should be deleted. Its stamp is the snapshot's u64-LE st_dev and st_ino and
+i64-LE st_size, st_mtime_ns and st_ctime_ns when its key was streamed, or
+zeros, which match no file.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ import os
 import struct
 import time
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,7 @@ from .snapshots import (
     SnapshotMatrix,
     factor_pod,
     factor_rows,
+    kept_modes,
     row_blocks,
 )
 from .stability import DistanceTable
@@ -285,16 +289,15 @@ def _file_state(st):
     return podcache.STAMP.pack(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
-def _cache_prefix(sums):
-    """podcache.prefix_of a snapshot file whose checksums pack to `sums`."""
-    text = f"gpmor factor {POD_FACTOR_VERSION}; {_BUILD}; {BLAS_THREADS} threads"
-    return podcache.prefix_of(sums, text.encode())
+def _key_text():
+    """What, besides a snapshot file's bytes, sets its factor's bits: the
+    text that ends a cache key."""
+    return f"gpmor factor {POD_FACTOR_VERSION}; {_BUILD}; {BLAS_THREADS} threads".encode()
 
 
 def _pod_cache_prefix(path):
-    """The bytes a valid cache entry for snapshot file `path` starts with (the
-    magic and the key, the file streamed in _KEY_CHUNK pieces), and the
-    file's _file_state when the stream began."""
+    """The cache key of snapshot file `path` (the file streamed in
+    _KEY_CHUNK pieces), and the file's _file_state when the stream began."""
     size, crc, adler = 0, 0, 1
     with open(path, "rb") as fh:
         state = _file_state(os.fstat(fh.fileno()))
@@ -302,7 +305,7 @@ def _pod_cache_prefix(path):
             size += len(chunk)
             crc = zlib.crc32(chunk, crc)
             adler = zlib.adler32(chunk, adler)
-    return _cache_prefix(struct.pack("<QII", size, crc, adler)), state
+    return struct.pack("<QII", size, crc, adler) + _key_text(), state
 
 
 def _factor_snapshot(path, max_mode):
@@ -330,42 +333,50 @@ def _factor_snapshot(path, max_mode):
 
 
 def read_pod_factor(path, max_mode):
-    """factor_pod(read_snapshot(path), max_mode), bit for bit.
-
-    The factor comes from the cache entry beside the snapshot when the entry
-    is the snapshot's and keeps the vectors max_mode needs (column j does
-    not depend on max_mode). An entry whose stamp equals the file's stat and
-    whose key ends in today's text is the snapshot's, and no byte of the
-    snapshot is read. Otherwise the snapshot is streamed for its key: an
-    entry of that key is served and stamped again; without one, the
-    snapshot is factored (a binary one in row blocks, see _factor_snapshot)
-    and the entry rewritten under the key already streamed, unless the
-    file's stat shows a write or a replacement since the stream began. A
-    cache that cannot be written is skipped silently. The stamp is the
-    file's stat when the stream began, or zeros, which match no file, when
-    its ctime is within RACY_WINDOW_NS of that moment, since a write in the
-    same timestamp tick could leave the stat as it was. The key is a
-    checksum of the file in file order, which a row block of a column-major
-    file is not, so a miss reads the file once for the key and again for the
-    factor (twice, a binary one).
+    """factor_pod(read_snapshot(path), max_mode), bit for bit. The snapshot's
+    cache entry serves it when it keeps the vectors max_mode needs (column j
+    does not depend on max_mode) and is trusted as the snapshot's:
+    1. when its stamp equals the file's stat and its key ends in today's
+       text; then no byte of the snapshot is read;
+    2. else when its key is the one the snapshot streams to; it is then
+       stored again with the new stamp, unless that is its own or zeros.
+    Otherwise the snapshot is factored (a binary one in row blocks, see
+    _factor_snapshot) and its entry stored. The new stamp is zeros when the
+    file's ctime is within RACY_WINDOW_NS of the stream's start, since a
+    write in the same timestamp tick could leave the stat as it was (git's
+    "racy" rule). An entry is stored whole through _replacing, and only when
+    the file's stat shows no write or replacement since the stream began; a
+    cache that cannot be written is skipped silently. The key's checksums
+    run in file order, which a row block of a column-major file is not, so a
+    miss reads the file for the key and again for the factor (twice, a
+    binary one).
     """
     path = Path(path)
     cache = path.parent / POD_CACHE_DIR / f"{path.name}.pod"
-    stat = _file_state(os.stat(path))
-    if factor := podcache.load(cache, _cache_prefix(bytes(16)), max_mode, stat, False):
-        return factor
-    start = time.time_ns()
-    prefix, state = _pod_cache_prefix(path)
-    stamp = state if start - podcache.STAMP.unpack(state)[4] > RACY_WINDOW_NS else bytes(len(state))
-    factor = podcache.load(cache, prefix, max_mode, stamp, True)
-    if factor is None:
-        factor = _factor_snapshot(path, max_mode)
-        with contextlib.suppress(OSError):
-            if _file_state(os.stat(path)) == state:
-                cache.parent.mkdir(exist_ok=True)
-                with _replacing(cache) as fh:
-                    podcache.store(fh, prefix, factor, max_mode, stamp)
-    return factor
+    state = _file_state(os.stat(path))
+    entry = podcache.read(cache)
+    if entry and entry.stamp == state and entry.key[16:] == _key_text():
+        key, stamp = entry.key, entry.stamp
+    else:
+        start = time.time_ns()
+        key, state = _pod_cache_prefix(path)
+        stamp = state if start - podcache.STAMP.unpack(state)[4] > RACY_WINDOW_NS else bytes(len(state))
+    factor = entry and entry.key == key and entry.factor
+    keep = factor and kept_modes(factor.singular_values, factor.shape, max_mode)
+    if factor and keep <= factor.vectors.shape[1]:
+        served, built = replace(factor, vectors=factor.vectors[:, :keep]), entry.built
+        if stamp == entry.stamp or not any(stamp):
+            return served
+    else:
+        entry = factor = None  # the old entry's arrays go before the snapshot is factored
+        served = factor = _factor_snapshot(path, max_mode)
+        built = max_mode
+    with contextlib.suppress(OSError):
+        if _file_state(os.stat(path)) == state:
+            cache.parent.mkdir(exist_ok=True)
+            with _replacing(cache) as fh:
+                podcache.store(fh, key, factor, built, stamp)
+    return served
 
 
 # -- JSON --------------------------------------------------------------------

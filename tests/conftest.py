@@ -26,10 +26,11 @@ def racy_window(monkeypatch):
 
 @pytest.fixture
 def fileio_calls(monkeypatch):
-    """calls(name) spies on fileio.<name>: a list that gets the first
-    argument of each later call of it through the module."""
-    def calls(name):
-        log, orig = [], getattr(fileio, name)
-        monkeypatch.setattr(fileio, name, lambda first, *rest: log.append(first) or orig(first, *rest))
+    """calls(name) spies on fileio.<name>, and calls(name, module) on
+    module.<name>: a list that gets the first argument of each later call of
+    it through the module."""
+    def calls(name, module=fileio):
+        log, orig = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda first, *rest: log.append(first) or orig(first, *rest))
         return log
     return calls

@@ -21,6 +21,7 @@ from gpmor import (
     fileio,
     generate,
     interpolate,
+    podcache,
     riemannian_distance,
     snapshots,
     synth,
@@ -694,11 +695,14 @@ def _corrupt_caches(change):
     return corrupt
 
 
-def _flip_lambda(b):
-    # the lowest byte of lambda, the fifth 8-byte field after the magic, the
-    # key length and the key: the entry would serve a node at another parameter
-    at = 8 + int.from_bytes(b[4:8], "little") + 32
-    return b[:at] + bytes([b[at] ^ 1]) + b[at + 1:]
+def _flip_after_key(skip):
+    # flip the lowest bit of the byte `skip` bytes after the magic, the key
+    # length and the key: 32 is lambda's lowest byte (the entry would serve a
+    # node at another parameter), 44 the stamp's first
+    def flip(b):
+        at = 8 + int.from_bytes(b[4:8], "little") + skip
+        return b[:at] + bytes([b[at] ^ 1]) + b[at + 1:]
+    return flip
 
 
 def _cut_in_header(b):
@@ -714,10 +718,12 @@ _DAMAGES = pytest.mark.parametrize("damage", [
     _corrupt_caches(lambda b: b"GPM1" + b[4:]),
     _corrupt_caches(lambda b: b[:-1] + bytes([b[-1] ^ 1])),
     _corrupt_caches(lambda b: b + b"\0"),
-    _corrupt_caches(_flip_lambda),
+    _corrupt_caches(_flip_after_key(32)),
     _corrupt_caches(_cut_in_header),
+    _corrupt_caches(lambda b: b[:4] + b"\xff" * 4 + b[8:]),
+    _corrupt_caches(_flip_after_key(44)),
 ], ids=["snapshot-rewritten", "truncated", "short", "garbage", "wrong-magic", "payload-bit",
-        "trailing-byte", "lambda-bit", "cut-in-header"])
+        "trailing-byte", "lambda-bit", "cut-in-header", "key-length", "stamp-bit"])
 
 
 def _assert_damage_gives_the_cold_result(tmp_path, damage):
@@ -807,8 +813,8 @@ def test_stamped_warm_calls_read_no_snapshot(tmp_path, racy_window, fileio_calls
 
 def test_warm_call_stamps_each_entry_once(tmp_path, racy_window, fileio_calls):
     # entries written inside the racy window carry a zero stamp; the first
-    # warm call outside it streams each file once and rewrites the stamp and
-    # its CRC in place, and the next call streams nothing and writes nothing
+    # warm call outside it streams each file once and stores its entry again
+    # with a stamp, and the next call streams nothing and writes nothing
     racy_window(float("inf"))
     fam = _cache_family(tmp_path)
     files = sorted(str(p) for p in fam.glob("snapshot_*.gpm"))
@@ -817,17 +823,46 @@ def test_warm_call_stamps_each_entry_once(tmp_path, racy_window, fileio_calls):
     streamed = fileio_calls("_pod_cache_prefix")
     entries = sorted((fam / ".gpmor_cache").glob("*.gpm.pod"))
     for i in range(2):
-        before = [(p.read_bytes(), p.stat().st_ino) for p in entries]
+        before = [p.read_bytes() for p in entries]
         streamed.clear()
         assert run("--out", tmp_path / f"warm{i}", "--quiet", "pod", *files, "--mode", 3) == 0
         assert sorted(map(str, streamed)) == (files if i == 0 else [])
-        for p, (old, ino) in zip(entries, before):
+        for p, old in zip(entries, before):
             new = p.read_bytes()
-            # the stamp and its CRC follow the key and the five fields' 44 bytes
+            # the CRC and the stamp follow the key and the five fields' 40 bytes
             at = 8 + int.from_bytes(old[4:8], "little") + 44
-            assert p.stat().st_ino == ino and len(new) == len(old)
-            assert new[:at] == old[:at] and new[at + 44:] == old[at + 44:]
+            assert len(new) == len(old)
+            assert new[:at - 4] == old[:at - 4] and new[at + 40:] == old[at + 40:]
             assert (new != old) == (i == 0) and (old[at:at + 40] == bytes(40)) == (i == 0)
+
+
+def test_restamp_keeps_the_mode_an_entry_was_built_at(tmp_path, racy_window, fileio_calls):
+    # entries built at mode 4 inside the racy window are stamped by a call at
+    # mode 2, and still serve mode 4: neither stored at the lower mode nor cut
+    racy_window(float("inf"))
+    fam = _cache_family(tmp_path)
+    files = sorted(str(p) for p in fam.glob("snapshot_*.gpm"))
+    assert run("--out", tmp_path / "cold", "--quiet", "pod", *files, "--mode", 4) == 0
+    racy_window(0)
+    assert run("--out", tmp_path / "stamping", "--quiet", "pod", *files, "--mode", 2) == 0
+    spies = [fileio_calls(name) for name in ("_pod_cache_prefix", "_factor_snapshot")]
+    assert run("--out", tmp_path / "warm", "--quiet", "pod", *files, "--mode", 4) == 0
+    assert spies == [[], []]
+    assert _tree(tmp_path / "warm") == _tree(tmp_path / "cold")
+
+
+def test_each_call_reads_each_entry_once(tmp_path, racy_window, fileio_calls):
+    # a miss, a hit whose stamp misses (it streams the key and stamps the
+    # entry) and a stamped hit each open every entry once
+    fam = _cache_family(tmp_path)
+    files = sorted(str(p) for p in fam.glob("snapshot_*.gpm"))
+    entries = sorted(str(fam / ".gpmor_cache" / f"{Path(f).name}.pod") for f in files)
+    reads = fileio_calls("read", podcache)
+    for i, window in enumerate((float("inf"), 0, 0)):
+        racy_window(window)
+        reads.clear()
+        assert run("--out", tmp_path / f"out{i}", "--quiet", "pod", *files, "--mode", 3) == 0
+        assert sorted(map(str, reads)) == entries
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,

@@ -507,9 +507,9 @@ def test_copied_family_hits_after_one_stream_per_file(tmp_path, racy_window, fil
 
 
 def test_stamp_moved_onto_another_entry_is_not_trusted(tmp_path, racy_window):
-    # the stamp's CRC covers the key: a stamp that lands on the entry of
-    # other bytes (one replaced between a check and its re-stamp) does not
-    # check, so that entry is not served for this file
+    # the entry's CRC covers the key and the stamp: a stamp moved onto the
+    # entry of other bytes does not check, so that entry is not served for
+    # this file
     racy_window(0)
     path, other = tmp_path / "s.gpm", tmp_path / "t.gpm"
     for seed, p in enumerate((path, other)):
