@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     CutTimeUndefinedError,
     LogMapDomainError,
@@ -168,9 +169,6 @@ class TangentVector:
     def theta_max(self):
         """Largest singular value of the lift (the angle driving the C2
         check), read by the sweep kernel as one node of weight 1."""
-        # imported here: kernels imports snapshots, which imports this module
-        from . import kernels
-
         return float(kernels.theta_curve(self.lift[np.newaxis], (0.0,), (0.0,))[0])
 
     @property
@@ -217,23 +215,28 @@ def geodesic(base, v, t):
     return GrassmannPoint(u)
 
 
-def log_lift(base, target):
-    """Singular values (descending) of the overlap Y^T Y' and, when they pass
-    overlap_invertible, the log map's lift from `base` to `target` (a thin SVD
-    of Y' (Y^T Y')^{-1} - Y, arctan on its singular values, read-only), else
-    None."""
-    overlap = base.frame.T @ target.frame
-    sv = np.linalg.svd(overlap, compute_uv=False)
-    if not overlap_invertible(sv, base.n):
-        return sv, None
-    mat = np.linalg.solve(overlap.T, target.frame.T).T - base.frame
+def log_lift(base, targets, n):
+    """The (N, p) singular values of the overlaps Y^T Y_i' of the m x p frame
+    `base` with each frame of the (N, m, p) stack `targets` and, when every
+    row passes overlap_invertible at the ambient dimension n (m = n, or m
+    coordinates of a subspace holding the frames), the (N, m, p) log-map
+    lifts: thin SVDs of Y_i' (Y^T Y_i')^{-1} - Y, arctan on their singular
+    values. Else None. A lift off the horizontal space by more than
+    HORIZONTAL_TOL is a TangentDomainError."""
+    overlaps = np.matmul(base.T, targets)
+    svs = np.linalg.svd(overlaps, compute_uv=False)
+    if not all(overlap_invertible(sv, n) for sv in svs):
+        return svs, None
+    mats = np.linalg.solve(overlaps.transpose(0, 2, 1), targets.transpose(0, 2, 1))
+    mats = mats.transpose(0, 2, 1) - base
     # no sign fix: flipping u_j and v_j together leaves every product, and
     # so the lift, bit for bit the same
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    lift = (u * np.arctan(s)) @ vt
-    # frozen, so a TangentVector keeps it without a copy
-    lift.setflags(write=False)
-    return sv, lift
+    u, s, vt = np.linalg.svd(mats, full_matrices=False)
+    lifts = np.matmul(u * np.arctan(s)[:, np.newaxis], vt)
+    horiz = np.max(np.abs(np.matmul(lifts.transpose(0, 2, 1), base)))
+    if horiz > HORIZONTAL_TOL:
+        raise TangentDomainError(f"lift is not horizontal at base (max |Z^T Y| = {horiz:.3e})")
+    return svs, lifts
 
 
 def log_map(base, target):
@@ -246,13 +249,15 @@ def log_map(base, target):
     if base.p != target.p:
         raise ParameterError(f"mode mismatch: p={base.p} vs p'={target.p}")
     _require_half_dimension(base)
-    sv, lift = log_lift(base, target)
-    if lift is None:
+    [sv], lifts = log_lift(base.frame, target.frame[np.newaxis], base.n)
+    if lifts is None:
         raise LogMapDomainError(
             "target lies outside the log-map domain: overlap matrix is singular "
             f"(min/max singular values {sv[-1]:.3e}/{sv[0]:.3e})"
         )
-    return TangentVector(base=base, lift=lift)
+    # frozen, so the TangentVector keeps its row without a copy
+    lifts.setflags(write=False)
+    return TangentVector(base=base, lift=lifts[0])
 
 
 def principal_angles(a, b):

@@ -2,9 +2,10 @@
 
 The pipeline: from the reference node the call names, stability.tangent_step
 maps every training point to its tangent space (C1 gate: all overlaps
-invertible); the largest singular value of their Lagrange combination is
-read from the sweep kernel and checked against pi/2 (C2 gate), and only then
-is the combined lift formed and exponentiated back to the manifold. A
+invertible), in coordinates of the node bases' joint span; the largest
+singular value of their Lagrange combination is read from the sweep kernel
+and checked against pi/2 (C2 gate), and only then is the combined lift
+formed, exponentiated back to the manifold and mapped to n x p. A
 TrainingSet is only data; interpolate's reference defaults to the node
 nearest the target.
 """
@@ -123,10 +124,10 @@ def interpolate(ts, target, reference_index=None):
     if ref is None:
         ref = int(np.argmin([abs(lam - target) for lam in ts.params]))
     extrapolated = not (min(ts.params) <= target <= max(ts.params))
-    c1, lifts = tangent_step(ts, ref)
-    if lifts is None:
+    c1, step = tangent_step(ts, ref)
+    if step is None:
         return InterpolationResult(target, ref, c1, extrapolated=extrapolated)
-    theta = kernels.theta_curve(lifts, ts.params, [target])[0]
+    theta = kernels.theta_curve(step.lifts, ts.params, [target])[0]
     spread, past = weight_bound(weights)
     # past the weight bound but below the cut locus it is an input error named
     # by its weights, not a frame that GrassmannPoint rejects
@@ -138,17 +139,17 @@ def interpolate(ts, target, reference_index=None):
     c2 = C2Record(ok=below_cut_locus(theta), theta_max=float(theta))
     if not c2.ok:
         return InterpolationResult(target, ref, c1, c2, extrapolated=extrapolated)
-    combined = np.zeros_like(lifts[0])
-    for w, z in zip(weights, lifts):
+    combined = np.zeros_like(step.lifts[0])
+    for w, z in zip(weights, step.lifts):
         combined += w * z
-    # frozen, so the TangentVector keeps it without a copy
-    combined.setflags(write=False)
-    base = ts.points[ref][1]
     # each lift passed HORIZONTAL_TOL in tangent_step, so their combination leaves
     # the horizontal space by at most sum |w_i| times that
     tol = HORIZONTAL_TOL * max(1.0, spread)
-    velocity = TangentVector(base=base, lift=combined, horizontal_tol=tol)
-    frame = geodesic(base, velocity, 1.0)
+    end = geodesic(step.base, TangentVector(step.base, combined, tol), 1.0)
+    both = step.ambient(np.hstack((end.frame, combined)))
+    p = ts.mode
+    frame = GrassmannPoint(both[:, :p])
+    velocity = TangentVector(ts.points[ref][1], both[:, p:], tol)
     return InterpolationResult(target, ref, c1, c2, frame, velocity, extrapolated)
 
 
@@ -208,10 +209,10 @@ def c2_sweep(ts, lo, hi, samples, reference_index):
     if not 0.0 < hi - lo < np.inf:  # also refuses a non-finite bound or width
         raise ParameterError(f"need finite lo < hi, got [{lo}, {hi}]")
     grid = np.linspace(lo, hi, samples)
-    c1, lifts = tangent_step(ts, reference_index)
-    if lifts is None:
+    c1, step = tangent_step(ts, reference_index)
+    if step is None:
         return C2Sweep(grid, np.full(samples, np.nan), c1)
-    thetas = kernels.theta_curve(lifts, ts.params, grid)
+    thetas = kernels.theta_curve(step.lifts, ts.params, grid)
     # a sample past the cut locus keeps its C2 verdict whatever its weights
     past = weight_bound(kernels.lagrange_matrix(ts.params, grid))[1]
     thetas[past & below_cut_locus(thetas)] = np.nan

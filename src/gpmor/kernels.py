@@ -5,14 +5,14 @@ Lagrange-combined lift Z(lam) = sum_i w_i(lam) Z_i. The sweep reads it at
 every grid parameter, interpolate at its one target, and check_c2 and
 TangentVector.theta_max for a single lift (one node, weight 1), all through
 theta_curve, so every C2 verdict on one lambda has the same bits. Stacking
-the lifts as S = [Z_1 ... Z_N] (n x Np) gives Z(lam) = S (w(lam) kron I_p),
+the lifts as S = [Z_1 ... Z_N] (m x Np) gives Z(lam) = S (w(lam) kron I_p),
 and with the reduced QR factorisation S = QR the orthonormal Q drops out of
-the singular values: sigma(Z(lam)) = sigma(R (w(lam) kron I_p)). One QR of
-S costs O(n (Np)^2); R is folded from row blocks of S of
-snapshots.STREAM_BYTES (snapshots.fold_triangle), so S is never held whole,
-and an S of one block gets exactly its own QR. Every grid point is then a
-k x p matrix C = R (w(lam) kron I_p) with k = min(n, Np), whatever n is.
-Each sample's C is its own 1 x N by N x kp product, so its bits do not
+the singular values: sigma(Z(lam)) = sigma(R (w(lam) kron I_p)). The lifts
+of a training set come in coordinates of the joint span of its node bases
+(stability.tangent_step), so m = max(K, 2p) with K <= Np, and a single lift
+is one n x p matrix: one QR of S does, at O(m (Np)^2). Every grid point is
+then a k x p matrix C = R (w(lam) kron I_p) with k = min(m, Np), whatever n
+is. Each sample's C is its own 1 x N by N x kp product, so its bits do not
 depend on the grid's length.
 
 theta_1 is read from the p x p Gram matrix of each C: theta_1 =
@@ -40,7 +40,6 @@ extrapolation nor underflows for tiny lifts, where the SVD needed no care.
 
 import numpy as np
 
-from . import snapshots
 from .errors import ParameterError
 
 # Bytes of combined k x p matrices held at once. A block's C, its p x p Gram
@@ -90,18 +89,14 @@ def theta_curve(lifts, node_params, grid):
     """Largest singular value of the interpolated lift at each grid parameter,
     from the Gram matrix of its QR-compressed form (see the module docstring).
 
-    lifts: (N, n, p) stacked horizontal lifts at the training nodes.
+    lifts: (N, m, p) stacked horizontal lifts at the training nodes, in
+        any one orthonormal basis of a subspace holding them.
     node_params: (N,) pairwise distinct training parameters.
     grid: (M,) target parameters.
     """
     lifts = np.asarray(lifts, dtype=np.float64)
-    n_nodes, n, p = lifts.shape
-
-    def stacked_rows(view, start):
-        for i, lift in enumerate(lifts):
-            view[:, i * p:(i + 1) * p] = lift[start:start + len(view)]
-
-    r = snapshots.fold_triangle(snapshots.row_blocks(n, n_nodes * p, stacked_rows))
+    n_nodes, m, p = lifts.shape
+    r = np.linalg.qr(lifts.transpose(1, 0, 2).reshape(m, n_nodes * p), mode="r")
     k = r.shape[0]
     # row i of blocks is R_i, the k x p slice of R that multiplies w_i, flattened
     blocks = r.reshape(k, n_nodes, p).transpose(1, 0, 2).reshape(n_nodes, k * p)

@@ -2,8 +2,9 @@
 
 C1: every training point lies in the log-map domain of the reference point
     (all overlap matrices non-singular). tangent_step(ts, reference_index)
-    records it and lifts every node in one pass; check_c1(ts,
-    reference_index) is its record half.
+    records it and lifts every node in one pass, in coordinates of the joint
+    span of the node bases; check_c1(ts, reference_index) is its record
+    half.
 C2: the interpolated lift stays inside the exponential-map injectivity domain
     (largest singular value below pi/2).
 C3: the non-inclusion defect across POD mode counts stays bounded
@@ -16,11 +17,23 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from . import kernels, snapshots
 from .errors import ParameterError
-from .grassmann import TangentVector, _frozen_float, below_cut_locus, geometric_distance, log_lift
+from .grassmann import (
+    GrassmannPoint,
+    _frozen_float,
+    below_cut_locus,
+    geometric_distance,
+    log_lift,
+    overlap_invertible,
+)
 
 DEFAULT_C3_THRESHOLD = 100.0
+# The joint span keeps the singular values of the stack [Y_1 ... Y_N] above
+# sigma_1 * n * JOINT_SPAN_RTOL: a Householder QR of n rows is backward stable
+# to about n u times the stack's norm (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, Thm. 19.4), so the rest are its rounding.
+JOINT_SPAN_RTOL = np.finfo(float).eps
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -107,24 +120,66 @@ class C3Record:
         return d
 
 
+class TangentStep:
+    """Every node's lift from one reference in the joint span of the node
+    bases: with the fold [Y_1 ... Y_N] = Q R and R = U Sigma V^T cut to K
+    singular values, node i's coordinates are its p columns of Sigma V^T,
+    zero-padded to m = max(K, 2p) rows. `base` is the reference's m x p
+    coordinates, `lifts` the (N, m, p) read-only lifts at it (the
+    reference's zero), `frames` the node bases and `back` V Sigma^-1."""
+
+    def __init__(self, base, lifts, frames, back):
+        self.base, self.lifts, self.frames, self.back = base, lifts, frames, back
+
+    def ambient(self, coords):
+        """The n x q matrix sum_i Y_i (V Sigma^-1 coords)_i of m x q `coords`,
+        in row blocks of STREAM_BYTES; F-ordered and read-only, so its column
+        blocks are views GrassmannPoint keeps without a copy."""
+        p = self.base.p
+        g = self.back @ coords[:self.back.shape[1]]
+        n = self.frames[0].shape[0]
+        out = np.empty((n, g.shape[1]), order="F")
+        rows = max(1, snapshots.STREAM_BYTES // (8 * g.shape[1]))
+        for start in range(0, n, rows):
+            part = slice(start, start + rows)
+            acc = self.frames[0][part] @ g[:p]
+            for i in range(1, len(self.frames)):
+                acc += self.frames[i][part] @ g[i * p:(i + 1) * p]
+            out[part] = acc
+        out.setflags(write=False)
+        return out
+
+
 def tangent_step(ts, reference_index):
-    """C1 record at the reference node and, when C1 holds, the (N, n, p) stack
-    of every node's lift from it (else None), from one log_lift per node, so
-    C1 fails exactly where log_map raises. Each lift passes TangentVector's
-    horizontality check as in log_map; the reference's own is exactly zero.
-    The one range check of a reference index."""
+    """C1 record at the reference node and, when C1 holds, a TangentStep
+    (else None): the node bases are folded from row blocks, never held whole,
+    and one batched log_lift on their coordinates gives C1 at the ambient n's
+    floor and every lift. The one range check of a reference index."""
     if not 0 <= reference_index < len(ts.points):
         raise ParameterError(f"reference index {reference_index} out of range")
-    base = ts.points[reference_index][1]
-    svs, lifts = zip(*(log_lift(base, pt) for _, pt in ts.points))
-    failing = tuple(i for i, lift in enumerate(lifts) if lift is None)
+    frames = tuple(pt.frame for _, pt in ts.points)
+    n, p = ts.n, ts.mode
+
+    def stacked_rows(view, start):
+        for i, y in enumerate(frames):
+            view[:, i * p:(i + 1) * p] = y[start:start + len(view)]
+
+    blocks = snapshots.row_blocks(n, len(frames) * p, stacked_rows)
+    _, sigma, vt = np.linalg.svd(snapshots.fold_triangle(blocks), full_matrices=False)
+    k = int(np.sum(sigma > sigma[0] * n * JOINT_SPAN_RTOL))
+    coords = np.zeros((len(frames), max(k, 2 * p), p))
+    coords[:, :k] = (sigma[:k, np.newaxis] * vt[:k]).reshape(k, len(frames), p).transpose(1, 0, 2)
+    base = GrassmannPoint(coords[reference_index])
+    svs, lifts = log_lift(base.frame, coords, n)
+    failing = () if lifts is not None else tuple(
+        i for i, sv in enumerate(svs) if not overlap_invertible(sv, n))
     c1 = C1Record(ok=not failing, failing_indices=failing,
-                  min_singular_values=tuple(float(sv[-1]) for sv in svs))
+                  min_singular_values=tuple(svs[:, -1].tolist()))
     if failing:
         return c1, None
-    stack = np.stack([TangentVector(base, lift).lift for lift in lifts])
-    stack[reference_index] = 0.0
-    return c1, stack
+    lifts[reference_index] = 0.0
+    lifts.setflags(write=False)
+    return c1, TangentStep(base, lifts, frames, vt[:k].T / sigma[:k])
 
 
 def check_c1(ts, reference_index):

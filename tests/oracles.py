@@ -3,9 +3,12 @@
 Each oracle is deliberately written with a different algorithm than the code
 under test: the SVD oracle uses one-sided Jacobi rotations instead of LAPACK,
 the Lagrange oracle uses the barycentric form instead of the product form, the
-metric oracles use explicit Python loops instead of vectorized numpy, and the
+metric oracles use explicit Python loops instead of vectorized numpy, the
 POD oracle takes one thin SVD of the whole snapshot matrix instead of the QR
-triangle and back-projection the library uses.
+triangle and back-projection the library uses, and the Grassmann
+interpolation oracle works in the ambient n with Jacobi SVDs, a projected
+log lift and barycentric weights, where the library works in the joint span
+of the node bases.
 The synth-family oracles are the exception: they pin a generator's random
 draw by replaying the same operations, so they match bit for bit on any
 platform where the library does; `synth_files` writes their snapshots the old
@@ -81,6 +84,27 @@ def barycentric_eval_weights(nodes, target):
     terms = [b / (target - x) for b, x in zip(bary, nodes)]
     total = sum(terms)
     return [t / total for t in terms]
+
+
+def grassmann_lagrange(frames, params, target, ref):
+    """Lagrange interpolation of the n x p orthonormal `frames` on G(p, n) at
+    `target` from node `ref`, all in the ambient n: (theta_1, frame).
+
+    Node i's log lift is the Jacobi SVD U S V^T of the projected
+    (I - Y_0 Y_0^T) Y_i (Y_0^T Y_i)^{-1}, the overlap inverted through its own
+    Jacobi SVD, as U arctan(S) V^T; the lifts are combined with barycentric
+    weights, and the combination U T V^T is mapped back by
+    Y_0 V cos(T) + U sin(T).
+    """
+    y0 = np.asarray(frames[ref], dtype=float)
+    combined = np.zeros_like(y0)
+    for w, y in zip(barycentric_eval_weights(params, target), frames):
+        y = np.asarray(y, dtype=float)
+        ou, os_, ovt = jacobi_svd(y0.T @ y)
+        u, s, vt = jacobi_svd((y - y0 @ (y0.T @ y)) @ ((ovt.T / os_) @ ou.T))
+        combined += w * ((u * np.arctan(s)) @ vt)
+    u, theta, vt = jacobi_svd(combined)
+    return float(theta[0]), (y0 @ vt.T) * np.cos(theta) + u * np.sin(theta)
 
 
 def naive_l2_series(approx, reference):

@@ -13,8 +13,10 @@ import pytest
 
 from gpmor import (
     FamilySpec,
+    GrassmannPoint,
     SnapshotMatrix,
     TrainingSet,
+    c2_sweep,
     c3_distance_table,
     cli,
     compute_pod,
@@ -27,8 +29,9 @@ from gpmor import (
     synth,
 )
 from gpmor.fileio import fmt, read_frame, read_json, read_snapshot, write_snapshot_bin
+from gpmor.stability import tangent_step
 from gpmor.synth import DEFAULT_NOISE, KINDS
-from oracles import barycentric_eval_weights, snapshot_files, synth_files
+from oracles import barycentric_eval_weights, grassmann_lagrange, snapshot_files, synth_files
 
 
 def run(*argv):
@@ -599,11 +602,12 @@ def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
         assert code == 0
         assert reads == []
         assert passes == [(n, nt)] * (2 * len(files))
-        # the C2 kernel takes one QR of each mode's n x Np lift stack,
-        # which at p = 3 has the tall snapshots' shape
+        # each mode's tangent step folds the n x Np stack of its node bases
+        # with one QR and takes one SVD of that triangle, which at p = 3 have
+        # the tall snapshots' shapes
         stacks = [(n, len(files) * p) for p in range(1, 6)]
         assert calls.count(("qr", (n, nt))) == len(files) + stacks.count((n, nt))
-        assert calls.count(("svd", (min(n, nt), nt))) == len(files)
+        assert calls.count(("svd", (min(n, nt), nt))) == len(files) + stacks.count((n, nt))
         assert n <= nt or ("svd", (n, nt)) not in calls
 
 
@@ -921,15 +925,16 @@ def test_invalid_snapshot_exits_2_and_is_not_cached(tmp_path, damage):
 
 
 def test_one_overlap_factorisation_per_node_and_mode(tmp_path, monkeypatch):
-    # the tangent step factors each overlap with the reference once: N calls
-    # of the shared overlap function per training set, so m * N for m modes
+    # the tangent step factors each overlap with the reference once, in one
+    # batched log_lift over the N nodes per training set: one call of N rows
+    # per mode
     from gpmor import grassmann, stability
 
     calls = []
 
-    def counting(base, target):
-        calls.append(target)
-        return log_lift(base, target)
+    def counting(base, targets, n):
+        calls.append(len(targets))
+        return log_lift(base, targets, n)
 
     log_lift = grassmann.log_lift
     monkeypatch.setattr(grassmann, "log_lift", counting)
@@ -937,14 +942,14 @@ def test_one_overlap_factorisation_per_node_and_mode(tmp_path, monkeypatch):
     files = synth_family(tmp_path / "fam", kind="nested", n=16, nt=40, modes=5,
                          rate=0.05, params="0,1,2,3", seed=7)
     for argv, expected in (
-        (["interpolate", *files, "--mode", 3, "--target", 1.5], len(files)),
+        (["interpolate", *files, "--mode", 3, "--target", 1.5], [len(files)]),
         (["sweep-c2", *files, "--mode", 3, "--lo", 0, "--hi", 3, "--samples", 7,
-          "--reference-index", 1], len(files)),
-        (["check-c3", *files, "--modes", "1,2,3,4,5", "--target", 1.5], 5 * len(files)),
+          "--reference-index", 1], [len(files)]),
+        (["check-c3", *files, "--modes", "1,2,3,4,5", "--target", 1.5], [len(files)] * 5),
     ):
         calls.clear()
         assert run("--out", tmp_path / argv[0], "--quiet", *argv) == 0
-        assert len(calls) == expected
+        assert calls == expected
 
 
 def test_check_c3_table_matches_per_mode_library_path(tmp_path):
@@ -1199,6 +1204,120 @@ def test_interpolate_check_c3_and_sweep_agree_at_the_c2_boundary(tmp_path):
         assert codes[1] == 11 and read_json(tmp_path / "c" / "c3_report.json")["c2"] == c2
         unstable = read_json(tmp_path / "s" / "sweep_c2.json")["unstable_intervals"]
         assert unstable[0][0] == float(target)
+
+
+@pytest.mark.parametrize("kind, rate", [("nested", 0.05), ("crossing", 0.3)])
+def test_check_c3_agrees_with_interpolate_at_every_mode(tmp_path, monkeypatch, kind, rate):
+    # each mode of check-c3 takes its own tangent step, the one interpolate
+    # --mode p takes: the same C2 record and frame, bit for bit, at every mode
+    files = synth_family(tmp_path / "fam", kind=kind, n=40, nt=20, modes=5, rate=rate,
+                         params="0,1,2,3", seed=4)
+    common = [*files, "--target", 1.3, "--reference-index", 1]
+    seen = []
+
+    def recording(ts, target, reference_index):
+        res = interpolate(ts, target, reference_index)
+        seen.append((ts.mode, res))
+        return res
+
+    monkeypatch.setattr(cli, "interpolate", recording)
+    assert run("--out", tmp_path / "c3", "--quiet", "check-c3", "--modes", "1,2,3,4,5", *common) in (0, 12)
+    monkeypatch.undo()
+    assert [p for p, _ in seen] == [1, 2, 3, 4, 5]
+    for p, res in seen:
+        out = tmp_path / f"i{p}"
+        assert run("--out", out, "--quiet", "interpolate", "--mode", p, *common) == 0
+        assert read_json(out / "interpolation_report.json")["c2"] == res.c2.to_dict()
+        assert read_frame(out / "interpolated.gpf").frame.tobytes() == res.frame.frame.tobytes()
+
+
+def test_c1_floor_uses_the_ambient_dimension(tmp_path):
+    # two lines of R^1000 at cos = 1e-9: above the p K u / OVERLAP_SINGULAR_TOL
+    # floor of their K = 2 dimensional joint span (2.2e-11), below the ambient
+    # p n u / OVERLAP_SINGULAR_TOL (1.1e-8), so C1 fails
+    n, cos = 1000, 1e-9
+    lines = np.zeros((2, n))
+    lines[0, 0] = 1.0
+    lines[1, :2] = cos, np.sqrt(1.0 - cos * cos)
+    files = []
+    for i, line in enumerate(lines):
+        second = np.zeros(n)
+        second[2 + i] = 1.0
+        data = np.outer(10.0 * line, [1.0, 0.0, 0.0]) + np.outer(5.0 * second, [0.0, 1.0, 0.0])
+        files.append(tmp_path / f"snapshot_{i:03d}.gpm")
+        write_snapshot_bin(files[-1], SnapshotMatrix(data=data, param=float(i)))
+    ts = TrainingSet(points=tuple((float(i), GrassmannPoint(line[:, np.newaxis]))
+                                  for i, line in enumerate(lines)))
+    assert interpolate(ts, 0.5, 0).c1.failing_indices == (1,)
+    assert c2_sweep(ts, 0.0, 1.0, 3, 0).c1.failing_indices == (1,)
+    common = [*files, "--reference-index", 0]
+    for argv, report in ((["interpolate", "--mode", 1, "--target", 0.5], "interpolation_report.json"),
+                         (["sweep-c2", "--mode", 1, "--lo", 0, "--hi", 1, "--samples", 3], "sweep_c2.json"),
+                         (["check-c3", "--modes", "1,2", "--target", 0.5], "c3_report.json")):
+        out = tmp_path / argv[0]
+        assert run("--out", out, "--quiet", *argv, *common) == 10
+        c1 = read_json(out / report)["c1"]
+        assert c1["failing_indices"] == [1] and c1["min_singular_values"][1] == pytest.approx(cos)
+
+
+def _turned_frames(rng, n, p, angles):
+    """One n x p frame per angle: a fixed frame whose first column is turned
+    by that angle toward a fixed direction outside it, each in its own random
+    basis of the span, so the frames' joint span has dimension p + 1."""
+    q = np.linalg.qr(rng.standard_normal((n, p + 1)))[0]
+    frames = []
+    for angle in angles:
+        y = q[:, :p].copy()
+        y[:, 0] = np.cos(angle) * q[:, 0] + np.sin(angle) * q[:, p]
+        frames.append(y @ np.linalg.qr(rng.standard_normal((p, p)))[0])
+    return frames
+
+
+def _oracle_case(tmp_path, case):
+    """(snapshot files, p, target, reference) of one oracle case."""
+    if case in KINDS:
+        return synth_family(tmp_path / "fam", kind=case, n=60, nt=20, modes=4, rate=0.3,
+                            params="0,1,2,3,4", seed=6), 4, 2.3, None
+    if case == "noiseless":
+        return synth_family(tmp_path / "fam", kind="rotation", n=60, nt=20, modes=3, rate=0.2,
+                            params="0,1,2,3,4", seed=6, noise=0.0), 3, 1.6, 1
+    rng = np.random.default_rng(8)
+    frames = _turned_frames(rng, 50, 3, [0.0] if case == "one-node" else [0.0, 0.01, 0.02])
+    profiles = np.linalg.qr(rng.standard_normal((12, 3)))[0]
+    files = []
+    for i, y in enumerate(frames):
+        files.append(tmp_path / f"snapshot_{i:03d}.gpm")
+        write_snapshot_bin(files[-1], SnapshotMatrix(data=(y * [4.0, 2.0, 1.0]) @ profiles.T,
+                                                     param=float(i)))
+    return files, 3, 0.7, 0
+
+
+@pytest.mark.parametrize("case", [*KINDS, "noiseless", "one-node", "near-identical"])
+def test_interpolation_matches_full_dimension_oracle(tmp_path, case):
+    # the library and the CLI, both working in the joint span of the node
+    # bases, against an ambient Lagrange/log/exp interpolation: the noiseless
+    # family's span has K = 2p < Np, and the one-node and near-identical sets
+    # K < 2p, so their coordinates are zero-padded
+    files, p, target, ref = _oracle_case(tmp_path, case)
+    snaps = sorted((read_snapshot(f) for f in files), key=lambda s: s.param)
+    ts = TrainingSet(points=tuple((s.param, compute_pod(s, p).basis) for s in snaps))
+    res = interpolate(ts, target, ref)
+    step = tangent_step(ts, res.reference_index)[1]
+    span = step.back.shape[1]
+    assert {"noiseless": span == 2 * p < len(files) * p,
+            "one-node": span == p and step.lifts.shape[1] == 2 * p,
+            "near-identical": span == p + 1 and step.lifts.shape[1] == 2 * p}.get(case, True)
+    theta, expected = grassmann_lagrange([pt.frame for _, pt in ts.points], ts.params, target,
+                                         res.reference_index)
+    out = tmp_path / "out"
+    argv = ["interpolate", *files, "--mode", p, "--target", target]
+    assert run("--out", out, "--quiet", *argv, *(["--reference-index", ref] if ref is not None else [])) == 0
+    assert read_json(out / "interpolation_report.json")["c2"]["theta_max"] == res.c2.theta_max
+    assert res.c2.theta_max == pytest.approx(theta, rel=1e-13, abs=1e-15)
+    for frame in (res.frame.frame, read_frame(out / "interpolated.gpf").frame):
+        assert np.max(np.abs(frame.T @ frame - np.eye(p))) < 1e-13
+        # sine of the largest principal angle to the oracle's frame
+        assert np.linalg.norm(frame - expected @ (expected.T @ frame), 2) < 1e-13
 
 
 def _target_argv(call, files, value, ref=1):

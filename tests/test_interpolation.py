@@ -24,7 +24,7 @@ from gpmor import (
 )
 from oracles import barycentric_eval_weights, random_grassmann_point
 
-from gpmor.grassmann import C2_MARGIN
+from gpmor.grassmann import C2_MARGIN, overlap_invertible
 from gpmor.stability import tangent_step
 
 
@@ -203,21 +203,26 @@ def test_near_cut_locus_gives_a_verdict(n, p, log_gap, seed):
     base = GrassmannPoint(q[:, :p] @ turn[0])
     far = GrassmannPoint((q[:, :p] * np.cos(angles) + q[:, p:] * np.sin(angles)) @ turn[1])
     ts = TrainingSet(points=((0.0, base), (1.0, far)))
-    # from every reference: C1 fails exactly where log_map raises, and each
-    # lift is log_map's bit for bit, the reference's own exactly zero
+    # from every reference: C1 fails where log_map raises, and each lift,
+    # formed in the joint span's coordinates, maps back to log_map's; the
+    # reference's own is exactly zero. The two overlaps round differently, so
+    # a node whose verdict a relative 1e-9 move of its singular values flips
+    # is left out of the verdict comparison.
     for ref, (_, ref_pt) in enumerate(ts.points):
-        c1, lifts = tangent_step(ts, ref)
-        raises = set()
+        c1, step = tangent_step(ts, ref)
         for i, (_, pt) in enumerate(ts.points):
+            sv = np.linalg.svd(ref_pt.frame.T @ pt.frame, compute_uv=False)
+            firm = overlap_invertible(sv * (1 + 1e-9), n) == overlap_invertible(sv * (1 - 1e-9), n)
             try:
                 lift = log_map(ref_pt, pt).lift
             except LogMapDomainError:
-                raises.add(i)
+                assert not firm or i in c1.failing_indices
                 continue
-            if lifts is not None and i != ref:
-                assert lifts[i].tobytes() == lift.tobytes()
-        assert set(c1.failing_indices) == raises and c1.ok == (lifts is not None)
-        assert lifts is None or np.all(lifts[ref] == 0.0)
+            assert not firm or i not in c1.failing_indices
+            if step is not None and i != ref:
+                np.testing.assert_allclose(step.ambient(step.lifts[i]), lift, rtol=0.0, atol=1e-9)
+        assert c1.ok == (step is not None)
+        assert step is None or np.all(step.lifts[ref] == 0.0)
         assert check_c1(ts, ref) == c1
         res = interpolate(ts, 0.5, reference_index=ref)
         assert res.c1 == c1 and (res.c2 is not None) == c1.ok

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpmor import ParameterError, kernels, snapshots
+from gpmor import ParameterError, kernels
 from gpmor.interpolation import lagrange_weights
 
 
@@ -185,22 +185,6 @@ def test_one_target_has_the_bits_it_has_in_either_block_of_a_long_grid():
     whole = kernels.theta_curve(lifts, params, grid)
     for j in (*range(0, 2001, 97), 1819, 1820, 2000):
         assert kernels.theta_curve(lifts, params, grid[j:j + 1])[0] == whole[j]
-
-
-def test_stack_folded_from_row_blocks_matches_direct_evaluation(monkeypatch):
-    # a 900 x 12 lift stack in row blocks of 100 rows gives the theta_1 of
-    # its one-block QR to rounding
-    rng = np.random.default_rng(11)
-    lifts, params, grid = make_case(rng, n_nodes=4, n=900, p=3)
-    whole = kernels.theta_curve(lifts, params, grid)
-    monkeypatch.setattr(snapshots, "STREAM_BYTES", 100 * 12 * 8)
-    shapes = []
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or qr(a, mode=mode))
-    folded = kernels.theta_curve(lifts, params, grid)
-    assert shapes == [(100, 12)] + [(112, 12)] * 8  # each block below the 12 x 12 triangle
-    np.testing.assert_allclose(folded, whole, rtol=1e-13)
-    assert_matches_reference(lifts, params, grid)
 
 
 @pytest.mark.parametrize("call", [

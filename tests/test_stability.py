@@ -19,7 +19,10 @@ from gpmor import (
     generate,
     grassmann_dimension,
     in_injectivity_domain,
+    interpolate,
+    principal_angles,
     riemannian_distance,
+    snapshots,
 )
 from gpmor.grassmann import deterministic_qr
 from gpmor.stability import EXIT_C1, EXIT_C2, EXIT_C3, EXIT_OK, C1Record, C2Record, tangent_step
@@ -244,21 +247,41 @@ def test_report_schema():
     assert d["c3"]["ok"] is True
 
 
-def test_tangent_step_holds_two_lifts_per_node():
-    # five nodes of 20000 x 10: each node's lift, frozen by log_lift and kept
-    # by its TangentVector, and its row of the stack (15 n x p arrays when
-    # every TangentVector copied its lift)
+def test_tangent_step_holds_row_blocks_not_lifts(monkeypatch):
+    # five nodes of 20000 x 10 in 1 MB row blocks: the fold holds about
+    # three blocks (the block, [R; block] and LAPACK's copy of it) and the
+    # lifts are 50 x 10 coordinates, where n-sized lifts held ten n x p
+    # arrays (16 MB)
     rng = np.random.default_rng(13)
     n, p = 20000, 10
     base = random_grassmann_point(rng, n, p)
     ts = TrainingSet(points=tuple(
         (float(i), GrassmannPoint(deterministic_qr(base.frame + 0.1 * i * rng.standard_normal((n, p)))))
         for i in range(5)))
+    monkeypatch.setattr(snapshots, "STREAM_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        c1, lifts = tangent_step(ts, 2)
+        c1, step = tangent_step(ts, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert c1.ok and lifts.shape == (5, n, p)
-    assert peak < 10.05 * n * p * 8
+    assert c1.ok and step.lifts.shape == (5, 50, p)
+    assert peak < 3.5 * snapshots.STREAM_BYTES
+
+
+def test_joint_span_folded_from_row_blocks_matches_one_block(monkeypatch):
+    # the node bases' 900 x 12 stack in row blocks of 100 rows gives the
+    # one-block fold's theta_1 and frame to rounding
+    spec = FamilySpec(n=900, n_t=20, mode_count=3, kind="nonnested", rate=0.3, seed=5,
+                      params=(0.0, 1.0, 2.0, 3.0))
+    ts = TrainingSet(points=tuple((s.param, compute_pod(s, 3).basis) for s in generate(spec).snapshots))
+    whole = interpolate(ts, 1.5)
+    monkeypatch.setattr(snapshots, "STREAM_BYTES", 100 * 12 * 8)
+    shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or qr(a, mode=mode))
+    folded = interpolate(ts, 1.5)
+    # each block below the 12 x 12 triangle, then the kernel's lift stack
+    assert shapes == [(100, 12)] + [(112, 12)] * 8 + [(12, 12)]
+    assert folded.c2.theta_max == pytest.approx(whole.c2.theta_max, rel=1e-13)
+    assert principal_angles(folded.frame, whole.frame)[0] < 1e-13
