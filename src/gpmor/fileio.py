@@ -28,7 +28,6 @@ import os
 import struct
 import time
 import zlib
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,7 @@ import numpy as np
 from . import podcache
 from .errors import DataError, ParameterError
 from .grassmann import GrassmannPoint
+from .record import replace
 from .snapshots import (
     BLAS_THREADS,
     POD_FACTOR_VERSION,

@@ -10,8 +10,6 @@ Only the 2p <= n regime is supported by exp/log; inputs outside it are
 rejected.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -21,6 +19,7 @@ from .errors import (
     ParameterError,
     TangentDomainError,
 )
+from .record import Record
 
 # Frames may drift from orthonormality by this much before we silently
 # re-orthonormalize; past FRAME_REJECT_TOL the input is considered corrupt.
@@ -107,8 +106,7 @@ def below_cut_locus(angle):
     return verdict if verdict.ndim else bool(verdict)
 
 
-@dataclass(frozen=True)
-class GrassmannPoint:
+class GrassmannPoint(Record):
     """A point of G(p, n) represented by an orthonormal n x p frame."""
 
     frame: np.ndarray
@@ -141,8 +139,7 @@ class GrassmannPoint:
         return self.frame.shape[1]
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(Record):
     """A tangent vector at `base`, stored as its horizontal lift (Z^T Y = 0,
     every entry within `horizontal_tol`)."""
 
@@ -327,8 +324,7 @@ def cut_time(v):
     return float(np.pi / (2.0 * theta1))
 
 
-@dataclass(frozen=True)
-class InjectivityCheck:
+class InjectivityCheck(Record):
     """Verdicts of the two exponential-map injectivity criteria for one vector."""
 
     cut_locus_ok: bool

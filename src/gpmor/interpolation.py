@@ -10,7 +10,6 @@ TrainingSet is only data; interpolate's reference defaults to the node
 nearest the target.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .grassmann import (
     below_cut_locus,
     geodesic,
 )
+from .record import Record
 from .stability import C1Record, C2Record, tangent_step
 
 
@@ -46,8 +46,7 @@ def lagrange_weights(params, target):
     return kernels.lagrange_matrix(params, [float(target)])[0].tolist()
 
 
-@dataclass(frozen=True)
-class TrainingSet:
+class TrainingSet(Record):
     """Training points (parameter, subspace) sharing one mode p."""
 
     points: tuple
@@ -83,8 +82,7 @@ class TrainingSet:
         return self.points[0][1].n
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
+class InterpolationResult(Record):
     """Outcome of one interpolation: the velocity and frame when stable, and
     the C1/C2 records either way (c2 is None when C1 failed, since no lift
     exists)."""
@@ -153,8 +151,7 @@ def interpolate(ts, target, reference_index=None):
     return InterpolationResult(target, ref, c1, c2, frame, velocity, extrapolated)
 
 
-@dataclass(frozen=True)
-class C2Sweep:
+class C2Sweep(Record):
     """theta_1 on a uniform grid from one reference, with the C1 record there.
     theta is nan at an invalid sample: at every sample on a C1 failure (the
     lifts do not depend on lambda), and where a sample passes C2 with

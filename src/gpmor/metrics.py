@@ -1,10 +1,9 @@
 """Relative error norms between a reconstructed and a reference snapshot matrix."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DivisionDomainError, ParameterError
+from .record import Record
 
 # Columns with a smaller norm than this cannot serve as a relative-error
 # denominator.
@@ -38,8 +37,7 @@ def frobenius_error(approx, reference):
     return float(np.linalg.norm(approx.data - reference.data) / ref)
 
 
-@dataclass(frozen=True)
-class ErrorSeries:
+class ErrorSeries(Record):
     """Per-snapshot relative L2 errors plus the global Frobenius error."""
 
     per_snapshot: list

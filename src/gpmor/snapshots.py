@@ -16,12 +16,12 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DegenerateRankError, ParameterError
 from .grassmann import GrassmannPoint, _frozen_float, fix_svd_signs
+from .record import Record
 
 # Relative gap sigma_p - sigma_{p+1} below which the minimizing subspace is
 # flagged as non-unique.
@@ -36,8 +36,7 @@ def _finite_param(value):
     return value
 
 
-@dataclass(frozen=True)
-class SnapshotMatrix:
+class SnapshotMatrix(Record):
     """Real n x n_t matrix of field samples at one parameter value."""
 
     data: np.ndarray
@@ -65,8 +64,7 @@ class SnapshotMatrix:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class PodResult:
+class PodResult(Record):
     """Truncated POD basis plus the full singular spectrum of the snapshot matrix."""
 
     basis: GrassmannPoint
@@ -83,8 +81,7 @@ def singular_spectrum(s):
     return factor_pod(s, 0).singular_values
 
 
-@dataclass(frozen=True)
-class PodFactor:
+class PodFactor(Record):
     """The full singular spectrum of a snapshot matrix and its leading signed
     left singular vectors, F-ordered, ready to truncate to any mode up to
     the number of vectors it keeps."""

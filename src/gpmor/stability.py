@@ -12,7 +12,6 @@ C3: the non-inclusion defect across POD mode counts stays bounded
 """
 
 import operator
-from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,6 +26,7 @@ from .grassmann import (
     log_lift,
     overlap_invertible,
 )
+from .record import Record, asdict, field
 
 DEFAULT_C3_THRESHOLD = 100.0
 # The joint span keeps the singular values of the stack [Y_1 ... Y_N] above
@@ -51,8 +51,7 @@ def grassmann_dimension(p, n):
     return p * (n - p)
 
 
-@dataclass(frozen=True)
-class C1Record:
+class C1Record(Record):
     ok: bool
     failing_indices: tuple
     min_singular_values: tuple
@@ -61,8 +60,7 @@ class C1Record:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class C2Record:
+class C2Record(Record):
     ok: bool
     theta_max: float
 
@@ -76,8 +74,7 @@ def _c3_modes(modes):
         raise ParameterError(f"C3 needs at least 2 pairwise distinct modes, got {tuple(modes)}")
 
 
-@dataclass(frozen=True)
-class DistanceTable:
+class DistanceTable(Record):
     """Pairwise geometric distances over at least 2 pairwise-distinct int
     modes, one row each: finite, non-negative, exactly symmetric, with a zero
     diagonal. Every table is checked here; a violation is a ParameterError."""
@@ -106,8 +103,7 @@ class DistanceTable:
         return {"modes": list(self.modes), "values": self.values.tolist()}
 
 
-@dataclass(frozen=True)
-class C3Record:
+class C3Record(Record):
     epsilon: float
     threshold: float
     ok: bool
@@ -235,8 +231,7 @@ def check_c3(table, threshold=DEFAULT_C3_THRESHOLD):
     return C3Record(epsilon=epsilon, threshold=threshold, ok=epsilon < threshold, table=table)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """Bundle of whichever condition records a run produced."""
 
     c1: Optional[C1Record] = None

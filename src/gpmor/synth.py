@@ -32,12 +32,12 @@ snapshots.
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
 from .grassmann import deterministic_qr
+from .record import Record, asdict, field
 from .snapshots import SnapshotMatrix
 
 KINDS = ("rotation", "crossing", "nested", "nonnested")
@@ -63,8 +63,7 @@ BLOCK_BYTES = 1 << 20
 _ROW_ALIGN = 48
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Recipe for one synthetic family."""
 
     n: int
@@ -104,8 +103,7 @@ class FamilySpec:
         return dict(asdict(self), params=list(self.params))
 
 
-@dataclass(frozen=True)
-class SynthFamily:
+class SynthFamily(Record):
     spec: FamilySpec
     snapshots: tuple
     manifest: dict = field(default_factory=dict)

@@ -52,10 +52,11 @@ def synth_family(out, kind="rotation", n=8, nt=12, modes=2, rate=0.1,
 FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
 
-def _exit_code_in_fresh_process(expr, banned=("scipy", "_hashlib")):
+def _exit_code_in_fresh_process(expr, banned=("scipy", "_hashlib", "dataclasses")):
     """Exit code of a fresh interpreter that imports gpmor.cli, evaluates expr
-    (0 on success) and exits 1 if that loaded a banned module: scipy, or
-    _hashlib (OpenSSL, about 3.5 MB of RSS)."""
+    (0 on success) and exits 1 if that loaded a banned module: scipy,
+    _hashlib (OpenSSL, about 3.5 MB of RSS), or dataclasses (gpmor's records
+    derive from gpmor.record.Record, which generates no code at import)."""
     code = f"import sys, gpmor.cli; sys.exit(({expr}) or any(m in sys.modules for m in {banned!r}))"
     return subprocess.run([sys.executable, "-c", code], env=FRESH_ENV, timeout=60).returncode
 
@@ -106,7 +107,9 @@ def test_subcommand_does_not_load_scipy(tmp_path, call):
     # SeedSequence imports secrets and so hashlib; every other subcommand
     # keeps both out.
     main = f"gpmor.cli.main({list(map(str, argv))!r})"
-    banned = ("scipy",) if call.startswith("synth-") else ("scipy", "_hashlib", "numpy.random")
+    banned = ("scipy", "dataclasses")
+    if not call.startswith("synth-"):
+        banned += ("_hashlib", "numpy.random")
     assert _exit_code_in_fresh_process(f"{main} or {main}", banned) == 0
 
 
