@@ -14,7 +14,7 @@ from . import fileio
 from .errors import GpmError, ParameterError
 from .fileio import fmt
 from .grassmann import geometric_distance, riemannian_distance
-from .interpolation import TrainingSet, c2_sweep, interpolate
+from .interpolation import c2_sweep, interpolate, interpolate_modes, training_set
 from .metrics import error_series
 from .snapshots import truncate_pod
 from .stability import (
@@ -27,6 +27,7 @@ from .stability import (
     c3_distance_table,
     check_c3,
     grassmann_dimension,
+    node_coordinates,
 )
 from .synth import DEFAULT_NOISE, FamilySpec, stream
 
@@ -36,15 +37,11 @@ def _say(args, message):
         print(message)
 
 
-def _training_sets(args, modes):
-    """(mode, TrainingSet) for each mode in order. Each snapshot's POD factor
-    is loaded once at max(modes) and sorted by parameter; every mode is then
-    a truncation."""
-    factors = sorted((fileio.read_pod_factor(p, max(modes)) for p in args.inputs),
-                     key=lambda f: f.param)
-    for p in modes:
-        points = tuple((f.param, truncate_pod(f, p).basis) for f in factors)
-        yield p, TrainingSet(points=points)
+def _training_set(args, modes):
+    """training_set of the snapshots' POD factors, each loaded once at
+    max(modes) and sorted by parameter."""
+    return training_set(sorted((fileio.read_pod_factor(p, max(modes)) for p in args.inputs),
+                               key=lambda f: f.param), modes)
 
 
 def _report(args, name, write, *payload):
@@ -99,14 +96,18 @@ def cmd_synth(args):
 
 
 def cmd_pod(args):
+    stems = [Path(path).stem for path in args.inputs]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            raise ParameterError(f"pod inputs {args.inputs[stems.index(stem)]} and {args.inputs[i]} "
+                                 f"would write the same basis_{stem}.gpf")
     summary = {"schema": "gpm/1", "mode": args.mode, "inputs": []}
     # every factor is loaded before any output is written: small allocations
     # made between loads split the heap the next snapshot reuses, and with
     # glibc a cold pod on five 4000x200 snapshots then peaked 5.7 MB higher
     factors = [fileio.read_pod_factor(path, args.mode) for path in args.inputs]
-    for path, factor in zip(args.inputs, factors):
+    for path, stem, factor in zip(args.inputs, stems, factors):
         pod = truncate_pod(factor, args.mode)
-        stem = Path(path).stem
         fileio.write_frame_bin(args.out / f"basis_{stem}.gpf", pod.basis)
         _report(args, f"spectrum_{stem}.csv", fileio.write_csv, "# gpm-spectrum",
                 enumerate(pod.singular_values.tolist()))
@@ -126,7 +127,7 @@ def cmd_pod(args):
 
 
 def cmd_interpolate(args):
-    [(_, ts)] = _training_sets(args, [args.mode])
+    ts = _training_set(args, [args.mode])[0]
     result = interpolate(ts, args.target, args.reference_index)
     report = StabilityReport(
         c1=result.c1,
@@ -154,7 +155,7 @@ def cmd_interpolate(args):
 
 
 def cmd_sweep_c2(args):
-    [(_, ts)] = _training_sets(args, [args.mode])
+    ts = _training_set(args, [args.mode])[0]
     sweep = c2_sweep(ts, args.lo, args.hi, args.samples, args.reference_index)
     _report(args, "sweep_c2.csv", fileio.write_csv, "# gpm-sweep lambda,theta_max,c2_ok",
             zip(sweep.grid.tolist(), sweep.thetas.tolist(), map(int, sweep.c2_ok)))
@@ -189,9 +190,10 @@ def cmd_check_c3(args):
         modes = _parse_list(args.modes, int, "--modes")
         # judged before any snapshot is read, as the table would judge them
         _c3_modes(modes)
+        ts, modes, error = _training_set(args, modes)
         results = []
-        for p, ts in _training_sets(args, modes):
-            res = interpolate(ts, args.target, args.reference_index)
+        for p, res in zip(modes, interpolate_modes(ts, node_coordinates(ts), args.target, modes,
+                                                      args.reference_index)):
             if not res.ok:
                 if not res.c1.ok:
                     _say(args, f"C1 failure at mode p={p}")
@@ -204,6 +206,8 @@ def cmd_check_c3(args):
                 )
                 return _write_report(args, "c3_report.json", report)
             results.append((p, res.frame))
+        if error is not None:
+            raise error
         table = c3_distance_table(results)
     c3 = check_c3(table, threshold=args.threshold)
     _report(args, "c3_table.csv", fileio.write_distance_table, table)
@@ -327,8 +331,9 @@ def _config_value(action, key, value):
     return value
 
 
-def _apply_config(parser, args):
-    """Fill options still at their parser default from the --config JSON file."""
+def _apply_config(parser, args, argv):
+    """`argv` parsed again with the --config JSON file's values as the
+    defaults of their options, so an option given on the command line wins."""
     if not args.config:
         return args
     config = fileio.read_json(args.config)
@@ -342,16 +347,16 @@ def _apply_config(parser, args):
     }
     for key, value in config.items():
         action = actions.get(key.replace("-", "_"))
-        if action is not None and getattr(args, action.dest) in (None, action.default):
-            setattr(args, action.dest, _config_value(action, key, value))
-    return args
+        if action is not None:
+            action.default = _config_value(action, key, value)
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(parser, args)
+        args = _apply_config(parser, args, argv)
         args.out = Path(args.out)
         args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args)

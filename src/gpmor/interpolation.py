@@ -1,13 +1,15 @@
 """Lagrange interpolation of POD bases on G(p, n) with C1/C2 gates.
 
-The pipeline: from the reference node the call names, stability.tangent_step
+The pipeline: the node bases are folded once per call, at the call's largest
+mode (stability.node_coordinates), and every mode works on their coordinates
+in that fold. From the reference node the call names, stability.tangent_step
 maps every training point to its tangent space (C1 gate: all overlaps
-invertible), in coordinates of the node bases' joint span; the largest
-singular value of their Lagrange combination is read from the sweep kernel
-and checked against pi/2 (C2 gate), and only then is the combined lift
-formed, exponentiated back to the manifold and mapped to n x p. A
-TrainingSet is only data; interpolate's reference defaults to the node
-nearest the target.
+invertible); the largest singular value of their Lagrange combination is
+read from the sweep kernel and checked against pi/2 (C2 gate), and only then
+is the combined lift formed and exponentiated back to the manifold.
+interpolate_modes stops there, in coordinates; interpolate maps its one
+frame to n x p. A TrainingSet is only data; the reference defaults to the
+node nearest the target.
 """
 
 from functools import cached_property, reduce
@@ -16,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ParameterError
+from .errors import GpmError, ParameterError
 from .grassmann import (
     FRAME_REJECT_TOL,
     HORIZONTAL_TOL,
@@ -26,8 +28,9 @@ from .grassmann import (
     below_cut_locus,
     geodesic,
 )
-from .record import Record
-from .stability import C1Record, C2Record, tangent_step
+from .record import Record, replace
+from .snapshots import truncate_pod
+from .stability import C1Record, C2Record, ambient, node_coordinates, tangent_step
 
 
 def weight_bound(weights):
@@ -100,6 +103,65 @@ class InterpolationResult(Record):
         return self.frame is not None
 
 
+def training_set(factors, modes):
+    """(TrainingSet, leading modes, error) from POD factors: every mode, in
+    order, passes through truncate_pod (range and rank errors, degenerate-gap
+    warnings) and TrainingSet's checks until one fails. The set is the one at
+    the largest of the modes before it, so that one fold serves them all, and
+    error is the failing mode's (None if none fails). An error at the first
+    mode is raised."""
+    sets, error = [], None
+    for p in modes:
+        try:
+            sets.append(TrainingSet(points=tuple((f.param, truncate_pod(f, p).basis) for f in factors)))
+        except GpmError as exc:
+            if not sets:
+                raise
+            error = exc
+            break
+    return max(sets, key=lambda ts: ts.mode), modes[:len(sets)], error
+
+
+def interpolate_modes(ts, coords, target, modes, reference_index=None):
+    """interpolate at each mode p of `modes` (each at most ts.mode) from the
+    node bases' mode-p truncations, on their coordinates `coords` in one fold
+    of ts (stability.node_coordinates): a generator of InterpolationResults,
+    in order, whose frame and velocity stay in those m coordinates, so a
+    caller that stops at a failing mode judges no later one."""
+    target = float(target)
+    weights = lagrange_weights(ts.params, target)
+    ref = reference_index
+    if ref is None:
+        ref = int(np.argmin([abs(lam - target) for lam in ts.params]))
+    extrapolated = not (min(ts.params) <= target <= max(ts.params))
+    spread, past = weight_bound(weights)
+    # each lift passes HORIZONTAL_TOL in tangent_step, so their combination
+    # leaves the horizontal space by at most sum |w_i| times that
+    tol = HORIZONTAL_TOL * max(1.0, spread)
+    for p in modes:
+        if not 1 <= p <= coords.shape[2]:
+            raise ParameterError(f"mode p={p} out of range [1, {coords.shape[2]}] of the fold")
+        c1, base, lifts = tangent_step(coords[:, :, :p], ref, ts.n)
+        c2 = frame = velocity = None
+        if lifts is not None:
+            theta = kernels.theta_curve(lifts, ts.params, [target])[0]
+            # past the weight bound but below the cut locus it is an input
+            # error named by its weights, not a frame that GrassmannPoint rejects
+            if past and below_cut_locus(theta):
+                raise ParameterError(
+                    f"target {target} needs Lagrange weights with sum |w_i| = {spread:.3e}; their "
+                    f"rounding would leave the frame beyond its tolerance {FRAME_REJECT_TOL:g}"
+                )
+            c2 = C2Record(ok=below_cut_locus(theta), theta_max=float(theta))
+        if c2 is not None and c2.ok:
+            combined = np.zeros_like(lifts[0])
+            for w, z in zip(weights, lifts):
+                combined += w * z
+            velocity = TangentVector(base, combined, tol)
+            frame = geodesic(base, velocity, 1.0)
+        yield InterpolationResult(target, ref, c1, c2, frame, velocity, extrapolated)
+
+
 def interpolate(ts, target, reference_index=None):
     """Interpolate the training subspaces at `target` from the reference node
     `reference_index`, by default the node nearest the target.
@@ -115,40 +177,16 @@ def interpolate(ts, target, reference_index=None):
     weights' rounding. A target that passes C2 with weights so large that
     their rounding would break the frame is a ParameterError; so is a
     non-finite target, or one whose weights overflow, before any step.
+    Only the frame and velocity of a stable result are mapped back to n.
     """
-    target = float(target)
-    weights = lagrange_weights(ts.params, target)
-    ref = reference_index
-    if ref is None:
-        ref = int(np.argmin([abs(lam - target) for lam in ts.params]))
-    extrapolated = not (min(ts.params) <= target <= max(ts.params))
-    c1, step = tangent_step(ts, ref)
-    if step is None:
-        return InterpolationResult(target, ref, c1, extrapolated=extrapolated)
-    theta = kernels.theta_curve(step.lifts, ts.params, [target])[0]
-    spread, past = weight_bound(weights)
-    # past the weight bound but below the cut locus it is an input error named
-    # by its weights, not a frame that GrassmannPoint rejects
-    if past and below_cut_locus(theta):
-        raise ParameterError(
-            f"target {target} needs Lagrange weights with sum |w_i| = {spread:.3e}; their "
-            f"rounding would leave the frame beyond its tolerance {FRAME_REJECT_TOL:g}"
-        )
-    c2 = C2Record(ok=below_cut_locus(theta), theta_max=float(theta))
-    if not c2.ok:
-        return InterpolationResult(target, ref, c1, c2, extrapolated=extrapolated)
-    combined = np.zeros_like(step.lifts[0])
-    for w, z in zip(weights, step.lifts):
-        combined += w * z
-    # each lift passed HORIZONTAL_TOL in tangent_step, so their combination leaves
-    # the horizontal space by at most sum |w_i| times that
-    tol = HORIZONTAL_TOL * max(1.0, spread)
-    end = geodesic(step.base, TangentVector(step.base, combined, tol), 1.0)
-    both = step.ambient(np.hstack((end.frame, combined)))
+    coords = node_coordinates(ts)
+    [res] = interpolate_modes(ts, coords, target, [ts.mode], reference_index)
+    if not res.ok:
+        return res
+    both = ambient(ts, coords, np.hstack((res.frame.frame, res.velocity.lift)))
     p = ts.mode
-    frame = GrassmannPoint(both[:, :p])
-    velocity = TangentVector(ts.points[ref][1], both[:, p:], tol)
-    return InterpolationResult(target, ref, c1, c2, frame, velocity, extrapolated)
+    return replace(res, frame=GrassmannPoint(both[:, :p]), velocity=TangentVector(
+        ts.points[res.reference_index][1], both[:, p:], res.velocity.horizontal_tol))
 
 
 class C2Sweep(Record):
@@ -206,10 +244,10 @@ def c2_sweep(ts, lo, hi, samples, reference_index):
     if not 0.0 < hi - lo < np.inf:  # also refuses a non-finite bound or width
         raise ParameterError(f"need finite lo < hi, got [{lo}, {hi}]")
     grid = np.linspace(lo, hi, samples)
-    c1, step = tangent_step(ts, reference_index)
-    if step is None:
+    c1, _, lifts = tangent_step(node_coordinates(ts), reference_index, ts.n)
+    if lifts is None:
         return C2Sweep(grid, np.full(samples, np.nan), c1)
-    thetas = kernels.theta_curve(step.lifts, ts.params, grid)
+    thetas = kernels.theta_curve(lifts, ts.params, grid)
     # a sample past the cut locus keeps its C2 verdict whatever its weights
     past = weight_bound(kernels.lagrange_matrix(ts.params, grid))[1]
     thetas[past & below_cut_locus(thetas)] = np.nan

@@ -4,35 +4,32 @@ C2 needs, at a parameter lam, the largest singular value of the
 Lagrange-combined lift Z(lam) = sum_i w_i(lam) Z_i. The sweep reads it at
 every grid parameter, interpolate at its one target, and check_c2 and
 TangentVector.theta_max for a single lift (one node, weight 1), all through
-theta_curve, so every C2 verdict on one lambda has the same bits. Stacking
-the lifts as S = [Z_1 ... Z_N] (m x Np) gives Z(lam) = S (w(lam) kron I_p),
-and with the reduced QR factorisation S = QR the orthonormal Q drops out of
-the singular values: sigma(Z(lam)) = sigma(R (w(lam) kron I_p)). The lifts
-of a training set come in coordinates of the joint span of its node bases
-(stability.tangent_step), so m = max(K, 2p) with K <= Np, and a single lift
-is one n x p matrix: one QR of S does, at O(m (Np)^2). Every grid point is
-then a k x p matrix C = R (w(lam) kron I_p) with k = min(m, Np), whatever n
-is. Each sample's C is its own 1 x N by N x kp product, so its bits do not
-depend on the grid's length.
+theta_curve, so every C2 verdict on one lambda has the same bits. The lifts
+of a training set come in the m = max(min(n, NP), 2P) coordinates of one
+fold of its node bases (stability.node_coordinates), a single lift as one
+n x p matrix, so every grid point is one m x p matrix C = sum_i w_i Z_i,
+whatever n is: no factorisation of the lift stack would shrink it. Each
+sample's C is its own 1 x N by N x mp product, so its bits do not depend on
+the grid's length.
 
 theta_1 is read from the p x p Gram matrix of each C: theta_1 =
 sqrt(lambda_max(C^T C)), from a batched symmetric eigensolver in place of a
-batched SVD. Forming C costs O(k N p) per sample, C^T C O(k p^2) and its
-eigenvalues O(p^3), so the theta_1 step is O(M (k p^2 + p^3)) for M grid
+batched SVD. Forming C costs O(m N p) per sample, C^T C O(m p^2) and its
+eigenvalues O(p^3), so the theta_1 step is O(M (m N p + p^3)) for M grid
 samples. The samples go through in blocks of at most _BLOCK_BYTES of
 combined C, so the sweep's temporaries stay bounded whatever M is.
 
 Accuracy: the combination C carries the Lagrange weights' rounding,
-Lambda u ||R|| with Lambda = sum_i |w_i|, as the SVD route did. Its Gram
-matrix adds an error of order k p u sigma_max^2 (from |C|^T |C|), and the
+Lambda u max ||Z_i|| with Lambda = sum_i |w_i|, as the SVD route did. Its
+Gram matrix adds an error of order m p u sigma_max^2 (from |C|^T |C|), and the
 eigensolver one of order p u ||C^T C||: both are relative to sigma_max^2,
 so the largest singular value loses nothing beyond O(u) sigma_max through
 the normal equations (only the small ones would). The Gram matrix is formed
-from the combined C on purpose. Precomputing the Gram blocks R_i^T R_j once
-and summing sum_ij w_i w_j R_i^T R_j per sample would be cheaper, but its
-rounding is u Lambda^2 ||R||^2 where the exact sum is sigma_max^2. Where the
-weights cancel (lifts smooth in lam, far outside the nodes) and Lambda is
-past about 1e6, that swamps theta_1.
+from the combined C on purpose. Precomputing the Gram blocks Z_i^T Z_j once
+and summing sum_ij w_i w_j Z_i^T Z_j per sample would be cheaper, but its
+rounding is u Lambda^2 max ||Z_i||^2 where the exact sum is sigma_max^2.
+Where the weights cancel (lifts smooth in lam, far outside the nodes) and
+Lambda is past about 1e6, that swamps theta_1.
 Squaring also halves the exponent range: each sample's weights are first
 divided by an exact power of two, so that C^T C neither overflows at a far
 extrapolation nor underflows for tiny lifts, where the SVD needed no care.
@@ -42,8 +39,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Bytes of combined k x p matrices held at once. A block's C, its p x p Gram
-# matrices (no larger when p <= k, as for every training set's lifts) and its
+# Bytes of combined m x p matrices held at once. A block's C, its p x p Gram
+# matrices (no larger when p <= m, as for every training set's lifts) and its
 # eigenvalues are the grid loop's only temporaries, so they peak at about
 # 2 * _BLOCK_BYTES whatever the grid size; beside them the kernel holds the
 # M x N weights and the M results. At N = 9, n = 2000, p = 8 the kernel's time
@@ -87,7 +84,7 @@ def active_backend():
 
 def theta_curve(lifts, node_params, grid):
     """Largest singular value of the interpolated lift at each grid parameter,
-    from the Gram matrix of its QR-compressed form (see the module docstring).
+    from the Gram matrix of the combined lift (see the module docstring).
 
     lifts: (N, m, p) stacked horizontal lifts at the training nodes, in
         any one orthonormal basis of a subspace holding them.
@@ -96,26 +93,24 @@ def theta_curve(lifts, node_params, grid):
     """
     lifts = np.asarray(lifts, dtype=np.float64)
     n_nodes, m, p = lifts.shape
-    r = np.linalg.qr(lifts.transpose(1, 0, 2).reshape(m, n_nodes * p), mode="r")
-    k = r.shape[0]
-    # row i of blocks is R_i, the k x p slice of R that multiplies w_i, flattened
-    blocks = r.reshape(k, n_nodes, p).transpose(1, 0, 2).reshape(n_nodes, k * p)
+    # row i of blocks is Z_i, the m x p lift that multiplies w_i, flattened
+    blocks = lifts.reshape(n_nodes, m * p)
     weights = lagrange_matrix(node_params, grid)
-    # C's entries are at most N max|w_i| max|R|. Dividing each sample's weights
+    # C's entries are at most N max|w_i| max|Z|. Dividing each sample's weights
     # by a power of two near that bound is exact and keeps C^T C clear of
     # overflow (far extrapolation) and underflow (tiny lifts); theta_1 is
     # scaled back by the same power.
     _, scale = np.frexp(np.abs(weights).max(axis=1))
-    scale += np.frexp(np.abs(r).max())[1]
+    scale += np.frexp(np.abs(lifts).max())[1]
     weights = np.ldexp(weights, -scale[:, np.newaxis])
-    rows = max(1, _BLOCK_BYTES // (k * p * 8))
+    rows = max(1, _BLOCK_BYTES // (m * p * 8))
     out = np.empty(weights.shape[0])
     for start in range(0, weights.shape[0], rows):
         block = slice(start, start + rows)
-        # one 1 x N by N x kp product per sample: a block of one row would
+        # one 1 x N by N x mp product per sample: a block of one row would
         # take numpy's matrix-vector path and a longer one GEMM, which round
         # differently
-        combined = np.matmul(weights[block, np.newaxis], blocks).reshape(-1, k, p)
+        combined = np.matmul(weights[block, np.newaxis], blocks).reshape(-1, m, p)
         gram = np.matmul(combined.transpose(0, 2, 1), combined)
         # rounding can leave a zero lift's eigenvalue a hair below zero
         top = np.linalg.eigvalsh(gram)[:, -1]

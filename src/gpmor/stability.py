@@ -1,10 +1,11 @@
 """Auditable records for the three stability conditions C1/C2/C3.
 
 C1: every training point lies in the log-map domain of the reference point
-    (all overlap matrices non-singular). tangent_step(ts, reference_index)
-    records it and lifts every node in one pass, in coordinates of the joint
-    span of the node bases; check_c1(ts, reference_index) is its record
-    half.
+    (all overlap matrices non-singular). tangent_step(coords,
+    reference_index, n) records it and lifts every node in one pass, on the
+    node bases' coordinates in one fold of a call (node_coordinates), which
+    serves every mode up to the fold's; check_c1(ts, reference_index) is its
+    record half. Only a frame that is written goes back to n (ambient).
 C2: the interpolated lift stays inside the exponential-map injectivity domain
     (largest singular value below pi/2).
 C3: the non-inclusion defect across POD mode counts stays bounded
@@ -29,7 +30,7 @@ from .grassmann import (
 from .record import Record, asdict, field
 
 DEFAULT_C3_THRESHOLD = 100.0
-# The joint span keeps the singular values of the stack [Y_1 ... Y_N] above
+# The way back to n keeps the singular values of the stack [Y_1 ... Y_N] above
 # sigma_1 * n * JOINT_SPAN_RTOL: a Householder QR of n rows is backward stable
 # to about n u times the stack's norm (Higham, Accuracy and Stability of
 # Numerical Algorithms, 2002, Thm. 19.4), so the rest are its rounding.
@@ -116,55 +117,60 @@ class C3Record(Record):
         return d
 
 
-class TangentStep:
-    """Every node's lift from one reference in the joint span of the node
-    bases: with the fold [Y_1 ... Y_N] = Q R and R = U Sigma V^T cut to K
-    singular values, node i's coordinates are its p columns of Sigma V^T,
-    zero-padded to m = max(K, 2p) rows. `base` is the reference's m x p
-    coordinates, `lifts` the (N, m, p) read-only lifts at it (the
-    reference's zero), `frames` the node bases and `back` V Sigma^-1."""
-
-    def __init__(self, base, lifts, frames, back):
-        self.base, self.lifts, self.frames, self.back = base, lifts, frames, back
-
-    def ambient(self, coords):
-        """The n x q matrix sum_i Y_i (V Sigma^-1 coords)_i of m x q `coords`,
-        in row blocks of STREAM_BYTES; F-ordered and read-only, so its column
-        blocks are views GrassmannPoint keeps without a copy."""
-        p = self.base.p
-        g = self.back @ coords[:self.back.shape[1]]
-        n = self.frames[0].shape[0]
-        out = np.empty((n, g.shape[1]), order="F")
-        rows = max(1, snapshots.STREAM_BYTES // (8 * g.shape[1]))
-        for start in range(0, n, rows):
-            part = slice(start, start + rows)
-            acc = self.frames[0][part] @ g[:p]
-            for i in range(1, len(self.frames)):
-                acc += self.frames[i][part] @ g[i * p:(i + 1) * p]
-            out[part] = acc
-        out.setflags(write=False)
-        return out
-
-
-def tangent_step(ts, reference_index):
-    """C1 record at the reference node and, when C1 holds, a TangentStep
-    (else None): the node bases are folded from row blocks, never held whole,
-    and one batched log_lift on their coordinates gives C1 at the ambient n's
-    floor and every lift. The one range check of a reference index."""
-    if not 0 <= reference_index < len(ts.points):
-        raise ParameterError(f"reference index {reference_index} out of range")
-    frames = tuple(pt.frame for _, pt in ts.points)
-    n, p = ts.n, ts.mode
+def node_coordinates(ts):
+    """The (N, m, P) coordinates of the node bases of `ts` (P = ts.mode) in
+    one fold: the n x NP stack whose column j*N + i is node i's vector j is
+    folded from row blocks into its triangle R, never held whole, and node
+    i's coordinates are R's columns {jN + i}, zero-padded to m = max(R's
+    rows, 2P). R is orthonormal coordinates of the stack to rounding, whatever
+    its rank, and the stack's leading Np columns are the mode-p stack, so the
+    leading p columns of each node's coordinates are its mode-p coordinates,
+    in rows every mode p <= P shares."""
+    frames = [pt.frame for _, pt in ts.points]
+    nodes, p = len(frames), ts.mode
 
     def stacked_rows(view, start):
         for i, y in enumerate(frames):
-            view[:, i * p:(i + 1) * p] = y[start:start + len(view)]
+            view[:, i::nodes] = y[start:start + len(view)]
 
-    blocks = snapshots.row_blocks(n, len(frames) * p, stacked_rows)
-    _, sigma, vt = np.linalg.svd(snapshots.fold_triangle(blocks), full_matrices=False)
-    k = int(np.sum(sigma > sigma[0] * n * JOINT_SPAN_RTOL))
-    coords = np.zeros((len(frames), max(k, 2 * p), p))
-    coords[:, :k] = (sigma[:k, np.newaxis] * vt[:k]).reshape(k, len(frames), p).transpose(1, 0, 2)
+    r = snapshots.fold_triangle(snapshots.row_blocks(ts.n, nodes * p, stacked_rows))
+    coords = np.zeros((nodes, max(r.shape[0], 2 * p), p))
+    coords[:, :r.shape[0]] = r.reshape(-1, p, nodes).transpose(2, 0, 1)
+    return coords
+
+
+def ambient(ts, coords, c):
+    """The n x q matrix Q c of m x q `c` in the rows of `coords`
+    (node_coordinates(ts)), where the node bases are Q coords: with
+    [coords_1 ... coords_N] = U Sigma V^T cut to the K singular values above
+    sigma_1 * n * JOINT_SPAN_RTOL, Q U = [Y_1 ... Y_N] V Sigma^-1, so it is
+    one product with the node bases, in row blocks of STREAM_BYTES;
+    F-ordered and read-only, so its column blocks are views GrassmannPoint
+    keeps without a copy."""
+    nodes, m, p = coords.shape
+    u, sigma, vt = np.linalg.svd(coords.transpose(1, 0, 2).reshape(m, nodes * p), full_matrices=False)
+    k = int(np.sum(sigma > sigma[0] * ts.n * JOINT_SPAN_RTOL))
+    g = vt[:k].T @ ((u[:, :k].T @ c) / sigma[:k, np.newaxis])
+    out = np.empty((ts.n, c.shape[1]), order="F")
+    rows = max(1, snapshots.STREAM_BYTES // (8 * c.shape[1]))
+    for start in range(0, ts.n, rows):
+        part = slice(start, start + rows)
+        acc = ts.points[0][1].frame[part] @ g[:p]
+        for i in range(1, nodes):
+            acc += ts.points[i][1].frame[part] @ g[i * p:(i + 1) * p]
+        out[part] = acc
+    out.setflags(write=False)
+    return out
+
+
+def tangent_step(coords, reference_index, n):
+    """C1 record at the reference node of the (N, m, p) node coordinates of
+    a set in R^n and, when C1 holds, the reference's coordinate frame and
+    every node's read-only lift at it (the reference's zero), else None for
+    both: one batched log_lift, with C1's floor at the ambient n. The one
+    range check of a reference index."""
+    if not 0 <= reference_index < len(coords):
+        raise ParameterError(f"reference index {reference_index} out of range")
     base = GrassmannPoint(coords[reference_index])
     svs, lifts = log_lift(base.frame, coords, n)
     failing = () if lifts is not None else tuple(
@@ -172,15 +178,15 @@ def tangent_step(ts, reference_index):
     c1 = C1Record(ok=not failing, failing_indices=failing,
                   min_singular_values=tuple(svs[:, -1].tolist()))
     if failing:
-        return c1, None
+        return c1, None, None
     lifts[reference_index] = 0.0
     lifts.setflags(write=False)
-    return c1, TangentStep(base, lifts, frames, vt[:k].T / sigma[:k])
+    return c1, base, lifts
 
 
 def check_c1(ts, reference_index):
     """C1 record at the reference node: the record half of tangent_step."""
-    return tangent_step(ts, reference_index)[0]
+    return tangent_step(node_coordinates(ts), reference_index, ts.n)[0]
 
 
 def check_c2(lift):

@@ -7,8 +7,8 @@ metric oracles use explicit Python loops instead of vectorized numpy, the
 POD oracle takes one thin SVD of the whole snapshot matrix instead of the QR
 triangle and back-projection the library uses, and the Grassmann
 interpolation oracle works in the ambient n with Jacobi SVDs, a projected
-log lift and barycentric weights, where the library works in the joint span
-of the node bases.
+log lift and barycentric weights, where the library works in the
+coordinates of one fold of the node bases.
 The synth-family oracles are the exception: they pin a generator's random
 draw by replaying the same operations, so they match bit for bit on any
 platform where the library does; `synth_files` writes their snapshots the old

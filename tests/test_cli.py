@@ -29,7 +29,8 @@ from gpmor import (
     synth,
 )
 from gpmor.fileio import fmt, read_frame, read_json, read_snapshot, write_snapshot_bin
-from gpmor.stability import tangent_step
+from gpmor.interpolation import interpolate_modes
+from gpmor.stability import JOINT_SPAN_RTOL, node_coordinates
 from gpmor.synth import DEFAULT_NOISE, KINDS
 from oracles import barycentric_eval_weights, grassmann_lagrange, snapshot_files, synth_files
 
@@ -338,6 +339,29 @@ def test_pod_mode_out_of_range(tmp_path, capsys):
     assert "[1, 8]" in err  # the message names the actual bound
 
 
+@pytest.mark.parametrize("twin", ["other-directory", "csv-twin"])
+def test_pod_refuses_inputs_whose_outputs_collide(tmp_path, capsys, fileio_calls, twin):
+    # basis_<stem>.gpf and spectrum_<stem>.csv are named by the input's stem,
+    # so a second input of the same stem would overwrite the first's outputs
+    fam = tmp_path / "fam"
+    assert run("--out", fam, "--quiet", "synth", "--kind", "rotation", "--n", 8, "--nt", 12,
+               "--modes", 2, "--params=0,1", "--format", "both") == 0
+    if twin == "csv-twin":
+        first, second = fam / "snapshot_000.gpm", fam / "snapshot_000.csv"
+    else:
+        first, second = tmp_path / "a" / "snapshot_000.gpm", tmp_path / "b" / "snapshot_000.gpm"
+        for path, source in ((first, "snapshot_000.gpm"), (second, "snapshot_001.gpm")):
+            path.parent.mkdir()
+            shutil.copy(fam / source, path)
+    loads = fileio_calls("read_pod_factor")
+    out = tmp_path / "pod"
+    capsys.readouterr()
+    assert run("--out", out, "--quiet", "pod", first, second, "--mode", 2) == 2
+    assert capsys.readouterr().err == (f"error: pod inputs {first} and {second} would write the "
+                                       "same basis_snapshot_000.gpf\n")
+    assert loads == [] and not any(out.iterdir())
+
+
 def test_pod_spectrum_csv_full_precision(tmp_path):
     files = synth_family(tmp_path / "fam")
     out = tmp_path / "pod"
@@ -605,12 +629,11 @@ def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
         assert code == 0
         assert reads == []
         assert passes == [(n, nt)] * (2 * len(files))
-        # each mode's tangent step folds the n x Np stack of its node bases
-        # with one QR and takes one SVD of that triangle, which at p = 3 have
-        # the tall snapshots' shapes
-        stacks = [(n, len(files) * p) for p in range(1, 6)]
-        assert calls.count(("qr", (n, nt))) == len(files) + stacks.count((n, nt))
-        assert calls.count(("svd", (min(n, nt), nt))) == len(files) + stacks.count((n, nt))
+        # one fold of the n x 5N mode-major stack of the node bases, here one
+        # block, serves every mode, and no mode takes an SVD of its triangle
+        assert calls.count(("qr", (n, nt))) == len(files)
+        assert calls.count(("svd", (min(n, nt), nt))) == len(files)
+        assert calls.count(("qr", (n, 5 * len(files)))) == 1
         assert n <= nt or ("svd", (n, nt)) not in calls
 
 
@@ -955,6 +978,33 @@ def test_one_overlap_factorisation_per_node_and_mode(tmp_path, monkeypatch):
         assert calls == expected
 
 
+def test_one_fold_of_the_node_bases_per_call(tmp_path, monkeypatch):
+    # a QR chain over an n-row stack folds either a snapshot (on a factor
+    # cache miss) or the node bases: once the cache is warm, every call folds
+    # the node bases once, at its largest mode, whatever the number of modes
+    chains = []
+
+    def counting(blocks):
+        rows = []
+        r = fold_triangle((rows.append(len(b)) or b for b in blocks))
+        chains.append(sum(rows))
+        return r
+
+    fold_triangle = snapshots.fold_triangle
+    files = synth_family(tmp_path / "fam", kind="nested", n=16, nt=40, modes=5,
+                         rate=0.05, params="0,1,2,3", seed=7)
+    assert run("--out", tmp_path / "warm", "--quiet", "pod", *files, "--mode", 5) == 0
+    monkeypatch.setattr(snapshots, "fold_triangle", counting)
+    for argv in (["interpolate", *files, "--mode", 3, "--target", 1.5],
+                 ["sweep-c2", *files, "--mode", 3, "--lo", 0, "--hi", 3, "--samples", 7,
+                  "--reference-index", 1],
+                 ["check-c3", *files, "--modes", "1,2,3,4,5", "--target", 1.5],
+                 ["check-c3", *files, "--modes", "4,2", "--target", 1.5]):
+        chains.clear()
+        assert run("--out", tmp_path / argv[0], "--quiet", *argv) == 0
+        assert chains == [16]
+
+
 def test_check_c3_table_matches_per_mode_library_path(tmp_path):
     files = synth_family(tmp_path / "fam", kind="nonnested", n=16, nt=40, modes=5,
                          rate=0.3, params="0,1,2,3", seed=2)
@@ -973,7 +1023,8 @@ def test_check_c3_table_matches_per_mode_library_path(tmp_path):
         results.append((p, interpolate(ts, 1.5).frame))
     expected = c3_distance_table(results).values
     assert np.any(expected > 0.0)
-    assert np.array_equal(got, expected)
+    # check-c3 folds once at mode 5, each interpolate at its own mode
+    assert np.max(np.abs(got - expected)) <= 1e-14
 
 
 def test_check_c3_verdict_before_later_mode_range_error(tmp_path):
@@ -1211,27 +1262,37 @@ def test_interpolate_check_c3_and_sweep_agree_at_the_c2_boundary(tmp_path):
 
 @pytest.mark.parametrize("kind, rate", [("nested", 0.05), ("crossing", 0.3)])
 def test_check_c3_agrees_with_interpolate_at_every_mode(tmp_path, monkeypatch, kind, rate):
-    # each mode of check-c3 takes its own tangent step, the one interpolate
-    # --mode p takes: the same C2 record and frame, bit for bit, at every mode
+    # check-c3 folds the node bases once at its largest mode P and
+    # interpolate --mode p at p: the same C2 record, bit for bit, at P, and
+    # below it theta_1 to 1e-13 relative; its table is the interpolate
+    # frames' distances to 1e-14
     files = synth_family(tmp_path / "fam", kind=kind, n=40, nt=20, modes=5, rate=rate,
                          params="0,1,2,3", seed=4)
     common = [*files, "--target", 1.3, "--reference-index", 1]
     seen = []
 
-    def recording(ts, target, reference_index):
-        res = interpolate(ts, target, reference_index)
-        seen.append((ts.mode, res))
-        return res
+    def recording(ts, coords, target, modes, reference_index):
+        for p, res in zip(modes, interpolate_modes(ts, coords, target, modes, reference_index)):
+            seen.append((ts.mode, p, res))
+            yield res
 
-    monkeypatch.setattr(cli, "interpolate", recording)
-    assert run("--out", tmp_path / "c3", "--quiet", "check-c3", "--modes", "1,2,3,4,5", *common) in (0, 12)
+    monkeypatch.setattr(cli, "interpolate_modes", recording)
+    out = tmp_path / "c3"
+    assert run("--out", out, "--quiet", "check-c3", "--modes", "1,2,3,4,5", *common) in (0, 12)
     monkeypatch.undo()
-    assert [p for p, _ in seen] == [1, 2, 3, 4, 5]
-    for p, res in seen:
-        out = tmp_path / f"i{p}"
-        assert run("--out", out, "--quiet", "interpolate", "--mode", p, *common) == 0
-        assert read_json(out / "interpolation_report.json")["c2"] == res.c2.to_dict()
-        assert read_frame(out / "interpolated.gpf").frame.tobytes() == res.frame.frame.tobytes()
+    assert [(big, p) for big, p, _ in seen] == [(5, p) for p in range(1, 6)]
+    frames = []
+    for _, p, res in seen:
+        out_p = tmp_path / f"i{p}"
+        assert run("--out", out_p, "--quiet", "interpolate", "--mode", p, *common) == 0
+        c2 = read_json(out_p / "interpolation_report.json")["c2"]
+        if p == 5:
+            assert c2 == res.c2.to_dict()
+        assert c2["ok"] and res.c2.ok
+        assert c2["theta_max"] == pytest.approx(res.c2.theta_max, rel=1e-13, abs=0.0)
+        frames.append((p, read_frame(out_p / "interpolated.gpf")))
+    got = np.loadtxt(out / "c3_table.csv", delimiter=",", comments="#")
+    assert np.max(np.abs(got - c3_distance_table(frames).values)) <= 1e-14
 
 
 def test_c1_floor_uses_the_ambient_dimension(tmp_path):
@@ -1297,19 +1358,21 @@ def _oracle_case(tmp_path, case):
 
 @pytest.mark.parametrize("case", [*KINDS, "noiseless", "one-node", "near-identical"])
 def test_interpolation_matches_full_dimension_oracle(tmp_path, case):
-    # the library and the CLI, both working in the joint span of the node
-    # bases, against an ambient Lagrange/log/exp interpolation: the noiseless
-    # family's span has K = 2p < Np, and the one-node and near-identical sets
-    # K < 2p, so their coordinates are zero-padded
+    # the library and the CLI, both working in the coordinates of one fold
+    # of the node bases, against an ambient Lagrange/log/exp interpolation:
+    # the noiseless family's span has K = 2p < Np and the near-identical
+    # set's K = p + 1, so their Np rows hold rounding the frame's way back
+    # cuts, and the one-node set's p rows are zero-padded to 2p
     files, p, target, ref = _oracle_case(tmp_path, case)
     snaps = sorted((read_snapshot(f) for f in files), key=lambda s: s.param)
     ts = TrainingSet(points=tuple((s.param, compute_pod(s, p).basis) for s in snaps))
     res = interpolate(ts, target, ref)
-    step = tangent_step(ts, res.reference_index)[1]
-    span = step.back.shape[1]
-    assert {"noiseless": span == 2 * p < len(files) * p,
-            "one-node": span == p and step.lifts.shape[1] == 2 * p,
-            "near-identical": span == p + 1 and step.lifts.shape[1] == 2 * p}.get(case, True)
+    coords = node_coordinates(ts)
+    sigma = np.linalg.svd(coords.transpose(1, 0, 2).reshape(coords.shape[1], -1), compute_uv=False)
+    span = int(np.sum(sigma > sigma[0] * ts.n * JOINT_SPAN_RTOL))
+    assert {"noiseless": span == 2 * p < len(files) * p == coords.shape[1],
+            "one-node": span == p and coords.shape[1] == 2 * p,
+            "near-identical": span == p + 1 and coords.shape[1] == len(files) * p}.get(case, True)
     theta, expected = grassmann_lagrange([pt.frame for _, pt in ts.points], ts.params, target,
                                          res.reference_index)
     out = tmp_path / "out"
@@ -1628,6 +1691,26 @@ def test_refused_allocation_exit_2(tmp_path, capsys, monkeypatch, name, argv, ex
     capsys.readouterr()
     assert run("--out", tmp_path / "out", "--quiet", argv[0], *files, *argv[1:]) == 2
     assert capsys.readouterr().err == message
+
+
+def test_config_does_not_override_the_command_line(tmp_path, monkeypatch):
+    # each option given on the command line wins over --config, even at its
+    # parser default; the table's epsilon is 1
+    monkeypatch.chdir(tmp_path)
+    table = tmp_path / "t.csv"
+    table.write_text("0,1,2\n1,0,1.5\n2,1.5,0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"threshold": 1e-300, "out": "elsewhere", "report": "json"}))
+    for threshold, code in ((100, 0), (99, 0), (1, 12)):
+        assert run("--config", config, "--out", "gpm_out", "--report", "both", "--quiet",
+                   "check-c3", "--table", table, "--threshold", threshold) == code
+        assert read_json(tmp_path / "gpm_out" / "c3_report.json")["c3"]["threshold"] == threshold
+    assert (tmp_path / "gpm_out" / "c3_table.csv").exists()
+    assert not (tmp_path / "elsewhere").exists()
+    # an option the command line leaves out still takes the config's value
+    assert run("--config", config, "--quiet", "check-c3", "--table", table) == 12
+    assert read_json(tmp_path / "elsewhere" / "c3_report.json")["c3"]["threshold"] == 1e-300
+    assert not (tmp_path / "elsewhere" / "c3_table.csv").exists()
 
 
 def test_config_list_matches_command_line(tmp_path):

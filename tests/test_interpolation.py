@@ -25,7 +25,8 @@ from gpmor import (
 from oracles import barycentric_eval_weights, random_grassmann_point
 
 from gpmor.grassmann import C2_MARGIN, overlap_invertible
-from gpmor.stability import tangent_step
+from gpmor.interpolation import interpolate_modes
+from gpmor.stability import ambient, node_coordinates, tangent_step
 
 
 def make_training_set(rng, n, p, params):
@@ -178,6 +179,15 @@ def test_c1_failure_is_verdict_not_crash():
     assert res.frame is None
 
 
+def test_interpolate_modes_refuses_a_mode_past_the_fold():
+    ts = make_training_set(np.random.default_rng(4), 8, 2, [0.0, 1.0, 2.0])
+    coords = node_coordinates(ts)
+    assert [r.ok for r in interpolate_modes(ts, coords, 0.5, [2, 1])] == [True, True]
+    for p in (0, 3):
+        with pytest.raises(ParameterError, match=rf"^mode p={p} out of range \[1, 2\] of the fold$"):
+            list(interpolate_modes(ts, coords, 0.5, [1, p]))
+
+
 def test_c1_failure_lists_every_failing_node():
     pts = tuple((float(i), GrassmannPoint(np.eye(6)[:, i:i + 1])) for i in range(3))
     res = interpolate(TrainingSet(points=pts), 0.5, reference_index=0)
@@ -204,12 +214,13 @@ def test_near_cut_locus_gives_a_verdict(n, p, log_gap, seed):
     far = GrassmannPoint((q[:, :p] * np.cos(angles) + q[:, p:] * np.sin(angles)) @ turn[1])
     ts = TrainingSet(points=((0.0, base), (1.0, far)))
     # from every reference: C1 fails where log_map raises, and each lift,
-    # formed in the joint span's coordinates, maps back to log_map's; the
+    # formed in the fold's coordinates, maps back to log_map's; the
     # reference's own is exactly zero. The two overlaps round differently, so
     # a node whose verdict a relative 1e-9 move of its singular values flips
     # is left out of the verdict comparison.
+    coords = node_coordinates(ts)
     for ref, (_, ref_pt) in enumerate(ts.points):
-        c1, step = tangent_step(ts, ref)
+        c1, _, lifts = tangent_step(coords, ref, n)
         for i, (_, pt) in enumerate(ts.points):
             sv = np.linalg.svd(ref_pt.frame.T @ pt.frame, compute_uv=False)
             firm = overlap_invertible(sv * (1 + 1e-9), n) == overlap_invertible(sv * (1 - 1e-9), n)
@@ -219,10 +230,10 @@ def test_near_cut_locus_gives_a_verdict(n, p, log_gap, seed):
                 assert not firm or i in c1.failing_indices
                 continue
             assert not firm or i not in c1.failing_indices
-            if step is not None and i != ref:
-                np.testing.assert_allclose(step.ambient(step.lifts[i]), lift, rtol=0.0, atol=1e-9)
-        assert c1.ok == (step is not None)
-        assert step is None or np.all(step.lifts[ref] == 0.0)
+            if lifts is not None and i != ref:
+                np.testing.assert_allclose(ambient(ts, coords, lifts[i]), lift, rtol=0.0, atol=1e-9)
+        assert c1.ok == (lifts is not None)
+        assert lifts is None or np.all(lifts[ref] == 0.0)
         assert check_c1(ts, ref) == c1
         res = interpolate(ts, 0.5, reference_index=ref)
         assert res.c1 == c1 and (res.c2 is not None) == c1.ok

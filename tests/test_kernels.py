@@ -177,13 +177,13 @@ def test_one_target_has_the_bits_it_has_inside_a_longer_grid(case):
 
 
 def test_one_target_has_the_bits_it_has_in_either_block_of_a_long_grid():
-    # 24 x 3 combined matrices: 1820 samples fill the 1 MB block, so 2001
-    # samples take two blocks
+    # 50 x 3 combined matrices: 873 samples fill the 1 MB block, so 2001
+    # samples take three blocks
     rng = np.random.default_rng(10)
     lifts, params, _ = make_case(rng, n_nodes=8, n=50, p=3)
     grid = np.linspace(-1.0, 11.0, 2001)
     whole = kernels.theta_curve(lifts, params, grid)
-    for j in (*range(0, 2001, 97), 1819, 1820, 2000):
+    for j in (*range(0, 2001, 97), 872, 873, 1745, 1746, 2000):
         assert kernels.theta_curve(lifts, params, grid[j:j + 1])[0] == whole[j]
 
 
