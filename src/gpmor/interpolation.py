@@ -113,7 +113,8 @@ def training_set(factors, modes):
     sets, error = [], None
     for p in modes:
         try:
-            sets.append(TrainingSet(points=tuple((f.param, truncate_pod(f, p).basis) for f in factors)))
+            points = tuple((f.param, truncate_pod(f, p).basis) for f in factors)
+            sets.append(TrainingSet(points=points))
         except GpmError as exc:
             if not sets:
                 raise

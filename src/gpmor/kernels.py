@@ -15,7 +15,7 @@ the grid's length.
 theta_1 is read from the p x p Gram matrix of each C: theta_1 =
 sqrt(lambda_max(C^T C)), from a batched symmetric eigensolver in place of a
 batched SVD. Forming C costs O(m N p) per sample, C^T C O(m p^2) and its
-eigenvalues O(p^3), so the theta_1 step is O(M (m N p + p^3)) for M grid
+eigenvalues O(p^3), so the theta_1 step is O(M (m p^2 + p^3)) for M grid
 samples. The samples go through in blocks of at most _BLOCK_BYTES of
 combined C, so the sweep's temporaries stay bounded whatever M is.
 

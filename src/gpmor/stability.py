@@ -148,7 +148,8 @@ def ambient(ts, coords, c):
     F-ordered and read-only, so its column blocks are views GrassmannPoint
     keeps without a copy."""
     nodes, m, p = coords.shape
-    u, sigma, vt = np.linalg.svd(coords.transpose(1, 0, 2).reshape(m, nodes * p), full_matrices=False)
+    u, sigma, vt = np.linalg.svd(coords.transpose(1, 0, 2).reshape(m, nodes * p),
+                                 full_matrices=False)
     k = int(np.sum(sigma > sigma[0] * ts.n * JOINT_SPAN_RTOL))
     g = vt[:k].T @ ((u[:, :k].T @ c) / sigma[:k, np.newaxis])
     out = np.empty((ts.n, c.shape[1]), order="F")
