@@ -14,7 +14,7 @@ from . import fileio
 from .errors import GpmError, ParameterError
 from .fileio import fmt
 from .grassmann import geometric_distance, riemannian_distance
-from .interpolation import c2_sweep, interpolate, interpolate_modes, training_set
+from .interpolation import c2_sweep, interpolate, training_set, walk_modes
 from .metrics import error_series
 from .snapshots import truncate_pod
 from .stability import (
@@ -27,7 +27,6 @@ from .stability import (
     c3_distance_table,
     check_c3,
     grassmann_dimension,
-    node_coordinates,
 )
 from .synth import DEFAULT_NOISE, FamilySpec, stream
 
@@ -37,11 +36,9 @@ def _say(args, message):
         print(message)
 
 
-def _training_set(args, modes):
-    """training_set of the snapshots' POD factors, each loaded once at
-    max(modes) and sorted by parameter."""
-    return training_set(sorted((fileio.read_pod_factor(p, max(modes)) for p in args.inputs),
-                               key=lambda f: f.param), modes)
+def _factors(args, p):
+    """The snapshots' POD factors at mode p, sorted by parameter."""
+    return sorted((fileio.read_pod_factor(path, p) for path in args.inputs), key=lambda f: f.param)
 
 
 def _report(args, name, write, *payload):
@@ -127,7 +124,7 @@ def cmd_pod(args):
 
 
 def cmd_interpolate(args):
-    ts = _training_set(args, [args.mode])[0]
+    ts = training_set(_factors(args, args.mode), args.mode)
     result = interpolate(ts, args.target, args.reference_index)
     report = StabilityReport(
         c1=result.c1,
@@ -155,7 +152,7 @@ def cmd_interpolate(args):
 
 
 def cmd_sweep_c2(args):
-    ts = _training_set(args, [args.mode])[0]
+    ts = training_set(_factors(args, args.mode), args.mode)
     sweep = c2_sweep(ts, args.lo, args.hi, args.samples, args.reference_index)
     _report(args, "sweep_c2.csv", fileio.write_csv, "# gpm-sweep lambda,theta_max,c2_ok",
             zip(sweep.grid.tolist(), sweep.thetas.tolist(), map(int, sweep.c2_ok)))
@@ -190,10 +187,9 @@ def cmd_check_c3(args):
         modes = _parse_list(args.modes, int, "--modes")
         # judged before any snapshot is read, as the table would judge them
         _c3_modes(modes)
-        ts, modes, error = _training_set(args, modes)
         results = []
-        for p, res in zip(modes, interpolate_modes(ts, node_coordinates(ts), args.target, modes,
-                                                      args.reference_index)):
+        for p, res in walk_modes(_factors(args, max(modes)), args.target, modes,
+                                 args.reference_index):
             if not res.ok:
                 if not res.c1.ok:
                     _say(args, f"C1 failure at mode p={p}")
@@ -206,8 +202,6 @@ def cmd_check_c3(args):
                 )
                 return _write_report(args, "c3_report.json", report)
             results.append((p, res.frame))
-        if error is not None:
-            raise error
         table = c3_distance_table(results)
     c3 = check_c3(table, threshold=args.threshold)
     _report(args, "c3_table.csv", fileio.write_distance_table, table)
@@ -333,7 +327,8 @@ def _config_value(action, key, value):
 
 def _apply_config(parser, args, argv):
     """`argv` parsed again with the --config JSON file's values as the
-    defaults of their options, so an option given on the command line wins."""
+    defaults of their options, so an option given on the command line wins.
+    A key that names no option of gpmor or any subcommand is a ParameterError."""
     if not args.config:
         return args
     config = fileio.read_json(args.config)
@@ -345,10 +340,13 @@ def _apply_config(parser, args, argv):
         for a in p._actions
         if a.option_strings and hasattr(args, a.dest)
     }
+    others = {a.dest for p in parser._command_parsers.values() for a in p._actions if a.option_strings}
     for key, value in config.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is not None:
-            action.default = _config_value(action, key, value)
+        dest = key.replace("-", "_")
+        if dest in actions:
+            actions[dest].default = _config_value(actions[dest], key, value)
+        elif dest not in others:
+            raise ParameterError(f"config {key!r}: gpmor has no such option")
     return parser.parse_args(argv)
 
 

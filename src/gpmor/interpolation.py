@@ -1,15 +1,15 @@
 """Lagrange interpolation of POD bases on G(p, n) with C1/C2 gates.
 
-The pipeline: the node bases are folded once per call, at the call's largest
-mode (stability.node_coordinates), and every mode works on their coordinates
-in that fold. From the reference node the call names, stability.tangent_step
-maps every training point to its tangent space (C1 gate: all overlaps
-invertible); the largest singular value of their Lagrange combination is
-read from the sweep kernel and checked against pi/2 (C2 gate), and only then
-is the combined lift formed and exponentiated back to the manifold.
-interpolate_modes stops there, in coordinates; interpolate maps its one
-frame to n x p. A TrainingSet is only data; the reference defaults to the
-node nearest the target.
+The pipeline: a TrainingSet folds its node bases once, at its mode, the
+first time a call reads them (TrainingSet.coords), and every call and mode on
+the set works on their coordinates in that fold. From the reference node the
+call names, stability.tangent_step maps every training point to its tangent
+space (C1 gate: all overlaps invertible); the largest singular value of their
+Lagrange combination is read from the sweep kernel and checked against pi/2
+(C2 gate), and only then is the combined lift formed and exponentiated back
+to the manifold. interpolate_modes stops there, in coordinates, and
+walk_modes runs it over the modes of a multi-mode call; interpolate maps its
+one frame to n x p. The reference defaults to the node nearest the target.
 """
 
 from functools import cached_property, reduce
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from . import kernels, snapshots
 from .errors import GpmError, ParameterError
 from .grassmann import (
     FRAME_REJECT_TOL,
@@ -30,7 +30,7 @@ from .grassmann import (
 )
 from .record import Record, replace
 from .snapshots import truncate_pod
-from .stability import C1Record, C2Record, ambient, node_coordinates, tangent_step
+from .stability import C1Record, C2Record, ambient, tangent_step
 
 
 def weight_bound(weights):
@@ -84,6 +84,29 @@ class TrainingSet(Record):
     def n(self):
         return self.points[0][1].n
 
+    @cached_property
+    def coords(self):
+        """The (N, m, P) coordinates of the node bases (P = mode) in one fold,
+        made once per set and read-only. The n x NP stack whose column j*N + i
+        is node i's vector j is folded from row blocks into its triangle R,
+        never held whole; node i's coordinates are R's columns {jN + i},
+        zero-padded to m = max(R's rows, 2P). R is orthonormal coordinates of
+        the stack to rounding, whatever its rank, and the mode-p stack is its
+        leading Np columns, so each node's leading p columns are its mode-p
+        coordinates, in rows every mode p <= P shares."""
+        frames = [pt.frame for _, pt in self.points]
+        nodes, p = len(frames), self.mode
+
+        def stacked_rows(view, start):
+            for i, y in enumerate(frames):
+                view[:, i::nodes] = y[start:start + len(view)]
+
+        r = snapshots.fold_triangle(snapshots.row_blocks(self.n, nodes * p, stacked_rows))
+        coords = np.zeros((nodes, max(r.shape[0], 2 * p), p))
+        coords[:, :r.shape[0]] = r.reshape(-1, p, nodes).transpose(2, 0, 1)
+        coords.setflags(write=False)
+        return coords
+
 
 class InterpolationResult(Record):
     """Outcome of one interpolation: the velocity and frame when stable, and
@@ -103,32 +126,18 @@ class InterpolationResult(Record):
         return self.frame is not None
 
 
-def training_set(factors, modes):
-    """(TrainingSet, leading modes, error) from POD factors: every mode, in
-    order, passes through truncate_pod (range and rank errors, degenerate-gap
-    warnings) and TrainingSet's checks until one fails. The set is the one at
-    the largest of the modes before it, so that one fold serves them all, and
-    error is the failing mode's (None if none fails). An error at the first
-    mode is raised."""
-    sets, error = [], None
-    for p in modes:
-        try:
-            points = tuple((f.param, truncate_pod(f, p).basis) for f in factors)
-            sets.append(TrainingSet(points=points))
-        except GpmError as exc:
-            if not sets:
-                raise
-            error = exc
-            break
-    return max(sets, key=lambda ts: ts.mode), modes[:len(sets)], error
+def training_set(factors, p):
+    """TrainingSet of the POD factors' mode-p truncations, through
+    truncate_pod's errors and warnings and TrainingSet's checks."""
+    return TrainingSet(points=tuple((f.param, truncate_pod(f, p).basis) for f in factors))
 
 
-def interpolate_modes(ts, coords, target, modes, reference_index=None):
+def interpolate_modes(ts, target, modes, reference_index=None):
     """interpolate at each mode p of `modes` (each at most ts.mode) from the
-    node bases' mode-p truncations, on their coordinates `coords` in one fold
-    of ts (stability.node_coordinates): a generator of InterpolationResults,
-    in order, whose frame and velocity stay in those m coordinates, so a
-    caller that stops at a failing mode judges no later one."""
+    node bases' mode-p truncations, on the set's one fold: a generator of
+    InterpolationResults, in order, whose frame and velocity stay in the
+    fold's m coordinates, so a caller that stops at a failing mode judges no
+    later one."""
     target = float(target)
     weights = lagrange_weights(ts.params, target)
     ref = reference_index
@@ -140,9 +149,7 @@ def interpolate_modes(ts, coords, target, modes, reference_index=None):
     # leaves the horizontal space by at most sum |w_i| times that
     tol = HORIZONTAL_TOL * max(1.0, spread)
     for p in modes:
-        if not 1 <= p <= coords.shape[2]:
-            raise ParameterError(f"mode p={p} out of range [1, {coords.shape[2]}] of the fold")
-        c1, base, lifts = tangent_step(coords[:, :, :p], ref, ts.n)
+        c1, base, lifts = tangent_step(ts, ref, p)
         c2 = frame = velocity = None
         if lifts is not None:
             theta = kernels.theta_curve(lifts, ts.params, [target])[0]
@@ -163,6 +170,26 @@ def interpolate_modes(ts, coords, target, modes, reference_index=None):
         yield InterpolationResult(target, ref, c1, c2, frame, velocity, extrapolated)
 
 
+def walk_modes(factors, target, modes, reference_index=None):
+    """(p, interpolate_modes result) at each mode p of `modes`, in order, on
+    the fold of the set at the largest mode before the first whose
+    training_set fails; that failure is raised after them, or at once at
+    the first mode, so the first failure in `modes` order wins."""
+    sets, error = [], None
+    for p in modes:
+        try:
+            sets.append(training_set(factors, p))
+        except GpmError as exc:
+            if not sets:
+                raise
+            error = exc
+            break
+    ts = max(sets, key=lambda s: s.mode)
+    yield from zip(modes, interpolate_modes(ts, target, modes[:len(sets)], reference_index))
+    if error is not None:
+        raise error
+
+
 def interpolate(ts, target, reference_index=None):
     """Interpolate the training subspaces at `target` from the reference node
     `reference_index`, by default the node nearest the target.
@@ -180,11 +207,10 @@ def interpolate(ts, target, reference_index=None):
     non-finite target, or one whose weights overflow, before any step.
     Only the frame and velocity of a stable result are mapped back to n.
     """
-    coords = node_coordinates(ts)
-    [res] = interpolate_modes(ts, coords, target, [ts.mode], reference_index)
+    [res] = interpolate_modes(ts, target, [ts.mode], reference_index)
     if not res.ok:
         return res
-    both = ambient(ts, coords, np.hstack((res.frame.frame, res.velocity.lift)))
+    both = ambient(ts, np.hstack((res.frame.frame, res.velocity.lift)))
     p = ts.mode
     return replace(res, frame=GrassmannPoint(both[:, :p]), velocity=TangentVector(
         ts.points[res.reference_index][1], both[:, p:], res.velocity.horizontal_tol))
@@ -245,7 +271,7 @@ def c2_sweep(ts, lo, hi, samples, reference_index):
     if not 0.0 < hi - lo < np.inf:  # also refuses a non-finite bound or width
         raise ParameterError(f"need finite lo < hi, got [{lo}, {hi}]")
     grid = np.linspace(lo, hi, samples)
-    c1, _, lifts = tangent_step(node_coordinates(ts), reference_index, ts.n)
+    c1, _, lifts = tangent_step(ts, reference_index, ts.mode)
     if lifts is None:
         return C2Sweep(grid, np.full(samples, np.nan), c1)
     thetas = kernels.theta_curve(lifts, ts.params, grid)

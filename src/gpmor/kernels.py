@@ -6,7 +6,7 @@ every grid parameter, interpolate at its one target, and check_c2 and
 TangentVector.theta_max for a single lift (one node, weight 1), all through
 theta_curve, so every C2 verdict on one lambda has the same bits. The lifts
 of a training set come in the m = max(min(n, NP), 2P) coordinates of one
-fold of its node bases (stability.node_coordinates), a single lift as one
+fold of its node bases (TrainingSet.coords), a single lift as one
 n x p matrix, so every grid point is one m x p matrix C = sum_i w_i Z_i,
 whatever n is: no factorisation of the lift stack would shrink it. Each
 sample's C is its own 1 x N by N x mp product, so its bits do not depend on

@@ -1,11 +1,11 @@
 """Auditable records for the three stability conditions C1/C2/C3.
 
 C1: every training point lies in the log-map domain of the reference point
-    (all overlap matrices non-singular). tangent_step(coords,
-    reference_index, n) records it and lifts every node in one pass, on the
-    node bases' coordinates in one fold of a call (node_coordinates), which
-    serves every mode up to the fold's; check_c1(ts, reference_index) is its
-    record half. Only a frame that is written goes back to n (ambient).
+    (all overlap matrices non-singular). tangent_step(ts, reference_index,
+    p) records it and lifts every node in one pass, on the node bases'
+    coordinates in the set's one fold (TrainingSet.coords), which serves
+    every mode up to the set's; check_c1(ts, reference_index) is its record
+    half. Only a frame that is written goes back to n (ambient).
 C2: the interpolated lift stays inside the exponential-map injectivity domain
     (largest singular value below pi/2).
 C3: the non-inclusion defect across POD mode counts stays bounded
@@ -117,38 +117,16 @@ class C3Record(Record):
         return d
 
 
-def node_coordinates(ts):
-    """The (N, m, P) coordinates of the node bases of `ts` (P = ts.mode) in
-    one fold: the n x NP stack whose column j*N + i is node i's vector j is
-    folded from row blocks into its triangle R, never held whole, and node
-    i's coordinates are R's columns {jN + i}, zero-padded to m = max(R's
-    rows, 2P). R is orthonormal coordinates of the stack to rounding, whatever
-    its rank, and the stack's leading Np columns are the mode-p stack, so the
-    leading p columns of each node's coordinates are its mode-p coordinates,
-    in rows every mode p <= P shares."""
-    frames = [pt.frame for _, pt in ts.points]
-    nodes, p = len(frames), ts.mode
-
-    def stacked_rows(view, start):
-        for i, y in enumerate(frames):
-            view[:, i::nodes] = y[start:start + len(view)]
-
-    r = snapshots.fold_triangle(snapshots.row_blocks(ts.n, nodes * p, stacked_rows))
-    coords = np.zeros((nodes, max(r.shape[0], 2 * p), p))
-    coords[:, :r.shape[0]] = r.reshape(-1, p, nodes).transpose(2, 0, 1)
-    return coords
-
-
-def ambient(ts, coords, c):
-    """The n x q matrix Q c of m x q `c` in the rows of `coords`
-    (node_coordinates(ts)), where the node bases are Q coords: with
+def ambient(ts, c):
+    """The n x q matrix Q c of m x q `c` in the rows of the set's fold
+    (TrainingSet.coords), where the node bases are Q coords: with
     [coords_1 ... coords_N] = U Sigma V^T cut to the K singular values above
     sigma_1 * n * JOINT_SPAN_RTOL, Q U = [Y_1 ... Y_N] V Sigma^-1, so it is
     one product with the node bases, in row blocks of STREAM_BYTES;
     F-ordered and read-only, so its column blocks are views GrassmannPoint
     keeps without a copy."""
-    nodes, m, p = coords.shape
-    u, sigma, vt = np.linalg.svd(coords.transpose(1, 0, 2).reshape(m, nodes * p),
+    nodes, m, p = ts.coords.shape
+    u, sigma, vt = np.linalg.svd(ts.coords.transpose(1, 0, 2).reshape(m, nodes * p),
                                  full_matrices=False)
     k = int(np.sum(sigma > sigma[0] * ts.n * JOINT_SPAN_RTOL))
     g = vt[:k].T @ ((u[:, :k].T @ c) / sigma[:k, np.newaxis])
@@ -164,18 +142,20 @@ def ambient(ts, coords, c):
     return out
 
 
-def tangent_step(coords, reference_index, n):
-    """C1 record at the reference node of the (N, m, p) node coordinates of
-    a set in R^n and, when C1 holds, the reference's coordinate frame and
-    every node's read-only lift at it (the reference's zero), else None for
-    both: one batched log_lift, with C1's floor at the ambient n. The one
-    range check of a reference index."""
-    if not 0 <= reference_index < len(coords):
+def tangent_step(ts, reference_index, p):
+    """C1 record at the reference node of set `ts` at mode p and, when C1
+    holds, the reference's coordinate frame and every node's read-only lift
+    at it (the reference's zero), else None for both: one batched log_lift
+    on the leading p columns of the set's fold, with C1's floor at the
+    ambient n. The one range check of a mode and of a reference index."""
+    if not 1 <= p <= ts.mode:
+        raise ParameterError(f"mode p={p} out of range [1, {ts.mode}] of the fold")
+    if not 0 <= reference_index < len(ts.points):
         raise ParameterError(f"reference index {reference_index} out of range")
-    base = GrassmannPoint(coords[reference_index])
-    svs, lifts = log_lift(base.frame, coords, n)
+    base = GrassmannPoint(ts.coords[reference_index, :, :p])
+    svs, lifts = log_lift(base.frame, ts.coords[:, :, :p], ts.n)
     failing = () if lifts is not None else tuple(
-        i for i, sv in enumerate(svs) if not overlap_invertible(sv, n))
+        i for i, sv in enumerate(svs) if not overlap_invertible(sv, ts.n))
     c1 = C1Record(ok=not failing, failing_indices=failing,
                   min_singular_values=tuple(svs[:, -1].tolist()))
     if failing:
@@ -187,7 +167,7 @@ def tangent_step(coords, reference_index, n):
 
 def check_c1(ts, reference_index):
     """C1 record at the reference node: the record half of tangent_step."""
-    return tangent_step(node_coordinates(ts), reference_index, ts.n)[0]
+    return tangent_step(ts, reference_index, ts.mode)[0]
 
 
 def check_c2(lift):

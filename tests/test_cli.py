@@ -23,14 +23,14 @@ from gpmor import (
     fileio,
     generate,
     interpolate,
+    interpolation,
     podcache,
     riemannian_distance,
     snapshots,
     synth,
 )
 from gpmor.fileio import fmt, read_frame, read_json, read_snapshot, write_snapshot_bin
-from gpmor.interpolation import interpolate_modes
-from gpmor.stability import JOINT_SPAN_RTOL, node_coordinates
+from gpmor.stability import JOINT_SPAN_RTOL
 from gpmor.synth import DEFAULT_NOISE, KINDS
 from oracles import barycentric_eval_weights, grassmann_lagrange, snapshot_files, synth_files
 
@@ -199,14 +199,16 @@ def _generated_files(spec):
 def test_streamed_synth_files_match_whole_array_oracle(tmp_path, monkeypatch, kind):
     # rows: a budget of 48 rows, so each snapshot is built, and its payload
     # written by positioned column segments, in four row blocks, the last
-    # short; one-block: the default budget, so each snapshot is one row
-    # block, whose binary payload goes out by n_t positioned writes too
-    n, n_t, p, params = 150, 9, 3, (0.0, 0.5, 1.5)
-    expected = synth_files(kind, n, n_t, p, 0.4, 5, params, DEFAULT_NOISE)
-    spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind=kind, rate=0.4, seed=5, params=params)
+    # short; at n = 145 the lone last row joins the block before it.
+    # one-block: the default budget, so each snapshot is one row block,
+    # whose binary payload goes out by n_t positioned writes too
+    n_t, p, params = 9, 3, (0.0, 0.5, 1.5)
     pwrite = os.pwrite
-    for budget, blocks in (("rows", [(0, 48), (48, 96), (96, 144), (144, 150)]),
-                           ("one-block", [(0, 150)])):
+    for n, budget, blocks in ((150, "rows", [(0, 48), (48, 96), (96, 144), (144, 150)]),
+                              (145, "rows", [(0, 48), (48, 96), (96, 145)]),
+                              (150, "one-block", [(0, 150)])):
+        expected = synth_files(kind, n, n_t, p, 0.4, 5, params, DEFAULT_NOISE)
+        spec = FamilySpec(n=n, n_t=n_t, mode_count=p, kind=kind, rate=0.4, seed=5, params=params)
         with monkeypatch.context() as patch:
             if budget == "rows":
                 patch.setattr(synth, "BLOCK_BYTES", 48 * n_t * 8)
@@ -214,7 +216,7 @@ def test_streamed_synth_files_match_whole_array_oracle(tmp_path, monkeypatch, ki
             patch.setattr(os, "pwrite", lambda fd, data, offset: writes.append(offset)
                           or pwrite(fd, data, offset))
             assert synth._row_ranges(n, n_t) == blocks
-            out = tmp_path / budget
+            out = tmp_path / f"{budget}{n}"
             assert run("--out", out, "--quiet", "--seed", 5, "synth", "--kind", kind, "--n", n,
                        "--nt", n_t, "--modes", p, "--rate", 0.4, "--params=0,0.5,1.5",
                        "--format", "both") == 0
@@ -1271,12 +1273,13 @@ def test_check_c3_agrees_with_interpolate_at_every_mode(tmp_path, monkeypatch, k
     common = [*files, "--target", 1.3, "--reference-index", 1]
     seen = []
 
-    def recording(ts, coords, target, modes, reference_index):
-        for p, res in zip(modes, interpolate_modes(ts, coords, target, modes, reference_index)):
+    def recording(ts, target, modes, reference_index):
+        for p, res in zip(modes, interpolate_modes(ts, target, modes, reference_index)):
             seen.append((ts.mode, p, res))
             yield res
 
-    monkeypatch.setattr(cli, "interpolate_modes", recording)
+    interpolate_modes = interpolation.interpolate_modes
+    monkeypatch.setattr(interpolation, "interpolate_modes", recording)
     out = tmp_path / "c3"
     assert run("--out", out, "--quiet", "check-c3", "--modes", "1,2,3,4,5", *common) in (0, 12)
     monkeypatch.undo()
@@ -1367,7 +1370,7 @@ def test_interpolation_matches_full_dimension_oracle(tmp_path, case):
     snaps = sorted((read_snapshot(f) for f in files), key=lambda s: s.param)
     ts = TrainingSet(points=tuple((s.param, compute_pod(s, p).basis) for s in snaps))
     res = interpolate(ts, target, ref)
-    coords = node_coordinates(ts)
+    coords = ts.coords
     sigma = np.linalg.svd(coords.transpose(1, 0, 2).reshape(coords.shape[1], -1), compute_uv=False)
     span = int(np.sum(sigma > sigma[0] * ts.n * JOINT_SPAN_RTOL))
     assert {"noiseless": span == 2 * p < len(files) * p == coords.shape[1],
@@ -1619,8 +1622,9 @@ def test_metrics_shape_mismatch_exit_2(tmp_path):
 
 def test_config_file_defaults(tmp_path):
     config = tmp_path / "config.json"
+    # "threshold" is check-c3's: one config file may serve a whole pipeline
     config.write_text(json.dumps({"kind": "rotation", "n": 8, "nt": 12, "modes": 2,
-                                  "params": "0.0,1.0", "rate": 0.2}))
+                                  "params": "0.0,1.0", "rate": 0.2, "threshold": 5.0}))
     out = tmp_path / "fam"
     code = run("--config", config, "--out", out, "--quiet", "synth",
                "--kind", "rotation", "--n", 8, "--nt", 12, "--modes", 2,
@@ -1644,7 +1648,9 @@ def test_config_file_defaults(tmp_path):
     ({"modes": "1,2", "target": 0.5, "quiet": "yes"},
      "config 'quiet': expected true or false, got 'yes'"),
     ([1, 2], "{path}: config must be a JSON object"),
-], ids=[f"config{i}" for i in range(7)])
+    ({"modes": "1,2", "target": 0.5, "treshold": 1e-300},
+     "config 'treshold': gpmor has no such option"),
+], ids=[f"config{i}" for i in range(8)])
 def test_config_bad_value_exit_2(tmp_path, capsys, config, message):
     src = synth_family(tmp_path / "src", kind="nested", n=10, nt=20, modes=2)
     path = tmp_path / "config.json"

@@ -26,7 +26,7 @@ from oracles import barycentric_eval_weights, random_grassmann_point
 
 from gpmor.grassmann import C2_MARGIN, overlap_invertible
 from gpmor.interpolation import interpolate_modes
-from gpmor.stability import ambient, node_coordinates, tangent_step
+from gpmor.stability import ambient, tangent_step
 
 
 def make_training_set(rng, n, p, params):
@@ -181,11 +181,10 @@ def test_c1_failure_is_verdict_not_crash():
 
 def test_interpolate_modes_refuses_a_mode_past_the_fold():
     ts = make_training_set(np.random.default_rng(4), 8, 2, [0.0, 1.0, 2.0])
-    coords = node_coordinates(ts)
-    assert [r.ok for r in interpolate_modes(ts, coords, 0.5, [2, 1])] == [True, True]
+    assert [r.ok for r in interpolate_modes(ts, 0.5, [2, 1])] == [True, True]
     for p in (0, 3):
         with pytest.raises(ParameterError, match=rf"^mode p={p} out of range \[1, 2\] of the fold$"):
-            list(interpolate_modes(ts, coords, 0.5, [1, p]))
+            list(interpolate_modes(ts, 0.5, [1, p]))
 
 
 def test_c1_failure_lists_every_failing_node():
@@ -218,9 +217,8 @@ def test_near_cut_locus_gives_a_verdict(n, p, log_gap, seed):
     # reference's own is exactly zero. The two overlaps round differently, so
     # a node whose verdict a relative 1e-9 move of its singular values flips
     # is left out of the verdict comparison.
-    coords = node_coordinates(ts)
     for ref, (_, ref_pt) in enumerate(ts.points):
-        c1, _, lifts = tangent_step(coords, ref, n)
+        c1, _, lifts = tangent_step(ts, ref, p)
         for i, (_, pt) in enumerate(ts.points):
             sv = np.linalg.svd(ref_pt.frame.T @ pt.frame, compute_uv=False)
             firm = overlap_invertible(sv * (1 + 1e-9), n) == overlap_invertible(sv * (1 - 1e-9), n)
@@ -231,7 +229,7 @@ def test_near_cut_locus_gives_a_verdict(n, p, log_gap, seed):
                 continue
             assert not firm or i not in c1.failing_indices
             if lifts is not None and i != ref:
-                np.testing.assert_allclose(ambient(ts, coords, lifts[i]), lift, rtol=0.0, atol=1e-9)
+                np.testing.assert_allclose(ambient(ts, lifts[i]), lift, rtol=0.0, atol=1e-9)
         assert c1.ok == (lifts is not None)
         assert lifts is None or np.all(lifts[ref] == 0.0)
         assert check_c1(ts, ref) == c1

@@ -11,6 +11,7 @@ from gpmor import (
     StabilityReport,
     TangentVector,
     TrainingSet,
+    c2_sweep,
     c3_distance_table,
     check_c1,
     check_c2,
@@ -25,7 +26,7 @@ from gpmor import (
     snapshots,
 )
 from gpmor.grassmann import deterministic_qr
-from gpmor.stability import EXIT_C1, EXIT_C2, EXIT_C3, EXIT_OK, C1Record, C2Record, node_coordinates, tangent_step
+from gpmor.stability import EXIT_C1, EXIT_C2, EXIT_C3, EXIT_OK, C1Record, C2Record, tangent_step
 from oracles import random_grassmann_point, random_tangent
 
 
@@ -261,7 +262,7 @@ def test_tangent_step_holds_row_blocks_not_lifts(monkeypatch):
     monkeypatch.setattr(snapshots, "STREAM_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        c1, _, lifts = tangent_step(node_coordinates(ts), 2, n)
+        c1, _, lifts = tangent_step(ts, 2, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -280,8 +281,26 @@ def test_joint_span_folded_from_row_blocks_matches_one_block(monkeypatch):
     shapes = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or qr(a, mode=mode))
-    folded = interpolate(ts, 1.5)
+    # a fresh set: ts keeps the fold its first call made
+    folded = interpolate(TrainingSet(points=ts.points), 1.5)
     # each block below the 12 x 12 triangle, and no QR of the lift stack
     assert shapes == [(100, 12)] + [(112, 12)] * 8
     assert folded.c2.theta_max == pytest.approx(whole.c2.theta_max, rel=1e-13)
     assert principal_angles(folded.frame, whole.frame)[0] < 1e-13
+
+
+def test_one_fold_per_training_set(monkeypatch):
+    # README's library quick start: interpolate, two sweeps and check_c1 on
+    # one set all read the set's one fold of its node bases
+    spec = FamilySpec(n=16, n_t=40, mode_count=2, kind="rotation", rate=0.1, seed=1,
+                      params=(0.0, 1.0, 2.0, 3.0))
+    ts = TrainingSet(points=tuple((s.param, compute_pod(s, 2).basis) for s in generate(spec).snapshots))
+    chains = []
+    fold_triangle = snapshots.fold_triangle
+    monkeypatch.setattr(snapshots, "fold_triangle",
+                        lambda blocks: chains.append(ts.n) or fold_triangle(blocks))
+    result = interpolate(ts, target=1.5)
+    assert result.ok and c2_sweep(ts, 0.0, 3.0, 31, reference_index=0).c1.ok
+    assert c2_sweep(ts, 1.5, 3.0, 7, result.reference_index).thetas[0] == result.c2.theta_max
+    assert check_c1(ts, result.reference_index) == result.c1
+    assert chains == [16]
