@@ -179,6 +179,8 @@ def cmd_sweep_c2(args):
 def cmd_check_c3(args):
     _c3_threshold(args.threshold)
     if args.table is not None:
+        if args.inputs:
+            raise ParameterError("check-c3 takes no snapshot inputs with --table")
         table = fileio.read_distance_table(args.table)
     else:
         for option in ("modes", "target"):

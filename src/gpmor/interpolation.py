@@ -6,8 +6,8 @@ the set works on their coordinates in that fold. From the reference node the
 call names, stability.tangent_step maps every training point to its tangent
 space (C1 gate: all overlaps invertible); the largest singular value of their
 Lagrange combination is read from the sweep kernel and checked against pi/2
-(C2 gate), and only then is the combined lift formed and exponentiated back
-to the manifold. interpolate_modes stops there, in coordinates, and
+(C2 gate), and only then is that combination (kernels.combine) exponentiated
+back to the manifold. interpolate_modes stops there, in coordinates, and
 walk_modes runs it over the modes of a multi-mode call; interpolate maps its
 one frame to n x p. The reference defaults to the node nearest the target.
 """
@@ -162,10 +162,7 @@ def interpolate_modes(ts, target, modes, reference_index=None):
                 )
             c2 = C2Record(ok=below_cut_locus(theta), theta_max=float(theta))
         if c2 is not None and c2.ok:
-            combined = np.zeros_like(lifts[0])
-            for w, z in zip(weights, lifts):
-                combined += w * z
-            velocity = TangentVector(base, combined, tol)
+            velocity = TangentVector(base, kernels.combine(lifts, [weights])[0], tol)
             frame = geodesic(base, velocity, 1.0)
         yield InterpolationResult(target, ref, c1, c2, frame, velocity, extrapolated)
 

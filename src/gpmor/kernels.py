@@ -8,9 +8,9 @@ theta_curve, so every C2 verdict on one lambda has the same bits. The lifts
 of a training set come in the m = max(min(n, NP), 2P) coordinates of one
 fold of its node bases (TrainingSet.coords), a single lift as one
 n x p matrix, so every grid point is one m x p matrix C = sum_i w_i Z_i,
-whatever n is: no factorisation of the lift stack would shrink it. Each
-sample's C is its own 1 x N by N x mp product, so its bits do not depend on
-the grid's length.
+whatever n is: no factorisation of the lift stack would shrink it. combine
+forms C, here and for the lift interpolate exponentiates, so C2 judges that
+very matrix (up to an exact power-of-two scaling) at any grid length.
 
 theta_1 is read from the p x p Gram matrix of each C: theta_1 =
 sqrt(lambda_max(C^T C)), from a batched symmetric eigensolver in place of a
@@ -82,6 +82,16 @@ def active_backend():
     return "numpy"
 
 
+def combine(lifts, weights):
+    """gpmor's one Lagrange combination: sum_i w_i Z_i of (N, m, p) `lifts`
+    for each row of (M, N) `weights`, as (M, m, p). Each row is its own 1 x N
+    by N x mp product, so its bits do not depend on M (as one product, one
+    row would take numpy's matrix-vector path and more rows GEMM)."""
+    n_nodes, m, p = lifts.shape
+    weights = np.asarray(weights, dtype=np.float64)
+    return np.matmul(weights[:, np.newaxis], lifts.reshape(n_nodes, m * p)).reshape(-1, m, p)
+
+
 def theta_curve(lifts, node_params, grid):
     """Largest singular value of the interpolated lift at each grid parameter,
     from the Gram matrix of the combined lift (see the module docstring).
@@ -92,9 +102,6 @@ def theta_curve(lifts, node_params, grid):
     grid: (M,) target parameters.
     """
     lifts = np.asarray(lifts, dtype=np.float64)
-    n_nodes, m, p = lifts.shape
-    # row i of blocks is Z_i, the m x p lift that multiplies w_i, flattened
-    blocks = lifts.reshape(n_nodes, m * p)
     weights = lagrange_matrix(node_params, grid)
     # C's entries are at most N max|w_i| max|Z|. Dividing each sample's weights
     # by a power of two near that bound is exact and keeps C^T C clear of
@@ -103,14 +110,11 @@ def theta_curve(lifts, node_params, grid):
     _, scale = np.frexp(np.abs(weights).max(axis=1))
     scale += np.frexp(np.abs(lifts).max())[1]
     weights = np.ldexp(weights, -scale[:, np.newaxis])
-    rows = max(1, _BLOCK_BYTES // (m * p * 8))
+    rows = max(1, _BLOCK_BYTES // lifts[0].nbytes)
     out = np.empty(weights.shape[0])
     for start in range(0, weights.shape[0], rows):
         block = slice(start, start + rows)
-        # one 1 x N by N x mp product per sample: a block of one row would
-        # take numpy's matrix-vector path and a longer one GEMM, which round
-        # differently
-        combined = np.matmul(weights[block, np.newaxis], blocks).reshape(-1, m, p)
+        combined = combine(lifts, weights[block])
         gram = np.matmul(combined.transpose(0, 2, 1), combined)
         # rounding can leave a zero lift's eigenvalue a hair below zero
         top = np.linalg.eigvalsh(gram)[:, -1]

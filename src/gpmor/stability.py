@@ -119,17 +119,13 @@ class C3Record(Record):
 
 def ambient(ts, c):
     """The n x q matrix Q c of m x q `c` in the rows of the set's fold
-    (TrainingSet.coords), where the node bases are Q coords: with
-    [coords_1 ... coords_N] = U Sigma V^T cut to the K singular values above
-    sigma_1 * n * JOINT_SPAN_RTOL, Q U = [Y_1 ... Y_N] V Sigma^-1, so it is
-    one product with the node bases, in row blocks of STREAM_BYTES;
-    F-ordered and read-only, so its column blocks are views GrassmannPoint
-    keeps without a copy."""
-    nodes, m, p = ts.coords.shape
-    u, sigma, vt = np.linalg.svd(ts.coords.transpose(1, 0, 2).reshape(m, nodes * p),
-                                 full_matrices=False)
-    k = int(np.sum(sigma > sigma[0] * ts.n * JOINT_SPAN_RTOL))
-    g = vt[:k].T @ ((u[:, :k].T @ c) / sigma[:k, np.newaxis])
+    (TrainingSet.coords), where the node bases are Q coords: [Y_1 ... Y_N] g
+    for g the minimum-norm least-squares solution of [coords_1 ... coords_N]
+    g = c, cut at sigma_1 * n * JOINT_SPAN_RTOL, in row blocks of
+    STREAM_BYTES; F-ordered and read-only, so its column blocks are views
+    GrassmannPoint keeps without a copy."""
+    nodes, _, p = ts.coords.shape
+    g = np.linalg.lstsq(np.hstack(ts.coords), c, rcond=ts.n * JOINT_SPAN_RTOL)[0]
     out = np.empty((ts.n, c.shape[1]), order="F")
     rows = max(1, snapshots.STREAM_BYTES // (8 * c.shape[1]))
     for start in range(0, ts.n, rows):

@@ -592,6 +592,26 @@ def test_check_c3_table_round_trip_same_report(tmp_path):
     assert (second / "c3_table.csv").read_bytes() == (first / "c3_table.csv").read_bytes()
 
 
+def test_check_c3_table_refuses_snapshot_inputs(tmp_path, capsys, monkeypatch):
+    files = synth_family(tmp_path / "fam")
+    table = tmp_path / "table.csv"
+    table.write_text("# gpm-c3-table modes=1,2,3\n0,1,2\n1,0,1.5\n2,1.5,0\n")
+    reads, read_table = [], fileio.read_distance_table
+    monkeypatch.setattr(fileio, "read_distance_table", lambda *a: reads.append(a) or read_table(*a))
+    out = tmp_path / "c3"
+    # an existing snapshot alone is refused too, so a missing path is not the cause
+    for inputs in ([files[0]], [files[0], tmp_path / "missing.gpm"]):
+        assert run("--out", out, "--quiet", "check-c3", "--table", table, *inputs,
+                   "--modes", "7,9", "--target", 99) == 2
+        assert "no snapshot inputs with --table" in capsys.readouterr().err
+    assert not reads and not any(out.iterdir())
+    # --modes and --target from a shared config do not count as inputs
+    monkeypatch.undo()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"modes": "7,9", "target": 99}))
+    assert run("--config", config, "--out", out, "--quiet", "check-c3", "--table", table) == 0
+
+
 def test_check_c3_reads_and_factors_each_snapshot_once(tmp_path, monkeypatch):
     # a binary snapshot, wide or tall, is streamed in two passes of row
     # blocks, here one block each, and factored by one QR of that block and
@@ -1820,3 +1840,52 @@ def test_full_pipeline_determinism(tmp_path):
     assert [p.name for p in files1] == [p.name for p in files2]
     for a, b in zip(files1, files2):
         assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def _json_constants(path):
+    """{key path: token} of every non-standard constant (Infinity, NaN) in
+    the JSON file `path`."""
+    def walk(value, at):
+        if isinstance(value, dict):
+            return {k: t for key, v in value.items() for k, t in walk(v, at + (key,)).items()}
+        if isinstance(value, list):
+            return {k: t for i, v in enumerate(value) for k, t in walk(v, at + (i,)).items()}
+        return {at: value[1]} if isinstance(value, tuple) else {}
+
+    return walk(json.loads(path.read_text(), parse_constant=lambda token: ("constant", token)), ())
+
+
+def test_every_json_report_is_strict_json(tmp_path):
+    # README's File formats: every report is strict JSON, except that
+    # c3_report.json writes an infinite epsilon or threshold as Infinity
+    src = synth_family(tmp_path / "src", kind="crossing", rate=np.pi / 2,
+                       params="-0.8,0.0,0.8", modes=2, n=12, nt=30, seed=11)
+    out = tmp_path / "out"
+    calls = [
+        (0, "pod", "pod", *src, "--mode", 2),
+        (0, "interp", "interpolate", *src, "--mode", 2, "--target", 0.4, "--reference-index", 1),
+        (11, "interp-c2", "interpolate", *src, "--mode", 2, "--target", 1.3,
+         "--reference-index", 1),
+        (0, "sweep", "sweep-c2", *src, "--mode", 2, "--lo", -1.5, "--hi", 1.5, "--samples", 101,
+         "--reference-index", 1),
+        (None, "c3", "check-c3", *src, "--modes", "1,2", "--target", 0.4, "--reference-index", 1),
+        (11, "c3-c2", "check-c3", *src, "--modes", "1,2", "--target", 1.3, "--reference-index", 1),
+        (0, "distance", "distance", out / "pod" / "basis_snapshot_000.gpf",
+         out / "pod" / "basis_snapshot_002.gpf"),
+        (0, "metrics", "metrics", "--approx", src[0], "--reference", src[1]),
+    ]
+    for code, name, *argv in calls:
+        got = run("--out", out / name, "--quiet", *argv)
+        assert got == code if code is not None else got in (0, 12), name
+    table = tmp_path / "table.csv"
+    table.write_text("# gpm-c3-table modes=1,2,3\n0,0,1\n0,0,2\n1,2,0\n")
+    assert run("--out", out / "c3-inf", "--quiet", "check-c3", "--table", table,
+               "--threshold", "inf") == 12
+    reports = sorted([*out.rglob("*.json"), tmp_path / "src" / "manifest.json"])
+    assert len(reports) == 10
+    allowed = {("c3", "epsilon"), ("c3", "threshold"), ("meta", "threshold")}
+    for path in reports:
+        constants = _json_constants(path)
+        assert set(constants) <= (allowed if path.name == "c3_report.json" else set()), path
+        assert set(constants.values()) <= {"Infinity"}, path
+    assert _json_constants(out / "c3-inf" / "c3_report.json") == dict.fromkeys(allowed, "Infinity")

@@ -268,6 +268,20 @@ def test_velocity_is_horizontal():
     assert np.max(np.abs(res.velocity.lift.T @ base.frame)) < 1e-10
 
 
+def test_velocity_is_the_combination_c2_judged():
+    # interpolate_modes exponentiates kernels.combine's lift, the matrix
+    # theta_curve judges up to an exact power-of-two scaling
+    spec = FamilySpec(n=16, n_t=20, mode_count=3, kind="crossing", rate=0.5, seed=4,
+                      params=(-1.0, -0.25, 0.5, 1.25), noise=1e-6)
+    ts = TrainingSet(points=tuple((s.param, compute_pod(s, 3).basis)
+                                  for s in generate(spec).snapshots))
+    for target in (0.1, 1.6):
+        [res] = interpolate_modes(ts, target, [3], reference_index=2)
+        lifts = tangent_step(ts, 2, 3)[2]
+        combined = kernels.combine(lifts, [lagrange_weights(ts.params, target)])[0]
+        assert res.ok and np.array_equal(res.velocity.lift, combined)
+
+
 # -- c2 sweep -----------------------------------------------------------------
 
 

@@ -187,6 +187,24 @@ def test_one_target_has_the_bits_it_has_in_either_block_of_a_long_grid():
         assert kernels.theta_curve(lifts, params, grid[j:j + 1])[0] == whole[j]
 
 
+def test_combine_of_a_one_hot_row_is_that_lift():
+    # node reproduction stays exact through the product
+    lifts = np.random.default_rng(11).standard_normal((5, 9, 3))
+    for i, row in enumerate(np.eye(5)):
+        assert np.array_equal(kernels.combine(lifts, [row])[0], lifts[i])
+
+
+@pytest.mark.parametrize("rows", [2, 7, 40])
+def test_combine_row_has_the_bits_of_a_one_row_call(rows):
+    rng = np.random.default_rng(rows)
+    lifts = rng.standard_normal((6, 11, 4))
+    weights = rng.standard_normal((rows, 6)) * 10.0 ** rng.integers(-3, 4, (rows, 1))
+    whole = kernels.combine(lifts, weights)
+    assert whole.shape == (rows, 11, 4)
+    for row, combined in zip(weights, whole):
+        assert np.array_equal(kernels.combine(lifts, row[np.newaxis]), combined[np.newaxis])
+
+
 @pytest.mark.parametrize("call", [
     lambda: kernels.lagrange_matrix([1.0, 1.0, 2.0], [0.5]),
     lambda: kernels.theta_curve(np.ones((3, 4, 1)), [1.0, 2.0, 1.0], [0.5]),
