@@ -49,6 +49,8 @@ from .stability import DistanceTable
 
 SNAPSHOT_MAGIC = b"GPM1"
 FRAME_MAGIC = b"GPF1"
+# a file that starts with any of these is read as binary, so one of another kind is named
+BINARY_MAGICS = (SNAPSHOT_MAGIC, FRAME_MAGIC, podcache.MAGIC)
 POD_CACHE_DIR = ".gpmor_cache"
 # a snapshot is stamped only when its ctime is older than its key's stream by
 # more than this, FAT's 2 s timestamp step (the coarsest in common use), so a
@@ -263,7 +265,7 @@ def read_distance_table(path):
 def read_snapshot(path):
     """Read a snapshot in either format, picked by file magic."""
     with open(path, "rb") as fh:
-        binary = fh.read(4) == SNAPSHOT_MAGIC
+        binary = fh.read(4) in BINARY_MAGICS
     if binary:
         (_, _, lam), data = _read_bin(path, SNAPSHOT_MAGIC, "<QQd")
     else:
@@ -275,7 +277,7 @@ def read_snapshot(path):
 def read_frame(path):
     """Read an orthonormal frame in either format, picked by file magic."""
     with open(path, "rb") as fh:
-        binary = fh.read(4) == FRAME_MAGIC
+        binary = fh.read(4) in BINARY_MAGICS
     data = _read_bin(path, FRAME_MAGIC, "<QQ")[1] if binary else _read_matrix_csv(path)[1]
     return GrassmannPoint(frame=data)
 
@@ -314,7 +316,7 @@ def _factor_snapshot(path, max_mode):
     each filled by positioned reads of its column segments and checked for
     non-finite entries, in two passes over the file."""
     with open(path, "rb", buffering=0) as fh:
-        if fh.read(4) == SNAPSHOT_MAGIC:
+        if fh.read(4) in BINARY_MAGICS:
             fh.seek(0)
             n, n_t, lam = _bin_header(fh, path, SNAPSHOT_MAGIC, "<QQd")
             if n and n_t:

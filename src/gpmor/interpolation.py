@@ -3,13 +3,14 @@
 The pipeline: a TrainingSet folds its node bases once, at its mode, the
 first time a call reads them (TrainingSet.coords), and every call and mode on
 the set works on their coordinates in that fold. From the reference node the
-call names, stability.tangent_step maps every training point to its tangent
+call names, TrainingSet.tangent_step maps every training point to its tangent
 space (C1 gate: all overlaps invertible); the largest singular value of their
 Lagrange combination is read from the sweep kernel and checked against pi/2
 (C2 gate), and only then is that combination (kernels.combine) exponentiated
 back to the manifold. interpolate_modes stops there, in coordinates, and
 walk_modes runs it over the modes of a multi-mode call; interpolate maps its
-one frame to n x p. The reference defaults to the node nearest the target.
+one frame to n x p (TrainingSet.ambient, on the fold's walk of the stack).
+The reference defaults to the node nearest the target.
 """
 
 from functools import cached_property, reduce
@@ -27,10 +28,18 @@ from .grassmann import (
     _frozen_float,
     below_cut_locus,
     geodesic,
+    log_lift,
+    overlap_invertible,
 )
 from .record import Record, replace
 from .snapshots import truncate_pod
-from .stability import C1Record, C2Record, ambient, tangent_step
+from .stability import C1Record, C2Record
+
+# The way back to n keeps the singular values of the stack [Y_1 ... Y_N] above
+# sigma_1 * n * JOINT_SPAN_RTOL: a Householder QR of n rows is backward stable
+# to about n u times the stack's norm (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, Thm. 19.4), so the rest are its rounding.
+JOINT_SPAN_RTOL = np.finfo(float).eps
 
 
 def weight_bound(weights):
@@ -84,28 +93,73 @@ class TrainingSet(Record):
     def n(self):
         return self.points[0][1].n
 
-    @cached_property
-    def coords(self):
-        """The (N, m, P) coordinates of the node bases (P = mode) in one fold,
-        made once per set and read-only. The n x NP stack whose column j*N + i
-        is node i's vector j is folded from row blocks into its triangle R,
-        never held whole; node i's coordinates are R's columns {jN + i},
-        zero-padded to m = max(R's rows, 2P). R is orthonormal coordinates of
-        the stack to rounding, whatever its rank, and the mode-p stack is its
-        leading Np columns, so each node's leading p columns are its mode-p
-        coordinates, in rows every mode p <= P shares."""
+    def _stack_blocks(self):
+        """The row blocks of the n x NP stack of the node bases (P = mode),
+        mode-major: column j*N + i is node i's vector j. The one walk over
+        the stack, which the fold (coords) and the way back (ambient) read."""
         frames = [pt.frame for _, pt in self.points]
-        nodes, p = len(frames), self.mode
+        nodes = len(frames)
 
         def stacked_rows(view, start):
             for i, y in enumerate(frames):
                 view[:, i::nodes] = y[start:start + len(view)]
 
-        r = snapshots.fold_triangle(snapshots.row_blocks(self.n, nodes * p, stacked_rows))
+        return snapshots.row_blocks(self.n, nodes * self.mode, stacked_rows)
+
+    @cached_property
+    def coords(self):
+        """The (N, m, P) coordinates of the node bases in one fold, made once
+        per set and read-only. The stack is folded from its row blocks into
+        its triangle R, never held whole; node i's coordinates are R's columns
+        {jN + i}, zero-padded to m = max(R's rows, 2P). R is orthonormal
+        coordinates of the stack to rounding, whatever its rank, and the
+        mode-p stack is its leading Np columns, so each node's leading p
+        columns are its mode-p coordinates, in rows every mode p <= P shares."""
+        nodes, p = len(self.points), self.mode
+        r = snapshots.fold_triangle(self._stack_blocks())
         coords = np.zeros((nodes, max(r.shape[0], 2 * p), p))
         coords[:, :r.shape[0]] = r.reshape(-1, p, nodes).transpose(2, 0, 1)
         coords.setflags(write=False)
         return coords
+
+    def ambient(self, c):
+        """The n x q matrix Q c of m x q `c` in the fold's rows, where the
+        stack is Q R: stack @ g, g the minimum-norm least-squares solution of
+        R g = c (R's columns read from coords in the stack's order, cut at
+        sigma_1 * n * JOINT_SPAN_RTOL), one product per block of the fold's
+        walk. F-ordered and read-only: GrassmannPoint keeps its views as is."""
+        m = self.coords.shape[1]
+        r = self.coords.transpose(1, 2, 0).reshape(m, -1)
+        g = np.linalg.lstsq(r, c, rcond=self.n * JOINT_SPAN_RTOL)[0]
+        out = np.empty((self.n, c.shape[1]), order="F")
+        start = 0
+        for block in self._stack_blocks():
+            out[start:start + len(block)] = block @ g
+            start += len(block)
+        out.setflags(write=False)
+        return out
+
+    def tangent_step(self, reference_index, p):
+        """C1 record at the reference node at mode p and, when C1 holds, the
+        reference's coordinate frame and every node's read-only lift at it
+        (the reference's zero), else None for both: one batched log_lift on
+        the leading p columns of the fold, with C1's floor at the ambient n.
+        The one range check of a mode and of a reference index."""
+        if not 1 <= p <= self.mode:
+            raise ParameterError(f"mode p={p} out of range [1, {self.mode}] of the fold")
+        if not 0 <= reference_index < len(self.points):
+            raise ParameterError(f"reference index {reference_index} out of range")
+        base = GrassmannPoint(self.coords[reference_index, :, :p])
+        svs, lifts = log_lift(base.frame, self.coords[:, :, :p], self.n)
+        failing = () if lifts is not None else tuple(
+            i for i, sv in enumerate(svs) if not overlap_invertible(sv, self.n))
+        c1 = C1Record(ok=not failing, failing_indices=failing,
+                      min_singular_values=tuple(svs[:, -1].tolist()))
+        if failing:
+            return c1, None, None
+        lifts[reference_index] = 0.0
+        lifts.setflags(write=False)
+        return c1, base, lifts
 
 
 class InterpolationResult(Record):
@@ -149,7 +203,7 @@ def interpolate_modes(ts, target, modes, reference_index=None):
     # leaves the horizontal space by at most sum |w_i| times that
     tol = HORIZONTAL_TOL * max(1.0, spread)
     for p in modes:
-        c1, base, lifts = tangent_step(ts, ref, p)
+        c1, base, lifts = ts.tangent_step(ref, p)
         c2 = frame = velocity = None
         if lifts is not None:
             theta = kernels.theta_curve(lifts, ts.params, [target])[0]
@@ -207,7 +261,7 @@ def interpolate(ts, target, reference_index=None):
     [res] = interpolate_modes(ts, target, [ts.mode], reference_index)
     if not res.ok:
         return res
-    both = ambient(ts, np.hstack((res.frame.frame, res.velocity.lift)))
+    both = ts.ambient(np.hstack((res.frame.frame, res.velocity.lift)))
     p = ts.mode
     return replace(res, frame=GrassmannPoint(both[:, :p]), velocity=TangentVector(
         ts.points[res.reference_index][1], both[:, p:], res.velocity.horizontal_tol))
@@ -268,7 +322,7 @@ def c2_sweep(ts, lo, hi, samples, reference_index):
     if not 0.0 < hi - lo < np.inf:  # also refuses a non-finite bound or width
         raise ParameterError(f"need finite lo < hi, got [{lo}, {hi}]")
     grid = np.linspace(lo, hi, samples)
-    c1, _, lifts = tangent_step(ts, reference_index, ts.mode)
+    c1, _, lifts = ts.tangent_step(reference_index, ts.mode)
     if lifts is None:
         return C2Sweep(grid, np.full(samples, np.nan), c1)
     thetas = kernels.theta_curve(lifts, ts.params, grid)

@@ -1,11 +1,9 @@
 """Auditable records for the three stability conditions C1/C2/C3.
 
 C1: every training point lies in the log-map domain of the reference point
-    (all overlap matrices non-singular). tangent_step(ts, reference_index,
-    p) records it and lifts every node in one pass, on the node bases'
-    coordinates in the set's one fold (TrainingSet.coords), which serves
-    every mode up to the set's; check_c1(ts, reference_index) is its record
-    half. Only a frame that is written goes back to n (ambient).
+    (all overlap matrices non-singular). TrainingSet.tangent_step records
+    it as it lifts every node; check_c1(ts, reference_index) is its record
+    half.
 C2: the interpolated lift stays inside the exponential-map injectivity domain
     (largest singular value below pi/2).
 C3: the non-inclusion defect across POD mode counts stays bounded
@@ -17,24 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels, snapshots
+from . import kernels
 from .errors import ParameterError
-from .grassmann import (
-    GrassmannPoint,
-    _frozen_float,
-    below_cut_locus,
-    geometric_distance,
-    log_lift,
-    overlap_invertible,
-)
+from .grassmann import _frozen_float, below_cut_locus, geometric_distance
 from .record import Record, asdict, field
 
 DEFAULT_C3_THRESHOLD = 100.0
-# The way back to n keeps the singular values of the stack [Y_1 ... Y_N] above
-# sigma_1 * n * JOINT_SPAN_RTOL: a Householder QR of n rows is backward stable
-# to about n u times the stack's norm (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2002, Thm. 19.4), so the rest are its rounding.
-JOINT_SPAN_RTOL = np.finfo(float).eps
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -117,53 +103,10 @@ class C3Record(Record):
         return d
 
 
-def ambient(ts, c):
-    """The n x q matrix Q c of m x q `c` in the rows of the set's fold
-    (TrainingSet.coords), where the node bases are Q coords: [Y_1 ... Y_N] g
-    for g the minimum-norm least-squares solution of [coords_1 ... coords_N]
-    g = c, cut at sigma_1 * n * JOINT_SPAN_RTOL, in row blocks of
-    STREAM_BYTES; F-ordered and read-only, so its column blocks are views
-    GrassmannPoint keeps without a copy."""
-    nodes, _, p = ts.coords.shape
-    g = np.linalg.lstsq(np.hstack(ts.coords), c, rcond=ts.n * JOINT_SPAN_RTOL)[0]
-    out = np.empty((ts.n, c.shape[1]), order="F")
-    rows = max(1, snapshots.STREAM_BYTES // (8 * c.shape[1]))
-    for start in range(0, ts.n, rows):
-        part = slice(start, start + rows)
-        acc = ts.points[0][1].frame[part] @ g[:p]
-        for i in range(1, nodes):
-            acc += ts.points[i][1].frame[part] @ g[i * p:(i + 1) * p]
-        out[part] = acc
-    out.setflags(write=False)
-    return out
-
-
-def tangent_step(ts, reference_index, p):
-    """C1 record at the reference node of set `ts` at mode p and, when C1
-    holds, the reference's coordinate frame and every node's read-only lift
-    at it (the reference's zero), else None for both: one batched log_lift
-    on the leading p columns of the set's fold, with C1's floor at the
-    ambient n. The one range check of a mode and of a reference index."""
-    if not 1 <= p <= ts.mode:
-        raise ParameterError(f"mode p={p} out of range [1, {ts.mode}] of the fold")
-    if not 0 <= reference_index < len(ts.points):
-        raise ParameterError(f"reference index {reference_index} out of range")
-    base = GrassmannPoint(ts.coords[reference_index, :, :p])
-    svs, lifts = log_lift(base.frame, ts.coords[:, :, :p], ts.n)
-    failing = () if lifts is not None else tuple(
-        i for i, sv in enumerate(svs) if not overlap_invertible(sv, ts.n))
-    c1 = C1Record(ok=not failing, failing_indices=failing,
-                  min_singular_values=tuple(svs[:, -1].tolist()))
-    if failing:
-        return c1, None, None
-    lifts[reference_index] = 0.0
-    lifts.setflags(write=False)
-    return c1, base, lifts
-
-
 def check_c1(ts, reference_index):
-    """C1 record at the reference node: the record half of tangent_step."""
-    return tangent_step(ts, reference_index, ts.mode)[0]
+    """C1 record at the reference node of set `ts`: the record half of
+    TrainingSet.tangent_step at the set's mode."""
+    return ts.tangent_step(reference_index, ts.mode)[0]
 
 
 def check_c2(lift):

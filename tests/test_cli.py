@@ -30,7 +30,7 @@ from gpmor import (
     synth,
 )
 from gpmor.fileio import fmt, read_frame, read_json, read_snapshot, write_snapshot_bin
-from gpmor.stability import JOINT_SPAN_RTOL
+from gpmor.interpolation import JOINT_SPAN_RTOL
 from gpmor.synth import DEFAULT_NOISE, KINDS
 from oracles import barycentric_eval_weights, grassmann_lagrange, snapshot_files, synth_files
 
@@ -976,7 +976,7 @@ def test_one_overlap_factorisation_per_node_and_mode(tmp_path, monkeypatch):
     # the tangent step factors each overlap with the reference once, in one
     # batched log_lift over the N nodes per training set: one call of N rows
     # per mode
-    from gpmor import grassmann, stability
+    from gpmor import grassmann, interpolation
 
     calls = []
 
@@ -986,7 +986,7 @@ def test_one_overlap_factorisation_per_node_and_mode(tmp_path, monkeypatch):
 
     log_lift = grassmann.log_lift
     monkeypatch.setattr(grassmann, "log_lift", counting)
-    monkeypatch.setattr(stability, "log_lift", counting)
+    monkeypatch.setattr(interpolation, "log_lift", counting)
     files = synth_family(tmp_path / "fam", kind="nested", n=16, nt=40, modes=5,
                          rate=0.05, params="0,1,2,3", seed=7)
     for argv, expected in (
@@ -1025,6 +1025,32 @@ def test_one_fold_of_the_node_bases_per_call(tmp_path, monkeypatch):
         chains.clear()
         assert run("--out", tmp_path / argv[0], "--quiet", *argv) == 0
         assert chains == [16]
+
+
+def test_one_walk_of_the_node_base_stack_per_use(tmp_path, monkeypatch):
+    # once the cache is warm, a call walks the n x NP stack of its node bases
+    # once to fold it, and interpolate walks it once more to map its frame
+    # back to n; TrainingSet._stack_blocks alone walks it
+    walks = []
+
+    def counting(n, n_t, fill):
+        walks.append((sys._getframe(1).f_code.co_name, n, n_t))
+        return row_blocks(n, n_t, fill)
+
+    row_blocks = snapshots.row_blocks
+    files = synth_family(tmp_path / "fam", kind="nested", n=16, nt=40, modes=5,
+                         rate=0.05, params="0,1,2,3", seed=7)
+    assert run("--out", tmp_path / "warm", "--quiet", "pod", *files, "--mode", 5) == 0
+    monkeypatch.setattr(snapshots, "row_blocks", counting)
+    for argv, mode, uses in (
+        (["interpolate", *files, "--mode", 3, "--target", 1.5], 3, 2),
+        (["sweep-c2", *files, "--mode", 3, "--lo", 0, "--hi", 3, "--samples", 7,
+          "--reference-index", 1], 3, 1),
+        (["check-c3", *files, "--modes", "1,2,3,4,5", "--target", 1.5], 5, 1),
+    ):
+        walks.clear()
+        assert run("--out", tmp_path / argv[0], "--quiet", *argv) == 0
+        assert walks == [("_stack_blocks", 16, mode * len(files))] * uses
 
 
 def test_check_c3_table_matches_per_mode_library_path(tmp_path):
@@ -1766,6 +1792,23 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, command, name, content):
     argv = [path, "--mode", 1] if command == "pod" else [path, path]
     assert run("--out", tmp_path / "out", command, *argv) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_binary_of_another_kind_names_its_magic_exit_2(tmp_path, capsys):
+    # a gpmor binary of the wrong kind is named by its magic, not parsed as
+    # CSV rows of its raw bytes
+    files = synth_family(tmp_path / "fam")
+    assert run("--out", tmp_path / "pod", "--quiet", "pod", *files, "--mode", 1) == 0
+    basis = tmp_path / "pod" / "basis_snapshot_000.gpf"
+    entry = tmp_path / "fam" / ".gpmor_cache" / "snapshot_000.gpm.pod"
+    for argv, found, expected in (
+        (["pod", basis, "--mode", 1], b"GPF1", b"GPM1"),
+        (["pod", entry, "--mode", 1], podcache.MAGIC, b"GPM1"),
+        (["distance", files[0], files[1]], b"GPM1", b"GPF1"),
+    ):
+        capsys.readouterr()
+        assert run("--out", tmp_path / "out", *argv) == 2
+        assert capsys.readouterr().err == f"error: {argv[1]}: bad magic {found!r}, expected {expected!r}\n"
 
 
 # -- --report -------------------------------------------------------------------

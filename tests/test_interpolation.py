@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -24,9 +26,10 @@ from gpmor import (
 )
 from oracles import barycentric_eval_weights, random_grassmann_point
 
+from gpmor.errors import GpmError
 from gpmor.grassmann import C2_MARGIN, overlap_invertible
-from gpmor.interpolation import interpolate_modes
-from gpmor.stability import ambient, tangent_step
+from gpmor.interpolation import interpolate_modes, training_set
+from gpmor.snapshots import SnapshotMatrix, factor_pod
 
 
 def make_training_set(rng, n, p, params):
@@ -100,6 +103,66 @@ def test_training_set_rejects_half_dimension_violation():
     rng = np.random.default_rng(3)
     with pytest.raises(ParameterError):
         TrainingSet(points=((0.0, random_grassmann_point(rng, 5, 3)),))
+
+
+@st.composite
+def factor_families(draw):
+    # snapshots U diag(s) V^T of one shape and drawn rank, spectra from a
+    # few values so that some repeat, and factors that may keep fewer
+    # vectors than the rank
+    n, n_t = draw(st.integers(2, 10)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = []
+    for i in range(draw(st.integers(1, 3))):
+        rank = draw(st.integers(1, min(n, n_t)))
+        sv = sorted(draw(st.lists(st.sampled_from([1.0, 0.5, 1e-3]), min_size=rank, max_size=rank)),
+                    reverse=True)
+        u, v = (np.linalg.qr(rng.standard_normal((k, rank)))[0] for k in (n, n_t))
+        data = SnapshotMatrix(data=(u * sv) @ v.T, param=float(i))
+        factors.append(factor_pod(data, draw(st.integers(0, rank))))
+    return factors
+
+
+@given(factor_families())
+def test_training_set_fails_on_a_tail_of_the_modes(factors):
+    # every way training_set can fail (p > q, rank < p, p past the kept
+    # vectors, 2p > n) is monotone in p: the modes of [1, q + 1] it builds
+    # are {1, ..., p*} for some p* >= 0
+    q = min(factors[0].shape)
+    built = []
+    for p in range(1, q + 2):
+        with warnings.catch_warnings():
+            # a repeated singular value flags a degenerate gap
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                built.append(training_set(factors, p).mode)
+            except GpmError:
+                pass
+    assert built == list(range(1, len(built) + 1))
+    assert len(built) <= q
+
+
+@pytest.mark.parametrize("n, nodes, p, rank", [
+    (200, 5, 4, None),
+    (12, 5, 3, None),
+    (40, 6, 3, 5),
+    (1000, 3, 5, 6),
+    (30, 1, 4, None),
+], ids=["tall", "wide", "rank-deficient", "tall-rank-deficient", "one-node"])
+def test_ambient_maps_each_nodes_coordinates_back_to_its_frame(n, nodes, p, rank):
+    # the way back to n undoes the fold: node i's coordinates give Y_i, on a
+    # stack wider than n, of rank below NP, and on one node, whose
+    # coordinates are zero-padded to 2P rows
+    rng = np.random.default_rng(n + nodes)
+    span = np.linalg.qr(rng.standard_normal((n, rank)))[0] if rank else None
+    ts = TrainingSet(points=tuple(
+        (float(i), GrassmannPoint(np.linalg.qr(span @ rng.standard_normal((rank, p)))[0])
+         if rank else random_grassmann_point(rng, n, p)) for i in range(nodes)))
+    assert ts.coords.shape[1] == max(min(n, nodes * p), 2 * p)
+    for i, (_, pt) in enumerate(ts.points):
+        back = ts.ambient(ts.coords[i])
+        assert back.flags.f_contiguous and not back.flags.writeable
+        assert np.max(np.abs(back - pt.frame)) <= 1e-13
 
 
 def test_reference_defaults_to_nearest_node():
@@ -218,7 +281,7 @@ def test_near_cut_locus_gives_a_verdict(n, p, log_gap, seed):
     # a node whose verdict a relative 1e-9 move of its singular values flips
     # is left out of the verdict comparison.
     for ref, (_, ref_pt) in enumerate(ts.points):
-        c1, _, lifts = tangent_step(ts, ref, p)
+        c1, _, lifts = ts.tangent_step(ref, p)
         for i, (_, pt) in enumerate(ts.points):
             sv = np.linalg.svd(ref_pt.frame.T @ pt.frame, compute_uv=False)
             firm = overlap_invertible(sv * (1 + 1e-9), n) == overlap_invertible(sv * (1 - 1e-9), n)
@@ -229,7 +292,7 @@ def test_near_cut_locus_gives_a_verdict(n, p, log_gap, seed):
                 continue
             assert not firm or i not in c1.failing_indices
             if lifts is not None and i != ref:
-                np.testing.assert_allclose(ambient(ts, lifts[i]), lift, rtol=0.0, atol=1e-9)
+                np.testing.assert_allclose(ts.ambient(lifts[i]), lift, rtol=0.0, atol=1e-9)
         assert c1.ok == (lifts is not None)
         assert lifts is None or np.all(lifts[ref] == 0.0)
         assert check_c1(ts, ref) == c1
@@ -277,7 +340,7 @@ def test_velocity_is_the_combination_c2_judged():
                                   for s in generate(spec).snapshots))
     for target in (0.1, 1.6):
         [res] = interpolate_modes(ts, target, [3], reference_index=2)
-        lifts = tangent_step(ts, 2, 3)[2]
+        lifts = ts.tangent_step(2, 3)[2]
         combined = kernels.combine(lifts, [lagrange_weights(ts.params, target)])[0]
         assert res.ok and np.array_equal(res.velocity.lift, combined)
 

@@ -26,7 +26,7 @@ from gpmor import (
     snapshots,
 )
 from gpmor.grassmann import deterministic_qr
-from gpmor.stability import EXIT_C1, EXIT_C2, EXIT_C3, EXIT_OK, C1Record, C2Record, tangent_step
+from gpmor.stability import EXIT_C1, EXIT_C2, EXIT_C3, EXIT_OK, C1Record, C2Record
 from oracles import random_grassmann_point, random_tangent
 
 
@@ -262,7 +262,7 @@ def test_tangent_step_holds_row_blocks_not_lifts(monkeypatch):
     monkeypatch.setattr(snapshots, "STREAM_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        c1, _, lifts = tangent_step(ts, 2, p)
+        c1, _, lifts = ts.tangent_step(2, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
